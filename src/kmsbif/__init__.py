@@ -11,12 +11,11 @@ eigensolver.
 from .chebyshev import ChebDegree, cheb_t, cheb_t_hyperbolic, cheb_t_log, cheb_u
 from .critical import (CriticalPoint, all_critical_points, critical_t_values,
                        q_polynomial, rho_c_of_t)
-from .errors import (AmbiguousType, ConditionViolated, ConvergenceFailure,
-                     DegenerateArgument, DegenerateDenominator, DegenerateMu,
-                     DegenerateT, DomainError, ExcludedRho, HypothesisViolation,
-                     KmsBifError, NoConvergence, PositivityViolation,
-                     RootFindingFailure, SizeError, UnsupportedCase,
-                     ZeroLeadingCoefficient)
+from .errors import (ConditionViolated, ConvergenceFailure, DegenerateArgument,
+                     DegenerateDenominator, DegenerateMu, DegenerateT,
+                     DomainError, ExcludedRho, HypothesisViolation, KmsBifError,
+                     NoConvergence, PositivityViolation, RootFindingFailure,
+                     SizeError, UnsupportedCase, ZeroLeadingCoefficient)
 from .geometry import (CurveSamples, TrajectoryPoint, bifurcation_strength,
                        cardioid_approx, cusp_bisector_angle, local_level_curve,
                        trajectory_along_bisector)
@@ -26,8 +25,8 @@ from .imag_axis import (ImagAxisParams, critical_eigenvector_imag,
                         solve_v_n, solve_x_n, y_n_of)
 from .kms import (EigType, KmsMatrix, MuPoint, build_matrix, eigenvector_of_mu,
                   isotropy_defect, lambda_of_mu, rho_of_mu, rho_prime_of_mu)
-from .oracle import (Spectrum, classify_eigenvalue, count_extraordinary,
-                     eigenvalues, kms_spectrum, numeric_borderline)
+from .oracle import (Spectrum, count_extraordinary, eigenvalues, kms_spectrum,
+                     numeric_borderline, type_blocks)
 from .puiseux import (DerivativeBundle, PuiseuxParams, compose_puiseux,
                       derivatives_at_critical, eval_truncated_series,
                       puiseux_ab_from_t, puiseux_from_derivatives,
@@ -43,7 +42,7 @@ __all__ = [
     "DegenerateMu", "ExcludedRho", "DegenerateDenominator", "DegenerateT",
     "UnsupportedCase", "RootFindingFailure", "ZeroLeadingCoefficient",
     "HypothesisViolation", "ConditionViolated", "PositivityViolation",
-    "ConvergenceFailure", "NoConvergence", "AmbiguousType",
+    "ConvergenceFailure", "NoConvergence",
     "CurveSamples", "TrajectoryPoint", "bifurcation_strength",
     "cardioid_approx", "cusp_bisector_angle", "local_level_curve",
     "trajectory_along_bisector",
@@ -52,8 +51,8 @@ __all__ = [
     "large_n_params", "parabola_trajectory", "solve_v_n", "solve_x_n", "y_n_of",
     "EigType", "KmsMatrix", "MuPoint", "build_matrix", "eigenvector_of_mu",
     "isotropy_defect", "lambda_of_mu", "rho_of_mu", "rho_prime_of_mu",
-    "Spectrum", "classify_eigenvalue", "count_extraordinary", "eigenvalues",
-    "kms_spectrum", "numeric_borderline",
+    "Spectrum", "count_extraordinary", "eigenvalues", "kms_spectrum",
+    "numeric_borderline", "type_blocks",
     "DerivativeBundle", "PuiseuxParams", "compose_puiseux",
     "derivatives_at_critical", "eval_truncated_series", "puiseux_ab_from_t",
     "puiseux_from_derivatives", "series_invert_puiseux",

@@ -165,5 +165,13 @@ def cheb_t_log(k: int, x: float) -> float:
         raise DomainError(f"log form requires x > 1, got {x}")
     if int(k) == 0:
         return 0.0
-    big = int(k) * math.acosh(x)
-    return big + math.log1p(math.exp(-2.0 * big)) - _LN2
+    return _log_cosh(int(k) * math.acosh(x))
+
+
+# log cosh(x) and log sinh(x) for real x > 0, finite long after cosh(x) overflows
+def _log_cosh(x: float) -> float:
+    return x + math.log1p(math.exp(-2.0 * x)) - _LN2
+
+
+def _log_sinh(x: float) -> float:
+    return x + math.log1p(-math.exp(-2.0 * x)) - _LN2

@@ -63,7 +63,3 @@ class ConvergenceFailure(KmsBifError):
 
 class NoConvergence(KmsBifError):
     """The dense eigensolver failed to converge."""
-
-
-class AmbiguousType(KmsBifError):
-    """Eigenvalue too clustered for symmetric/skew-symmetric classification."""

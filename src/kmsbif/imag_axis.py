@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import cheb_t, cheb_t_hyperbolic, cheb_u
+from .chebyshev import _log_cosh, _log_sinh, cheb_t, cheb_t_hyperbolic, cheb_u
 from .critical import rho_c_of_t
 from .errors import (ConditionViolated, ConvergenceFailure, DomainError,
                      HypothesisViolation, PositivityViolation, RootFindingFailure,
@@ -23,7 +23,6 @@ from .geometry import CurveSamples, TrajectoryPoint, trajectory_along_bisector
 from .kms import EigType
 from .puiseux import PuiseuxParams
 
-_LN2 = math.log(2.0)
 THETA_A_IMAG = 3.0 * math.pi / 4.0
 THETA_B_IMAG = -math.pi / 2.0
 
@@ -49,14 +48,6 @@ def _require_odd(n: int) -> None:
 
 def _imag_type(n: int) -> EigType:
     return EigType.Type1 if n % 4 == 1 else EigType.Type2
-
-
-def _log_cosh(x: float) -> float:
-    return x + math.log1p(math.exp(-2.0 * x)) - _LN2
-
-
-def _log_sinh(x: float) -> float:
-    return x + math.log1p(-math.exp(-2.0 * x)) - _LN2
 
 
 def solve_v_n(n: int) -> float:

@@ -114,12 +114,6 @@ def eigenvector_of_mu(p: MuPoint) -> np.ndarray:
     return np.sin(arg) if p.eig_type is EigType.Type1 else np.cos(arg)
 
 
-def normalize_by_max(v: np.ndarray) -> np.ndarray:
-    """Scale a vector by its max-modulus entry (display helper only)."""
-    v = np.asarray(v, dtype=complex)
-    return v / v[np.argmax(np.abs(v))]
-
-
 def isotropy_defect(v) -> complex:
     """Unconjugated sum of squares sum_j v_j^2 (zero iff the vector is isotropic).
 

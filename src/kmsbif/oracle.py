@@ -2,26 +2,32 @@
 
 Everything here deliberately avoids the closed forms under test: eigenvalues
 come from a dense general-complex eigensolver (LAPACK zgeev: balancing,
-Hessenberg reduction, shifted QR with deflation), classification reads the
-computed eigenvectors, and the |lambda| = n borderline is traced by marching
-squares over a grid of oracle spectra.
+Hessenberg reduction, shifted QR with deflation), and the |lambda| = n
+borderline is traced by marching squares over a grid of oracle spectra.
+
+K_n(rho) is symmetric and centrosymmetric, so in the orthonormal basis of
+symmetric and skew-symmetric vectors it splits into two half-size blocks
+(Cantoni & Butler, LAA 13 (1976) 275-288).  The type-1 block acts on the
+skew-symmetric vectors and the type-2 block on the symmetric ones, so each
+block's spectrum is exactly one eigenvalue type.  The split uses only the
+matrix's symmetry, never the mu-parameterization.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguousType, DomainError, NoConvergence, SizeError
+from .errors import DomainError, NoConvergence, SizeError
 from .geometry import CurveSamples
 from .kms import EigType, KmsMatrix, build_matrix
 
 _MAX_N = 512
-_GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,10 +35,21 @@ class Spectrum:
     n: int
     rho: complex
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray] = None  # column i pairs with eigenvalue i
 
 
-def eigenvalues(m, want_vectors: bool = False) -> Spectrum:
+def _check_order(n: int) -> None:
+    if not 3 <= n <= _MAX_N:
+        raise SizeError(f"oracle needs 3 <= n <= {_MAX_N}, got {n}")
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
+def eigenvalues(m) -> Spectrum:
     """Full spectrum of a KmsMatrix (or any square complex array)."""
     if isinstance(m, KmsMatrix):
         a, n, rho = m.entries, m.n, m.rho
@@ -43,48 +60,40 @@ def eigenvalues(m, want_vectors: bool = False) -> Spectrum:
         raise SizeError(f"matrix must be square, got {a.shape}")
     if a.shape[0] > _MAX_N:
         raise SizeError(f"oracle is desk-scale only (n <= {_MAX_N}), got {a.shape[0]}")
-    try:
-        if want_vectors:
-            w, v = np.linalg.eig(a)
-        else:
-            w, v = np.linalg.eigvals(a), None
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return Spectrum(n=n, rho=rho, eigenvalues=w, eigenvectors=v)
+    return Spectrum(n=n, rho=rho, eigenvalues=_eigvals(a))
 
 
-def kms_spectrum(n: int, rho: complex, want_vectors: bool = False) -> Spectrum:
-    return eigenvalues(build_matrix(n, rho), want_vectors=want_vectors)
+def kms_spectrum(n: int, rho: complex) -> Spectrum:
+    return eigenvalues(build_matrix(n, rho))
 
 
-def classify_vector(v: np.ndarray) -> Optional[EigType]:
-    """Type tag from eigenvector symmetry; None when ambiguous.
+def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
+    """The block of K_n(rho) whose spectrum is the eigenvalues of one type.
 
-    Skew-symmetric entries (v_j = -v_{n-1-j}) mean type-1, symmetric entries
-    mean type-2; the comparison is ||v - rev(v)|| against ||v + rev(v)|| with
-    ratios inside [0.5, 2] declared unclassifiable.
+    rho may be a scalar or an array; the result has shape rho.shape + (m, m)
+    with m = floor(n/2) for type-1 and ceil(n/2) for type-2.  Entries are
+    rho^|j-k| - rho^(n-1-j-k) (type-1) or rho^|j-k| + rho^(n-1-j-k) (type-2);
+    for odd n the type-2 block's last row and column belong to the unpaired
+    middle basis vector and read sqrt(2) rho^|j-k|, with 1 on the diagonal.
     """
-    v = np.asarray(v)
-    rev = v[::-1]
-    d_sym = float(np.linalg.norm(v - rev))   # small for symmetric -> Type2
-    d_skew = float(np.linalg.norm(v + rev))  # small for skew -> Type1
-    if d_skew == 0.0:
-        return EigType.Type1
-    ratio = d_sym / d_skew
-    if 0.5 <= ratio <= 2.0:
-        return None
-    return EigType.Type2 if ratio < 0.5 else EigType.Type1
-
-
-def classify_eigenvalue(s: Spectrum, index: int) -> Optional[EigType]:
-    """Classify eigenvalue `index` of a spectrum computed with eigenvectors."""
-    if s.eigenvectors is None:
-        raise AmbiguousType("spectrum was computed without eigenvectors")
-    lam = s.eigenvalues[index]
-    others = np.delete(s.eigenvalues, index)
-    if others.size and np.min(np.abs(others - lam)) <= _GAP_TOL:
-        raise AmbiguousType(f"eigenvalue {lam} is clustered (gap <= {_GAP_TOL})")
-    return classify_vector(s.eigenvectors[:, index])
+    _check_order(n)
+    rho = np.asarray(rho, dtype=complex)
+    # powers by repeated multiplication, as in build_matrix
+    factors = np.ones(rho.shape + (n,), dtype=complex)
+    factors[..., 1:] = rho[..., None]
+    powers = np.cumprod(factors, axis=-1)
+    j = np.arange(n // 2 if eig_type is EigType.Type1 else (n + 1) // 2)
+    near = powers[..., np.abs(j[:, None] - j[None, :])]
+    far = powers[..., n - 1 - j[:, None] - j[None, :]]
+    if eig_type is EigType.Type1:
+        return near - far
+    blocks = near + far
+    if n % 2:
+        middle = math.sqrt(2.0) * near[..., -1, :]
+        blocks[..., -1, :] = middle
+        blocks[..., :, -1] = middle
+        blocks[..., -1, -1] = 1.0
+    return blocks
 
 
 def count_extraordinary(s: Spectrum) -> int:
@@ -111,31 +120,17 @@ def closed_form_eigenvalues_n3(rho: complex):
 
 
 def _grid_values(n, res, bounds, eig_type):
+    # one eigvals call per grid row and type keeps memory at one row of blocks
     re0, re1, im0, im1 = bounds
     xs = np.linspace(re0, re1, res)
     ys = np.linspace(im0, im1, res)
+    types = list(EigType) if eig_type is None else [eig_type]
     f = np.empty((res, res))
-    fallback = 0
     for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            s = kms_spectrum(n, complex(x, y), want_vectors=eig_type is not None)
-            if eig_type is None:
-                f[j, i] = np.max(np.abs(s.eigenvalues)) - n
-                continue
-            best = None
-            for idx in range(n):
-                try:
-                    tag = classify_eigenvalue(s, idx)
-                except AmbiguousType:
-                    tag = None
-                if tag is eig_type:
-                    mag = abs(s.eigenvalues[idx])
-                    best = mag if best is None else max(best, mag)
-            if best is None:
-                best = float(np.max(np.abs(s.eigenvalues)))
-                fallback += 1
-            f[j, i] = best - n
-    return xs, ys, f, fallback
+        mags = [np.abs(_eigvals(type_blocks(n, xs + 1j * y, t))).max(axis=-1)
+                for t in types]
+        f[j] = np.max(mags, axis=0) - n
+    return xs, ys, f
 
 
 def _cell_segments(x0, x1, y0, y1, fa, fb, fc, fd):
@@ -208,18 +203,17 @@ def numeric_borderline(n: int, bounds, resolution: int = 64,
                        eig_type: Optional[EigType] = None) -> list:
     """Trace the contour |lambda| = n over a rectangle of the rho plane.
 
-    bounds is (re_min, re_max, im_min, im_max).  When eig_type is given only
-    eigenvalues classified to that type feed the contour function; grid nodes
-    where classification fails fall back to the union over all eigenvalues
-    (reported with a warning).  Returns a list of CurveSamples with center 0,
-    one per connected polyline.
+    bounds is (re_min, re_max, im_min, im_max).  The contour function at a
+    node is max |lambda| - n over the eigenvalues of type eig_type, taken
+    from its type block, or over both blocks when eig_type is None.  Returns
+    a list of CurveSamples with center 0, one per connected polyline.
+    Raises DomainError for resolution < 64, SizeError unless 3 <= n <= 512
+    and NoConvergence when the eigensolver fails.
     """
     if resolution < 64:
         raise DomainError(f"grid resolution must be >= 64, got {resolution}")
-    xs, ys, f, fallback = _grid_values(n, resolution, bounds, eig_type)
-    if fallback:
-        warnings.warn(f"type classification failed at {fallback} grid nodes; "
-                      "union contour used there", stacklevel=2)
+    _check_order(n)
+    xs, ys, f = _grid_values(n, resolution, bounds, eig_type)
     segments = []
     for j in range(resolution - 1):
         for i in range(resolution - 1):

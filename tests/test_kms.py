@@ -7,8 +7,8 @@ import pytest
 
 from kmsbif.errors import DegenerateMu, ExcludedRho, SizeError
 from kmsbif.kms import (EigType, MuPoint, build_matrix, eigenvector_of_mu,
-                        isotropy_defect, lambda_of_mu, normalize_by_max,
-                        rho_of_mu, rho_prime_of_mu, type_sign)
+                        isotropy_defect, lambda_of_mu, rho_of_mu,
+                        rho_prime_of_mu, type_sign)
 from kmsbif.oracle import kms_spectrum
 
 
@@ -112,13 +112,6 @@ def test_isotropy_identity():
         defect = isotropy_defect(eigenvector_of_mu(p))
         expected = (n + lambda_of_mu(p)) / 2
         assert abs(defect - expected) < 1e-10 * (1 + abs(expected))
-
-
-def test_normalize_by_max():
-    v = np.array([1.0 + 0j, -3.0j, 2.0])
-    w = normalize_by_max(v)
-    assert np.max(np.abs(w)) == pytest.approx(1.0)
-    assert w[1] == pytest.approx(v[1] / (-3.0j))
 
 
 def test_degenerate_mu_rejected():

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from kmsbif.errors import AmbiguousType, DomainError, SizeError
+from kmsbif import oracle
+from kmsbif.errors import DomainError, SizeError
 from kmsbif.kms import EigType, build_matrix
-from kmsbif.oracle import (Spectrum, classify_eigenvalue, classify_vector,
-                           closed_form_eigenvalues_n3, count_extraordinary,
-                           eigenvalues, kms_spectrum, numeric_borderline)
+from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
+                           eigenvalues, kms_spectrum, numeric_borderline,
+                           type_blocks)
 
 
 def test_identity_matrix_spectrum():
@@ -58,29 +59,81 @@ def test_accepts_plain_arrays_and_rejects_bad_shapes():
         eigenvalues(np.eye(600, dtype=complex))
 
 
-def test_classify_vector_symmetry():
-    assert classify_vector(np.array([1.0, 2.0, 1.0])) is EigType.Type2
-    assert classify_vector(np.array([1.0, 0.0, -1.0])) is EigType.Type1
-    assert classify_vector(np.array([1.0, 0.0, 0.0])) is None  # ambiguous
+# Both the full solve and the block solves are backward stable (LAPACK zgeev):
+# each computed eigenpair is exact for a matrix within a small multiple of
+# n u ||K||_F of K_n (LAPACK Users' Guide, sec. 4.8), and the blocks are
+# orthogonal compressions of K_n, so their norms are at most ||K||_F.  An
+# eigenpair residual measures that backward error alone, so it gets the
+# solver's constant, 8.  Two computed spectra also differ by the eigenvalue
+# condition number, which stays O(1) because random rho keeps clear of the
+# exceptional points; a further factor 4 allows for it.
+_RESIDUAL_C = 8
+_SPECTRUM_C = 4 * _RESIDUAL_C
 
 
-def test_classify_type1_eigenvalue_of_k3():
-    # K_3(2i) has the type-1 eigenvalue 1 - (2i)^2 = 5
-    s = kms_spectrum(3, 2j, want_vectors=True)
-    idx = int(np.argmin(np.abs(s.eigenvalues - 5.0)))
-    assert abs(s.eigenvalues[idx] - 5.0) < 1e-10
-    assert classify_eigenvalue(s, idx) is EigType.Type1
+def _random_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 41))
+        rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        k = build_matrix(n, rho).entries
+        yield n, rho, k, n * np.finfo(float).eps / 2 * np.linalg.norm(k)
 
 
-def test_classify_requires_vectors_and_gap():
-    s = kms_spectrum(4, 0.3 + 0.2j)
-    with pytest.raises(AmbiguousType):
-        classify_eigenvalue(s, 0)
-    degenerate = Spectrum(n=2, rho=0j,
-                          eigenvalues=np.array([1.0 + 0j, 1.0 + 1e-9j]),
-                          eigenvectors=np.eye(2, dtype=complex))
-    with pytest.raises(AmbiguousType):
-        classify_eigenvalue(degenerate, 0)
+def _lift(n, eig_type, y):
+    # orthonormal basis: (e_j -/+ e_(n-1-j))/sqrt(2) for j < n//2, plus the
+    # middle e_(n//2) for type-2 with odd n
+    half = n // 2
+    sign = -1.0 if eig_type is EigType.Type1 else 1.0
+    x = np.zeros((n,) + y.shape[1:], dtype=complex)
+    x[:half] = y[:half] / np.sqrt(2.0)
+    x[n - half:] = sign * y[:half][::-1] / np.sqrt(2.0)
+    if n % 2 and eig_type is EigType.Type2:
+        x[half] = y[half]
+    return x
+
+
+def test_type1_block_of_k3():
+    # the type-1 block of K_3(rho) is [1 - rho^2]; at rho = 2i it is [5]
+    block = type_blocks(3, 2j, EigType.Type1)
+    assert block.shape == (1, 1)
+    assert block[0, 0] == pytest.approx(5.0, abs=1e-15)
+    rhos = np.array([[0.5, 2j], [1 + 1j, -3.0]])
+    stacked = type_blocks(3, rhos, EigType.Type1)
+    assert stacked.shape == (2, 2, 1, 1)
+    assert np.allclose(stacked[..., 0, 0], 1 - rhos ** 2, rtol=1e-15)
+    assert type_blocks(3, rhos, EigType.Type2).shape == (2, 2, 2, 2)
+
+
+def test_split_spectra_match_full_spectrum():
+    for n, rho, k, scale in _random_draws(401, 300):
+        full = kms_spectrum(n, rho).eigenvalues
+        split = np.concatenate([np.linalg.eigvals(type_blocks(n, rho, t)) for t in EigType])
+        assert split.size == n
+        dist = np.abs(full[:, None] - split[None, :])
+        gap = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+        assert gap <= _SPECTRUM_C * scale, (n, rho, gap / scale)
+
+
+def test_block_eigenvectors_lift_to_typed_eigenvectors():
+    for n, rho, k, scale in _random_draws(402, 300):
+        for eig_type in EigType:
+            lam, y = np.linalg.eig(type_blocks(n, rho, eig_type))
+            x = _lift(n, eig_type, y)
+            sign = -1.0 if eig_type is EigType.Type1 else 1.0
+            assert np.array_equal(x[::-1], sign * x)
+            resid = np.linalg.norm(k @ x - x * lam, axis=0) / np.linalg.norm(x, axis=0)
+            assert resid.max() <= _RESIDUAL_C * scale, (n, rho, eig_type)
+
+
+def test_borderline_rejects_sizes_before_grid_work(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("grid evaluated")
+
+    monkeypatch.setattr(oracle, "_grid_values", no_grid)
+    for n in (2, 513):
+        with pytest.raises(SizeError):
+            numeric_borderline(n, (-2, 2, -2, 2), resolution=64)
 
 
 def test_count_extraordinary_steps_across_bifurcation():
