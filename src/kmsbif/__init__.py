@@ -8,54 +8,29 @@ eigenvalue trajectories, and cross-checks everything against a dense
 eigensolver.
 """
 
-from .chebyshev import ChebDegree, cheb_t, cheb_t_hyperbolic, cheb_t_log, cheb_u
-from .critical import (CriticalPoint, all_critical_points, critical_t_values,
-                       q_polynomial, rho_c_of_t)
-from .errors import (ConditionViolated, ConvergenceFailure, DegenerateArgument,
-                     DegenerateDenominator, DegenerateMu, DegenerateT,
-                     DomainError, ExcludedRho, HypothesisViolation, KmsBifError,
-                     NoConvergence, PositivityViolation, RootFindingFailure,
+from .critical import CriticalPoint, all_critical_points, critical_t_values, rho_c_of_t
+from .errors import (ConditionViolated, DegenerateArgument, DegenerateMu, DomainError,
+                     ExcludedRho, HypothesisViolation, KmsBifError, RootFindingFailure,
                      SizeError, UnsupportedCase, ZeroLeadingCoefficient)
-from .geometry import (CurveSamples, TrajectoryPoint, bifurcation_strength,
-                       cardioid_approx, cusp_bisector_angle, local_level_curve,
-                       trajectory_along_bisector)
-from .imag_axis import (ImagAxisParams, critical_eigenvector_imag,
-                        imag_axis_params, imag_level_curve, imag_puiseux_params,
-                        imag_trajectory, large_n_params, parabola_trajectory,
-                        solve_v_n, solve_x_n, y_n_of)
-from .kms import (EigType, KmsMatrix, MuPoint, build_matrix, eigenvector_of_mu,
-                  isotropy_defect, lambda_of_mu, rho_of_mu, rho_prime_of_mu)
-from .oracle import (Spectrum, count_extraordinary, eigenvalues, kms_spectrum,
-                     numeric_borderline, type_blocks)
-from .puiseux import (DerivativeBundle, PuiseuxParams, compose_puiseux,
-                      derivatives_at_critical, eval_truncated_series,
-                      puiseux_ab_from_t, puiseux_from_derivatives,
-                      series_invert_puiseux, series_invert_regular, wrap_angle)
+from .geometry import local_level_curve, trajectory_along_bisector
+from .imag_axis import imag_axis_params, large_n_params
+from .kms import EigType
+from .oracle import kms_spectrum, numeric_borderline, type_blocks
+from .puiseux import derivatives_at_critical, puiseux_ab_from_t, puiseux_from_derivatives
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebDegree", "cheb_t", "cheb_t_hyperbolic", "cheb_t_log", "cheb_u",
-    "CriticalPoint", "all_critical_points", "critical_t_values",
-    "q_polynomial", "rho_c_of_t",
-    "KmsBifError", "SizeError", "DomainError", "DegenerateArgument",
-    "DegenerateMu", "ExcludedRho", "DegenerateDenominator", "DegenerateT",
-    "UnsupportedCase", "RootFindingFailure", "ZeroLeadingCoefficient",
-    "HypothesisViolation", "ConditionViolated", "PositivityViolation",
-    "ConvergenceFailure", "NoConvergence",
-    "CurveSamples", "TrajectoryPoint", "bifurcation_strength",
-    "cardioid_approx", "cusp_bisector_angle", "local_level_curve",
-    "trajectory_along_bisector",
-    "ImagAxisParams", "critical_eigenvector_imag", "imag_axis_params",
-    "imag_level_curve", "imag_puiseux_params", "imag_trajectory",
-    "large_n_params", "parabola_trajectory", "solve_v_n", "solve_x_n", "y_n_of",
-    "EigType", "KmsMatrix", "MuPoint", "build_matrix", "eigenvector_of_mu",
-    "isotropy_defect", "lambda_of_mu", "rho_of_mu", "rho_prime_of_mu",
-    "Spectrum", "count_extraordinary", "eigenvalues", "kms_spectrum",
-    "numeric_borderline", "type_blocks",
-    "DerivativeBundle", "PuiseuxParams", "compose_puiseux",
-    "derivatives_at_critical", "eval_truncated_series", "puiseux_ab_from_t",
-    "puiseux_from_derivatives", "series_invert_puiseux",
-    "series_invert_regular", "wrap_angle",
+    # the documented entry points
+    "all_critical_points", "puiseux_ab_from_t", "kms_spectrum", "type_blocks",
+    "local_level_curve", "trajectory_along_bisector", "imag_axis_params",
+    "large_n_params", "numeric_borderline",
+    # what the benchmark worker builds and calls on every catalog point
+    "CriticalPoint", "EigType", "critical_t_values", "rho_c_of_t",
+    "derivatives_at_critical", "puiseux_from_derivatives",
+    # errors
+    "KmsBifError", "SizeError", "DomainError", "DegenerateArgument", "DegenerateMu",
+    "ExcludedRho", "UnsupportedCase", "RootFindingFailure", "ZeroLeadingCoefficient",
+    "HypothesisViolation", "ConditionViolated",
     "__version__",
 ]

@@ -16,37 +16,41 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import critical, geometry, imag_axis, oracle, puiseux
 from .errors import KmsBifError
-from .kms import EigType, MuPoint, build_matrix, eigenvector_of_mu, isotropy_defect, \
-    lambda_of_mu, rho_of_mu, rho_prime_of_mu
+from .kms import EigType, MuPoint, eigenvector_of_mu, isotropy_defect, lambda_of_mu, \
+    rho_of_mu, rho_prime_of_mu
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
+_LEVEL_COLS = ["theta", "eps_mag", "re_rho", "im_rho"]
+_TRAJ_COLS = ["d", "re_plus", "re_minus", "im_plus", "im_minus", "mag_plus", "mag_minus",
+              "oracle_re_plus", "oracle_re_minus", "oracle_im_plus", "oracle_im_minus",
+              "oracle_mag_plus", "oracle_mag_minus", "residual"]
 
-@dataclass
-class RunConfig:
-    n: int = 0
-    eig_type: Optional[EigType] = None
-    output_format: str = "csv"
-    output_path: str = "-"
-    tol: Optional[float] = None
-    window: float = 0.8
-    grid: int = 96
-    extra: dict = field(default_factory=dict)
+
+@dataclass(frozen=True)
+class Curve:
+    """One figure data set: fig<id>_<name>.csv, drawn in the SVG sketch as one
+    polyline through columns xy of the rows (dashed = series formula)."""
+    name: str
+    meta: dict
+    columns: list
+    rows: list
+    dashed: bool
+    xy: tuple
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -64,26 +68,15 @@ def _render_csv(meta: dict, columns: list, rows: list) -> str:
 
 
 def _render_json(meta: dict, columns: list, rows: list) -> str:
-    payload = {"meta": meta, "columns": columns,
-               "rows": [[v for v in row] for row in rows]}
+    payload = {"meta": meta, "columns": columns, "rows": [list(row) for row in rows]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_table(cfg: RunConfig, meta: dict, columns: list, rows: list,
-                svg_series=None) -> None:
-    if cfg.output_format == "json":
-        _write_text(cfg.output_path, _render_json(meta, columns, rows))
-    elif cfg.output_format == "svg":
-        if svg_series is None:
-            raise KmsBifError("this command has no SVG rendering")
-        _write_text(cfg.output_path, _render_svg(svg_series, meta))
-    else:
-        _write_text(cfg.output_path, _render_csv(meta, columns, rows))
-
-
 def _render_svg(series: list, meta: dict, width: int = 640, height: int = 480) -> str:
-    """Tiny hand-rolled SVG: one polyline per series, dashed = formula."""
-    pts = [p for s in series for p in s["points"]]
+    """Tiny hand-rolled SVG: one polyline per (rows, (x, y), dashed) series, through
+    columns x and y of its rows; dashed = formula."""
+    series = [([(row[x], row[y]) for row in rows], dashed) for rows, (x, y), dashed in series]
+    pts = [p for points, _ in series for p in points]
     if not pts:
         return '<svg xmlns="http://www.w3.org/2000/svg"/>\n'
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
@@ -101,21 +94,38 @@ def _render_svg(series: list, meta: dict, width: int = 640, height: int = 480) -
     title = "; ".join(f"{k}={v}" for k, v in meta.items() if k in ("command", "n", "fig"))
     out.append(f'<title>{title}</title>')
     out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    for i, s in enumerate(series):
+    for i, (points, dashed) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        dash = ' stroke-dasharray="6 4"' if s.get("dashed") else ""
-        path = " ".join(map_pt(p) for p in s["points"])
+        dash = ' stroke-dasharray="6 4"' if dashed else ""
+        path = " ".join(map_pt(p) for p in points)
         out.append(f'<polyline points="{path}" fill="none" stroke="{color}"'
                    f' stroke-width="1.5"{dash}/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def _points_of(cfg: RunConfig):
-    pts = critical.all_critical_points(cfg.n)
-    if cfg.eig_type is not None:
-        pts = [p for p in pts if p.eig_type is cfg.eig_type]
+def _emit_table(args, meta: dict, columns: list, rows: list, svg=()) -> None:
+    """Write one table to --out; --format svg draws each (xy, dashed) entry of svg."""
+    if args.output_format == "json":
+        text = _render_json(meta, columns, rows)
+    elif args.output_format == "svg":
+        text = _render_svg([(rows, xy, dashed) for xy, dashed in svg], meta)
+    else:
+        text = _render_csv(meta, columns, rows)
+    _write_text(args.output_path, text)
+
+
+def _catalog_points(args) -> list:
+    pts = critical.all_critical_points(args.n)
+    if args.eig_type is not None:
+        pts = [p for p in pts if p.eig_type.value == args.eig_type]
     return pts
+
+
+def _pick(pts: list, index: int):
+    if not 0 <= index < len(pts):
+        raise KmsBifError(f"point index {index} out of range (0..{len(pts) - 1})")
+    return pts[index]
 
 
 def _oracle_gap(point) -> float:
@@ -123,141 +133,125 @@ def _oracle_gap(point) -> float:
     return float(gaps[1])
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
+def _oracle_pair(n: int, rho: complex, d: float) -> list:
+    """The two oracle eigenvalues nearest -n, divided by -n.
 
-
-def cmd_critical_points(cfg: RunConfig) -> int:
-    rows = []
-    worst = 0.0
-    for p in _points_of(cfg):
-        gap = _oracle_gap(p)
-        worst = max(worst, gap)
-        rows.append((p.n, p.eig_type.value, p.t_c.real, p.t_c.imag,
-                     p.mu_c.real, p.mu_c.imag, p.rho_c.real, p.rho_c.imag, gap))
-    meta = {"command": "critical-points", "n": cfg.n,
-            "type": cfg.eig_type.value if cfg.eig_type else "both",
-            "columns-doc": "t_c/mu_c/rho_c split into real+imag parts; "
-                           "oracle_gap = 2nd-smallest |lambda + n| from the dense solver"}
-    cols = ["n", "type", "re_t_c", "im_t_c", "re_mu_c", "im_mu_c",
-            "re_rho_c", "im_rho_c", "oracle_gap"]
-    _emit_table(cfg, meta, cols, rows)
-    if cfg.tol is not None and worst > cfg.tol:
-        raise KmsBifError(f"oracle gap {worst} exceeds --tol {cfg.tol}")
-    return 0
-
-
-def cmd_puiseux(cfg: RunConfig) -> int:
-    pts = _points_of(cfg)
-    index = cfg.extra.get("index")
-    if index is not None:
-        if not 0 <= index < len(pts):
-            raise KmsBifError(f"point index {index} out of range (0..{len(pts) - 1})")
-        pts = [pts[index]]
-    rows = []
-    for i, p in enumerate(pts):
-        pp = puiseux.puiseux_ab_from_t(p)
-        rows.append((p.n, p.eig_type.value, index if index is not None else i,
-                     p.rho_c.real, p.rho_c.imag, pp.a.real, pp.a.imag,
-                     pp.b.real, pp.b.imag, pp.theta_a, pp.theta_b, pp.Theta, pp.c))
-    meta = {"command": "puiseux", "n": cfg.n,
-            "columns-doc": "series lambda = lambda_c (1 +/- a sqrt(eps) + b eps); "
-                           "phases in radians; c = (|a|^2 - 2|b| cos Theta)/2"}
-    cols = ["n", "type", "index", "re_rho_c", "im_rho_c", "re_a", "im_a",
-            "re_b", "im_b", "theta_a", "theta_b", "Theta", "c"]
-    _emit_table(cfg, meta, cols, rows)
-    return 0
-
-
-def _pick_point(cfg: RunConfig):
-    pts = _points_of(cfg)
-    index = cfg.extra.get("index") or 0
-    if not 0 <= index < len(pts):
-        raise KmsBifError(f"point index {index} out of range (0..{len(pts) - 1})")
-    return pts[index]
-
-
-def cmd_level_curve(cfg: RunConfig) -> int:
-    point = _pick_point(cfg)
-    pp = puiseux.puiseux_ab_from_t(point)
-    curve = geometry.local_level_curve(pp, point.rho_c, theta_window=cfg.window,
-                                       count=cfg.grid)
-    rows = [(th, mag, rho.real, rho.imag) for th, mag, rho in curve.samples]
-    meta = {"command": "level-curve", "n": cfg.n, "type": point.eig_type.value,
-            "rho_c": f"{_fmt(point.rho_c.real)}{point.rho_c.imag:+.17g}j",
-            "columns-doc": "polar samples about rho_c: rho = rho_c + eps_mag e^(i theta)"}
-    svg = [{"points": [(r.real, r.imag) for _, _, r in curve.samples], "dashed": True}]
-    _emit_table(cfg, meta, ["theta", "eps_mag", "re_rho", "im_rho"], rows, svg_series=svg)
-    return 0
-
-
-def _trajectory_rows(pp, rho_c: complex, n: int, d_values) -> tuple[list, float]:
+    Before the collision (d <= 0) the pair is conjugate-like and is ordered by
+    falling imaginary part; after it the pair is real and ordered by falling
+    real part, matching the series' (plus, minus) branches.
+    """
     lam_c = complex(-n)
-    formula = geometry.trajectory_along_bisector(pp, d_values)
+    ev = oracle.kms_spectrum(n, rho).eigenvalues
+    pair = ev[np.argsort(np.abs(ev - lam_c))[:2]] / lam_c
+    if d <= 0:
+        return sorted(pair, key=lambda z: -z.imag)
+    return sorted(pair, key=lambda z: -z.real)
+
+
+def _symmetric_grid(half_width: float, count: int) -> list:
+    return [half_width * (2.0 * i / (count - 1) - 1.0) for i in range(count)]
+
+
+def _sample_rows(curve) -> list:
+    return [(th, mag, rho.real, rho.imag) for th, mag, rho in curve.samples]
+
+
+def _level_curve_rows(point, window: float, count: int) -> list:
+    pp = puiseux.puiseux_ab_from_t(point)
+    return _sample_rows(geometry.local_level_curve(pp, point.rho_c, theta_window=window,
+                                                   count=count))
+
+
+def _trajectory_rows(pp, rho_c: complex, n: int, d_values) -> list:
     direction = cmath.exp(-2j * pp.theta_a)
     rows = []
-    worst = 0.0
-    for tp in formula:
-        rho = rho_c + tp.d * direction
-        ev = oracle.kms_spectrum(n, rho).eigenvalues
-        pair = ev[np.argsort(np.abs(ev - lam_c))[:2]] / lam_c
-        if tp.d <= 0:   # match by imaginary part (conjugate-like pair)
-            pair = sorted(pair, key=lambda z: -z.imag)
-        else:           # match by real part (real pair straddling 1)
-            pair = sorted(pair, key=lambda z: -z.real)
+    for tp in geometry.trajectory_along_bisector(pp, d_values):
+        pair = _oracle_pair(n, rho_c + tp.d * direction, tp.d)
         resid = max(abs(pair[0].real - tp.re_pair[0]), abs(pair[1].real - tp.re_pair[1]),
                     abs(pair[0].imag - tp.im_pair[0]), abs(pair[1].imag - tp.im_pair[1]),
                     abs(abs(pair[0]) - tp.mag_pair[0]), abs(abs(pair[1]) - tp.mag_pair[1]))
-        worst = max(worst, resid)
         rows.append((tp.d, tp.re_pair[0], tp.re_pair[1], tp.im_pair[0], tp.im_pair[1],
                      tp.mag_pair[0], tp.mag_pair[1],
                      pair[0].real, pair[1].real, pair[0].imag, pair[1].imag,
                      abs(pair[0]), abs(pair[1]), resid))
-    return rows, worst
+    return rows
 
 
-_TRAJ_COLS = ["d", "re_plus", "re_minus", "im_plus", "im_minus", "mag_plus", "mag_minus",
-              "oracle_re_plus", "oracle_re_minus", "oracle_im_plus", "oracle_im_minus",
-              "oracle_mag_plus", "oracle_mag_minus", "residual"]
+# ---------------------------------------------------------------------------
+# subcommand handlers
 
 
-def cmd_trajectory(cfg: RunConfig) -> int:
-    point = _pick_point(cfg)
+def cmd_critical_points(args) -> None:
+    rows = [(p.n, p.eig_type.value, p.t_c.real, p.t_c.imag, p.mu_c.real, p.mu_c.imag,
+             p.rho_c.real, p.rho_c.imag, _oracle_gap(p)) for p in _catalog_points(args)]
+    meta = {"command": "critical-points", "n": args.n,
+            "type": args.eig_type or "both",
+            "columns-doc": "t_c/mu_c/rho_c split into real+imag parts; "
+                           "oracle_gap = 2nd-smallest |lambda + n| from the dense solver"}
+    cols = ["n", "type", "re_t_c", "im_t_c", "re_mu_c", "im_mu_c",
+            "re_rho_c", "im_rho_c", "oracle_gap"]
+    _emit_table(args, meta, cols, rows)
+    worst = max((row[-1] for row in rows), default=0.0)
+    if args.tol is not None and worst > args.tol:
+        raise KmsBifError(f"oracle gap {worst} exceeds --tol {args.tol}")
+
+
+def cmd_puiseux(args) -> None:
+    pts = _catalog_points(args)
+    if args.index is not None:
+        pts = [_pick(pts, args.index)]
+    rows = []
+    for i, p in enumerate(pts, start=args.index or 0):
+        pp = puiseux.puiseux_ab_from_t(p)
+        rows.append((p.n, p.eig_type.value, i, p.rho_c.real, p.rho_c.imag,
+                     pp.a.real, pp.a.imag, pp.b.real, pp.b.imag,
+                     pp.theta_a, pp.theta_b, pp.Theta, pp.c))
+    meta = {"command": "puiseux", "n": args.n,
+            "columns-doc": "series lambda = lambda_c (1 +/- a sqrt(eps) + b eps); "
+                           "phases in radians; c = (|a|^2 - 2|b| cos Theta)/2"}
+    cols = ["n", "type", "index", "re_rho_c", "im_rho_c", "re_a", "im_a",
+            "re_b", "im_b", "theta_a", "theta_b", "Theta", "c"]
+    _emit_table(args, meta, cols, rows)
+
+
+def cmd_level_curve(args) -> None:
+    point = _pick(_catalog_points(args), args.index)
+    rows = _level_curve_rows(point, args.window, args.grid)
+    meta = {"command": "level-curve", "n": args.n, "type": point.eig_type.value,
+            "rho_c": f"{_fmt(point.rho_c.real)}{point.rho_c.imag:+.17g}j",
+            "columns-doc": "polar samples about rho_c: rho = rho_c + eps_mag e^(i theta)"}
+    _emit_table(args, meta, _LEVEL_COLS, rows, svg=[((2, 3), True)])
+
+
+def cmd_trajectory(args) -> None:
+    point = _pick(_catalog_points(args), args.index)
     pp = puiseux.puiseux_ab_from_t(point)
-    d_max = cfg.extra.get("d_max") or 0.02
-    count = cfg.grid if cfg.grid % 2 else cfg.grid + 1
-    d_values = [d_max * (2.0 * i / (count - 1) - 1.0) for i in range(count)]
-    rows, worst = _trajectory_rows(pp, point.rho_c, cfg.n, d_values)
-    meta = {"command": "trajectory", "n": cfg.n, "type": point.eig_type.value,
+    count = args.grid if args.grid % 2 else args.grid + 1
+    rows = _trajectory_rows(pp, point.rho_c, args.n, _symmetric_grid(args.d_max, count))
+    meta = {"command": "trajectory", "n": args.n, "type": point.eig_type.value,
             "columns-doc": "normalized eigenvalue pair along the cusp bisector; "
                            "plus/minus = series branch; oracle_* from the dense solver"}
-    svg = [{"points": [(r[0], r[5]) for r in rows], "dashed": True},
-           {"points": [(r[0], r[6]) for r in rows], "dashed": True},
-           {"points": [(r[0], r[11]) for r in rows]},
-           {"points": [(r[0], r[12]) for r in rows]}]
-    _emit_table(cfg, meta, _TRAJ_COLS, rows, svg_series=svg)
-    if cfg.tol is not None and worst > cfg.tol:
-        raise KmsBifError(f"trajectory residual {worst} exceeds --tol {cfg.tol}")
-    return 0
+    svg = [((0, 5), True), ((0, 6), True), ((0, 11), False), ((0, 12), False)]
+    _emit_table(args, meta, _TRAJ_COLS, rows, svg=svg)
+    worst = max(row[-1] for row in rows)
+    if args.tol is not None and worst > args.tol:
+        raise KmsBifError(f"trajectory residual {worst} exceeds --tol {args.tol}")
 
 
-def cmd_imaginary(cfg: RunConfig) -> int:
-    params = imag_axis.imag_axis_params(cfg.n)
+def cmd_imaginary(args) -> None:
+    params = imag_axis.imag_axis_params(args.n)
     rows = [(params.n, params.eig_type.value, params.v_n, params.x_n, params.y_n,
              params.a_n, params.b_n, params.c_n)]
-    meta = {"command": "imaginary", "n": cfg.n,
+    meta = {"command": "imaginary", "n": args.n,
             "columns-doc": "purely imaginary critical point rho_c = i y_n; "
                            "cosh(n v_n) = n cosh(v_n), x_n = cosh(v_n)"}
     cols = ["n", "type", "v_n", "x_n", "y_n", "a_n", "b_n", "c_n"]
-    _emit_table(cfg, meta, cols, rows)
-    return 0
+    _emit_table(args, meta, cols, rows)
 
 
-def cmd_large_n(cfg: RunConfig) -> int:
+def cmd_large_n(args) -> None:
     rows = []
-    for n in cfg.extra["n_list"]:
-        if n < 3 or n % 2 == 0:
-            raise KmsBifError(f"large-n table needs odd n >= 3, got {n}")
+    for n in args.n_list:
         params = imag_axis.imag_axis_params(n)
         v_a, y_a, a_a, b_a = imag_axis.large_n_params(n)
         rows.append((n, params.y_n, y_a, 100.0 * abs(y_a - params.y_n) / params.y_n,
@@ -267,56 +261,11 @@ def cmd_large_n(cfg: RunConfig) -> int:
             "columns-doc": "exact family values vs asymptotic laws, errors in percent"}
     cols = ["n", "y_exact", "y_approx", "err_y_pct", "a_exact", "a_approx", "err_a_pct",
             "b_exact", "b_approx", "err_b_pct"]
-    _emit_table(cfg, meta, cols, rows)
-    return 0
+    _emit_table(args, meta, cols, rows)
 
 
 # ---------------------------------------------------------------------------
-# figures
-
-
-def _fig_files(cfg: RunConfig, fig: int, curves: dict) -> None:
-    out_dir = Path(cfg.output_path if cfg.output_path != "-" else ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    svg_series = []
-    for name, (meta, cols, rows, dashed, xy) in curves.items():
-        text = _render_csv(meta, cols, rows)
-        (out_dir / f"fig{fig}_{name}.csv").write_text(text, encoding="ascii", newline="")
-        if xy:
-            svg_series.append({"points": [(row[xy[0]], row[xy[1]]) for row in rows],
-                               "dashed": dashed})
-    if cfg.output_format == "svg":
-        text = _render_svg(svg_series, {"fig": fig})
-        (out_dir / f"fig{fig}.svg").write_text(text, encoding="ascii", newline="")
-
-
-def _borderline_curves(n: int, eig_type, bounds, res: int) -> tuple[list, list]:
-    cols = ["theta", "eps_mag", "re_rho", "im_rho"]
-    rows = []
-    for piece in oracle.numeric_borderline(n, bounds, resolution=res, eig_type=eig_type):
-        for th, mag, rho in piece.samples:
-            rows.append((th, mag, rho.real, rho.imag))
-        rows.append((math.nan, math.nan, math.nan, math.nan))  # polyline break
-    if rows:
-        rows.pop()
-    return cols, rows
-
-
-def _level_curve_rows(point, window: float, count: int) -> list:
-    pp = puiseux.puiseux_ab_from_t(point)
-    curve = geometry.local_level_curve(pp, point.rho_c, theta_window=window, count=count)
-    return [(th, mag, rho.real, rho.imag) for th, mag, rho in curve.samples]
-
-
-def _bisector_rows(point, length: float = 0.3, count: int = 61) -> list:
-    pp = puiseux.puiseux_ab_from_t(point)
-    bis = geometry.cusp_bisector_angle(pp)
-    rows = []
-    for i in range(count):
-        t = length * i / (count - 1)
-        rho = point.rho_c + t * complex(math.cos(bis), math.sin(bis))
-        rows.append((t, rho.real, rho.imag))
-    return rows
+# figures: each builder returns the figure's curves in drawing order
 
 
 def _nearest_point(n: int, eig_type: EigType, target: complex):
@@ -324,138 +273,132 @@ def _nearest_point(n: int, eig_type: EigType, target: complex):
     return min(pts, key=lambda p: abs(p.rho_c - target))
 
 
-def _fig_level_and_border(cfg: RunConfig, fig: int, n: int, eig_type: EigType,
-                          target: complex, bounds) -> None:
+def _borderline(name: str, meta: dict, n: int, eig_type, bounds, grid: int) -> Curve:
+    rows = []
+    for piece in oracle.numeric_borderline(n, bounds, resolution=grid, eig_type=eig_type):
+        rows.extend(_sample_rows(piece))
+        rows.append((math.nan, math.nan, math.nan, math.nan))  # polyline break
+    return Curve(name, meta, _LEVEL_COLS, rows[:-1], False, (2, 3))
+
+
+def _bisector(meta: dict, point, length: float = 0.3, count: int = 61) -> Curve:
+    bis = geometry.cusp_bisector_angle(puiseux.puiseux_ab_from_t(point))
+    rows = []
+    for i in range(count):
+        t = length * i / (count - 1)
+        rho = point.rho_c + t * complex(math.cos(bis), math.sin(bis))
+        rows.append((t, rho.real, rho.imag))
+    return Curve("bisector", meta, ["dist", "re_rho", "im_rho"], rows, False, (1, 2))
+
+
+def _trajectory_pair(fig: int, n: int, d_max: float, pp, rho_c: complex) -> list:
+    rows = _trajectory_rows(pp, rho_c, n, _symmetric_grid(d_max, 81))
+    return [Curve("formula", {"fig": fig, "curve": "series trajectory (dashed)", "n": n},
+                  _TRAJ_COLS[:7], [r[:7] for r in rows], True, (0, 5)),
+            Curve("oracle", {"fig": fig, "curve": "oracle trajectory (solid)", "n": n},
+                  [_TRAJ_COLS[0]] + _TRAJ_COLS[7:], [(r[0],) + r[7:] for r in rows],
+                  False, (0, 5))]
+
+
+def _fig_cassini(args) -> list:
+    box = (-3.2, 3.2, -3.2, 3.2)
+    plus = _nearest_point(3, EigType.Type2, cmath.sqrt(-8))
+    minus = _nearest_point(3, EigType.Type2, -cmath.sqrt(-8))
+    return [
+        _borderline("borderline_type1", {"fig": 1, "curve": "type-1 borderline (Cassini oval)"},
+                    3, EigType.Type1, box, args.grid),
+        _borderline("borderline_type2", {"fig": 1, "curve": "type-2 borderline"},
+                    3, EigType.Type2, box, args.grid),
+        Curve("level_plus", {"fig": 1, "curve": "local level curve at +i sqrt(8)"},
+              _LEVEL_COLS, _level_curve_rows(plus, args.window, 161), True, (2, 3)),
+        Curve("level_minus", {"fig": 1, "curve": "local level curve at -i sqrt(8)"},
+              _LEVEL_COLS, _level_curve_rows(minus, args.window, 161), True, (2, 3)),
+    ]
+
+
+def _fig_catalog_point(fig: int, n: int, eig_type: EigType, target: complex, bounds,
+                       args) -> list:
     point = _nearest_point(n, eig_type, target)
-    bcols, brows = _borderline_curves(n, eig_type, bounds, cfg.grid)
-    meta_b = {"fig": fig, "curve": "oracle borderline |lambda| = n", "n": n,
-              "type": eig_type.value}
-    meta_l = {"fig": fig, "curve": "local level curve (series)", "n": n,
-              "type": eig_type.value}
-    meta_r = {"fig": fig, "curve": "cusp bisector ray", "n": n, "type": eig_type.value}
-    curves = {
-        "borderline": (meta_b, bcols, brows, False, (2, 3)),
-        "level": (meta_l, ["theta", "eps_mag", "re_rho", "im_rho"],
-                  _level_curve_rows(point, cfg.window, 161), True, (2, 3)),
-        "bisector": (meta_r, ["dist", "re_rho", "im_rho"],
-                     _bisector_rows(point), False, (1, 2)),
-    }
-    _fig_files(cfg, fig, curves)
+    tag = {"n": n, "type": eig_type.value}
+    return [
+        _borderline("borderline", {"fig": fig, "curve": "oracle borderline |lambda| = n", **tag},
+                    n, eig_type, bounds, args.grid),
+        Curve("level", {"fig": fig, "curve": "local level curve (series)", **tag},
+              _LEVEL_COLS, _level_curve_rows(point, args.window, 161), True, (2, 3)),
+        _bisector({"fig": fig, "curve": "cusp bisector ray", **tag}, point),
+    ]
 
 
-def _fig_trajectory(cfg: RunConfig, fig: int, n: int, eig_type: EigType,
-                    target: complex, d_max: float) -> None:
+def _fig_catalog_trajectory(fig: int, n: int, eig_type: EigType, target: complex,
+                            d_max: float) -> list:
     point = _nearest_point(n, eig_type, target)
-    pp = puiseux.puiseux_ab_from_t(point)
-    count = 81
-    d_values = [d_max * (2.0 * i / (count - 1) - 1.0) for i in range(count)]
-    rows, _ = _trajectory_rows(pp, point.rho_c, n, d_values)
-    meta_f = {"fig": fig, "curve": "series trajectory (dashed)", "n": n}
-    meta_o = {"fig": fig, "curve": "oracle trajectory (solid)", "n": n}
-    f_rows = [r[:7] for r in rows]
-    o_rows = [(r[0],) + r[7:] for r in rows]
-    curves = {
-        "formula": (meta_f, _TRAJ_COLS[:7], f_rows, True, (0, 5)),
-        "oracle": (meta_o, [_TRAJ_COLS[0]] + _TRAJ_COLS[7:], o_rows, False, (0, 5)),
-    }
-    _fig_files(cfg, fig, curves)
+    return _trajectory_pair(fig, n, d_max, puiseux.puiseux_ab_from_t(point), point.rho_c)
 
 
-def cmd_figure(cfg: RunConfig) -> int:
-    fig = cfg.extra["fig_id"]
-    if fig == 1:
-        point = _nearest_point(3, EigType.Type2, cmath.sqrt(-8))
-        other = _nearest_point(3, EigType.Type2, -cmath.sqrt(-8))
-        b1cols, b1rows = _borderline_curves(3, EigType.Type1,
-                                            (-3.2, 3.2, -3.2, 3.2), cfg.grid)
-        b2cols, b2rows = _borderline_curves(3, EigType.Type2,
-                                            (-3.2, 3.2, -3.2, 3.2), cfg.grid)
-        curves = {
-            "borderline_type1": ({"fig": 1, "curve": "type-1 borderline (Cassini oval)"},
-                                 b1cols, b1rows, False, (2, 3)),
-            "borderline_type2": ({"fig": 1, "curve": "type-2 borderline"},
-                                 b2cols, b2rows, False, (2, 3)),
-            "level_plus": ({"fig": 1, "curve": "local level curve at +i sqrt(8)"},
-                           ["theta", "eps_mag", "re_rho", "im_rho"],
-                           _level_curve_rows(point, cfg.window, 161), True, (2, 3)),
-            "level_minus": ({"fig": 1, "curve": "local level curve at -i sqrt(8)"},
-                            ["theta", "eps_mag", "re_rho", "im_rho"],
-                            _level_curve_rows(other, cfg.window, 161), True, (2, 3)),
-        }
-        _fig_files(cfg, 1, curves)
-    elif fig == 2:
-        _fig_level_and_border(cfg, 2, 4, EigType.Type2, 1 + 2j, (0.2, 1.8, 1.2, 2.8))
-    elif fig == 3:
-        _fig_level_and_border(cfg, 3, 8, EigType.Type1, 0.922 - 1.29j,
-                              (0.2, 1.7, -2.0, -0.5))
-    elif fig == 4:
-        _fig_trajectory(cfg, 4, 4, EigType.Type2, 1 + 2j, 0.02)
-    elif fig == 5:
-        _fig_trajectory(cfg, 5, 8, EigType.Type1, 0.922 - 1.29j, 0.002)
-    elif fig == 6:
-        n_max = cfg.extra.get("n_max") or 50
-        rows = []
-        for n in range(3, n_max + 1, 2):
-            par = imag_axis.imag_axis_params(n)
-            rows.append((n, par.a_n, par.b_n, par.c_n))
-        meta = {"fig": 6, "curve": "imaginary-axis family parameters vs n"}
-        _fig_files(cfg, 6, {"params": (meta, ["n", "a_n", "b_n", "c_n"], rows,
-                                       False, (0, 1))})
-    elif fig == 7:
-        params = imag_axis.imag_axis_params(19)
-        pp = imag_axis.imag_puiseux_params(params)
-        count = 81
-        d_values = [0.005 * (2.0 * i / (count - 1) - 1.0) for i in range(count)]
-        rows, _ = _trajectory_rows(pp, 1j * params.y_n, 19, d_values)
-        curves = {
-            "formula": ({"fig": 7, "curve": "series trajectory (dashed)", "n": 19},
-                        _TRAJ_COLS[:7], [r[:7] for r in rows], True, (0, 5)),
-            "oracle": ({"fig": 7, "curve": "oracle trajectory (solid)", "n": 19},
-                       [_TRAJ_COLS[0]] + _TRAJ_COLS[7:],
-                       [(r[0],) + r[7:] for r in rows], False, (0, 5)),
-        }
-        _fig_files(cfg, 7, curves)
-    elif fig == 8:
-        params = imag_axis.imag_axis_params(19)
-        curve = imag_axis.imag_level_curve(params, count=161)
-        lrows = [(th, mag, rho.real, rho.imag) for th, mag, rho in curve.samples]
-        bcols, brows = _borderline_curves(19, EigType.Type2,
-                                          (-0.45, 0.45, 1.05, 1.55), cfg.grid)
-        point = _nearest_point(19, EigType.Type2, 1j * params.y_n)
-        curves = {
-            "level": ({"fig": 8, "curve": "imaginary-family level curve", "n": 19},
-                      ["theta", "eps_mag", "re_rho", "im_rho"], lrows, True, (2, 3)),
-            "borderline": ({"fig": 8, "curve": "oracle borderline", "n": 19},
-                           bcols, brows, False, (2, 3)),
-            "bisector": ({"fig": 8, "curve": "cusp bisector ray", "n": 19},
-                         ["dist", "re_rho", "im_rho"], _bisector_rows(point, 0.15),
-                         False, (1, 2)),
-        }
-        _fig_files(cfg, 8, curves)
-    elif fig == 9:
-        params = imag_axis.imag_axis_params(19)
-        chi = [1.0 - 0.12 * i / 80 for i in range(81)]
-        prows = [(c, pair[0], pair[1])
-                 for c, pair in imag_axis.parabola_trajectory(params, chi)]
-        orows = []
-        for i in range(41):
-            d = -0.01 * (40 - i) / 40
-            ev = oracle.kms_spectrum(19, 1j * (params.y_n + d)).eigenvalues
-            pair = ev[np.argsort(np.abs(ev + 19))[:2]] / (-19.0)
-            pair = sorted(pair, key=lambda z: -z.imag)
-            orows.append((d, pair[0].real, pair[1].real, pair[0].imag, pair[1].imag))
-        curves = {
-            "parabola": ({"fig": 9, "curve": "parabola psi^2 = (a^2/b)(1 - chi)", "n": 19},
-                         ["chi", "psi_plus", "psi_minus"], prows, True, (0, 1)),
-            "oracle": ({"fig": 9, "curve": "oracle normalized pair before bifurcation",
-                        "n": 19},
-                       ["d", "chi_plus", "chi_minus", "psi_plus", "psi_minus"],
-                       orows, False, (1, 3)),
-        }
-        _fig_files(cfg, 9, curves)
-    else:
-        raise KmsBifError(f"unknown figure id {fig}")
-    return 0
+def _fig_imag_trajectory(args) -> list:
+    params = imag_axis.imag_axis_params(19)
+    return _trajectory_pair(7, 19, 0.005, imag_axis.imag_puiseux_params(params),
+                            1j * params.y_n)
+
+
+def _fig_sweep(args) -> list:
+    family = [imag_axis.imag_axis_params(n) for n in range(3, args.n_max + 1, 2)]
+    rows = [(par.n, par.a_n, par.b_n, par.c_n) for par in family]
+    return [Curve("params", {"fig": 6, "curve": "imaginary-axis family parameters vs n"},
+                  ["n", "a_n", "b_n", "c_n"], rows, False, (0, 1))]
+
+
+def _fig_imag_level(args) -> list:
+    params = imag_axis.imag_axis_params(19)
+    point = _nearest_point(19, EigType.Type2, 1j * params.y_n)
+    return [
+        Curve("level", {"fig": 8, "curve": "imaginary-family level curve", "n": 19},
+              _LEVEL_COLS, _sample_rows(imag_axis.imag_level_curve(params, count=161)),
+              True, (2, 3)),
+        _borderline("borderline", {"fig": 8, "curve": "oracle borderline", "n": 19},
+                    19, EigType.Type2, (-0.45, 0.45, 1.05, 1.55), args.grid),
+        _bisector({"fig": 8, "curve": "cusp bisector ray", "n": 19}, point, 0.15),
+    ]
+
+
+def _fig_parabola(args) -> list:
+    params = imag_axis.imag_axis_params(19)
+    chi = [1.0 - 0.12 * i / 80 for i in range(81)]
+    prows = [(c, pair[0], pair[1]) for c, pair in imag_axis.parabola_trajectory(params, chi)]
+    d_values = [-0.01 * (40 - i) / 40 for i in range(41)]
+    pairs = [_oracle_pair(19, 1j * (params.y_n + d), d) for d in d_values]
+    orows = [(d, p[0].real, p[1].real, p[0].imag, p[1].imag) for d, p in zip(d_values, pairs)]
+    return [Curve("parabola", {"fig": 9, "curve": "parabola psi^2 = (a^2/b)(1 - chi)", "n": 19},
+                  ["chi", "psi_plus", "psi_minus"], prows, True, (0, 1)),
+            Curve("oracle", {"fig": 9, "curve": "oracle normalized pair before bifurcation",
+                             "n": 19},
+                  ["d", "chi_plus", "chi_minus", "psi_plus", "psi_minus"], orows, False, (1, 3))]
+
+
+_FIGURES = {
+    1: _fig_cassini,
+    2: lambda args: _fig_catalog_point(2, 4, EigType.Type2, 1 + 2j, (0.2, 1.8, 1.2, 2.8), args),
+    3: lambda args: _fig_catalog_point(3, 8, EigType.Type1, 0.922 - 1.29j,
+                                       (0.2, 1.7, -2.0, -0.5), args),
+    4: lambda args: _fig_catalog_trajectory(4, 4, EigType.Type2, 1 + 2j, 0.02),
+    5: lambda args: _fig_catalog_trajectory(5, 8, EigType.Type1, 0.922 - 1.29j, 0.002),
+    6: _fig_sweep,
+    7: _fig_imag_trajectory,
+    8: _fig_imag_level,
+    9: _fig_parabola,
+}
+
+
+def cmd_figure(args) -> None:
+    fig = args.fig_id
+    curves = _FIGURES[fig](args)
+    out_dir = Path(args.output_path if args.output_path != "-" else ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for c in curves:
+        _write_text(out_dir / f"fig{fig}_{c.name}.csv", _render_csv(c.meta, c.columns, c.rows))
+    if args.output_format == "svg":
+        series = [(c.rows, c.xy, c.dashed) for c in curves]
+        _write_text(out_dir / f"fig{fig}.svg", _render_svg(series, {"fig": fig}))
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +406,22 @@ def cmd_figure(cfg: RunConfig) -> int:
 
 
 def _verify_battery(n_max: int, scale: float, rng: np.random.Generator) -> list:
-    checks = []
-
     def run(name, fn):
         try:
             residual, tol, detail = fn()
             ok = residual <= tol * scale
         except KmsBifError as exc:  # a raised invariant is a failure, not a crash
             residual, tol, detail, ok = math.inf, 0.0, f"raised {exc!r}", False
-        checks.append(("PASS" if ok else "FAIL", name, residual, tol * scale,
-                       detail.replace(",", ";")))
+        return ("PASS" if ok else "FAIL", name, residual, tol * scale, detail.replace(",", ";"))
+
+    def over_catalog(metric, tol: float, detail: str):
+        def check():  # builds the catalog itself, so a raise fails this check only
+            worst = 0.0
+            for n in range(3, n_max + 1):
+                for p in critical.all_critical_points(n):
+                    worst = max(worst, metric(p))
+            return worst, tol, detail
+        return check
 
     def chebyshev_identities():
         from .chebyshev import cheb_t, cheb_u
@@ -498,40 +447,16 @@ def _verify_battery(n_max: int, scale: float, rng: np.random.Generator) -> list:
                 worst = max(worst, float(np.min(np.abs(ev - lam))))
         return worst, 1e-8, "lambda(mu) sits in the oracle spectrum"
 
-    def critical_double():
-        worst = 0.0
-        for n in range(3, n_max + 1):
-            for p in critical.all_critical_points(n):
-                worst = max(worst, _oracle_gap(p) / n)
-        return worst, 1e-5, "double eigenvalue -n at every catalog point"
+    def route_gap(p) -> float:
+        pp_t = puiseux.puiseux_ab_from_t(p)
+        pp_m = puiseux.puiseux_from_derivatives(p.lambda_c, puiseux.derivatives_at_critical(p))
+        da = min(abs(pp_t.a - pp_m.a), abs(pp_t.a + pp_m.a)) / abs(pp_t.a)
+        db = abs(pp_t.b - pp_m.b) / max(abs(pp_t.b), 1e-30)
+        return max(da, db)
 
-    def rho_prime_zero():
-        worst = 0.0
-        for n in range(3, n_max + 1):
-            for p in critical.all_critical_points(n):
-                val = rho_prime_of_mu(MuPoint(p.n, p.mu_c, p.eig_type))
-                worst = max(worst, abs(val))
-        return worst, 1e-8, "rho'(mu_c) = 0"
-
-    def route_equivalence():
-        worst = 0.0
-        for n in range(3, n_max + 1):
-            for p in critical.all_critical_points(n):
-                pp_t = puiseux.puiseux_ab_from_t(p)
-                pp_m = puiseux.puiseux_from_derivatives(
-                    p.lambda_c, puiseux.derivatives_at_critical(p))
-                da = min(abs(pp_t.a - pp_m.a), abs(pp_t.a + pp_m.a)) / abs(pp_t.a)
-                db = abs(pp_t.b - pp_m.b) / max(abs(pp_t.b), 1e-30)
-                worst = max(worst, da, db)
-        return worst, 1e-9, "closed-form vs derivative-chain parameters"
-
-    def isotropy():
-        worst = 0.0
-        for n in range(3, n_max + 1):
-            for p in critical.all_critical_points(n):
-                v = eigenvector_of_mu(MuPoint(p.n, p.mu_c, p.eig_type))
-                worst = max(worst, abs(isotropy_defect(v)) / float(np.sum(np.abs(v) ** 2)))
-        return worst, 1e-10, "critical eigenvectors are isotropic"
+    def isotropy_ratio(p) -> float:
+        v = eigenvector_of_mu(MuPoint(p.n, p.mu_c, p.eig_type))
+        return abs(isotropy_defect(v)) / float(np.sum(np.abs(v) ** 2))
 
     def imag_family():
         worst = 0.0
@@ -554,30 +479,31 @@ def _verify_battery(n_max: int, scale: float, rng: np.random.Generator) -> list:
             worst = max(worst, abs(complex(np.sum(ev)) - n) / n)
         return worst, 1e-9, "sum of eigenvalues = n"
 
-    for name, fn in [("chebyshev-identities", chebyshev_identities),
-                     ("mu-parameterization", mu_consistency),
-                     ("critical-double-eigenvalue", critical_double),
-                     ("rho-prime-vanishes", rho_prime_zero),
-                     ("route-equivalence", route_equivalence),
-                     ("isotropy", isotropy),
-                     ("imaginary-family", imag_family),
-                     ("trace-identity", trace_identity)]:
-        run(name, fn)
-    return checks
+    battery = [
+        ("chebyshev-identities", chebyshev_identities),
+        ("mu-parameterization", mu_consistency),
+        ("critical-double-eigenvalue", over_catalog(
+            lambda p: _oracle_gap(p) / p.n, 1e-5,
+            "double eigenvalue -n at every catalog point")),
+        ("rho-prime-vanishes", over_catalog(
+            lambda p: abs(rho_prime_of_mu(MuPoint(p.n, p.mu_c, p.eig_type))), 1e-8,
+            "rho'(mu_c) = 0")),
+        ("route-equivalence", over_catalog(
+            route_gap, 1e-9, "closed-form vs derivative-chain parameters")),
+        ("isotropy", over_catalog(isotropy_ratio, 1e-10, "critical eigenvectors are isotropic")),
+        ("imaginary-family", imag_family),
+        ("trace-identity", trace_identity),
+    ]
+    return [run(name, fn) for name, fn in battery]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    n_max = cfg.extra.get("n_max") or 12
-    scale = cfg.tol if cfg.tol is not None else 1.0
-    checks = _verify_battery(n_max, scale, np.random.default_rng(20240901))
-    rows = [(status, name, residual, tol, detail)
-            for status, name, residual, tol, detail in checks]
-    meta = {"command": "verify", "n-max": n_max,
+def cmd_verify(args) -> None:
+    rows = _verify_battery(args.n_max, args.tol, np.random.default_rng(20240901))
+    meta = {"command": "verify", "n-max": args.n_max,
             "columns-doc": "one row per invariant; residual must stay below tol"}
-    _emit_table(cfg, meta, ["status", "check", "residual", "tol", "detail"], rows)
-    if any(status == "FAIL" for status, *_ in checks):
+    _emit_table(args, meta, ["status", "check", "residual", "tol", "detail"], rows)
+    if any(row[0] == "FAIL" for row in rows):
         raise KmsBifError("one or more invariants failed")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -587,121 +513,86 @@ def cmd_verify(cfg: RunConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract wants 1."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+    def exit(self, status=0, message=None):
+        super().exit(1 if status == 2 else status, message)
 
 
-def _add_common(sub, *, window=False, grid=None):
-    sub.add_argument("--format", choices=("csv", "json", "svg"), default="csv",
-                     dest="output_format")
-    sub.add_argument("--out", default="-", dest="output_path",
-                     help="output file ('-' = stdout); figure treats this as a directory")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="optional residual gate / tolerance scale")
-    if window:
-        sub.add_argument("--window", type=float, default=0.8,
-                         help="theta half-window around the cusp (radians)")
-    if grid is not None:
-        sub.add_argument("--grid", type=int, default=grid,
-                         help="samples per curve / grid resolution")
+def _checked(convert, accept, rule: str):
+    """argparse type: convert the text, and reject it unless accept(value) holds."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
 
 
-def _n_arg(sub, required=True):
-    sub.add_argument("--n", type=int, required=required, help="matrix order (n >= 3)")
-
-
-def _type_arg(sub):
-    sub.add_argument("--type", type=int, choices=(1, 2), default=None, dest="eig_type")
+_AT_LEAST_3 = _checked(int, lambda v: v >= 3, "an integer >= 3")
+_POSITIVE = _checked(float, lambda v: v > 0, "a number > 0")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kmsbif",
                      description="Eigenvalue-bifurcation analysis of K_n(rho).")
     subs = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--n": dict(type=_AT_LEAST_3, required=True, help="matrix order (n >= 3)"),
+        "--type": dict(type=int, choices=(1, 2), default=None, dest="eig_type"),
+        "--index": dict(type=int, default=0,
+                        help="catalog point (0-based, after --type filter)"),
+        "--d-max": dict(type=float, default=0.02, dest="d_max"),
+        "--window": dict(type=float, default=0.8,
+                         help="theta half-window around the cusp (radians)"),
+        "--grid": dict(type=_AT_LEAST_3, help="samples per curve / grid resolution"),
+        "--n-max": dict(type=_AT_LEAST_3, dest="n_max",
+                        help="largest n of the figure-6 sweep / the verify battery"),
+        "--tol": dict(type=_POSITIVE, default=None,
+                      help="residual gate (exit 2 above it); for verify a tolerance scale"),
+    }
 
-    s = subs.add_parser("critical-points", help="catalog of double-eigenvalue points")
-    _n_arg(s); _type_arg(s); _add_common(s)
+    def command(name, handler, help, names, formats=("csv", "json"),
+                out="output file ('-' = stdout)", **defaults):
+        """One subcommand with exactly the flags it reads; defaults override per command."""
+        s = subs.add_parser(name, help=help)
+        for flag in names:
+            s.add_argument(flag, **flags[flag])
+        s.add_argument("--format", choices=formats, default="csv", dest="output_format")
+        s.add_argument("--out", default="-", dest="output_path", help=out)
+        s.set_defaults(handler=handler, **defaults)
+        return s
 
-    s = subs.add_parser("puiseux", help="series parameters a, b, phases, c")
-    _n_arg(s); _type_arg(s)
-    s.add_argument("--index", type=int, default=None,
-                   help="restrict to one catalog point (0-based, after --type filter)")
-    _add_common(s)
-
-    s = subs.add_parser("level-curve", help="local |lambda| = n level curve at a point")
-    _n_arg(s); _type_arg(s)
-    s.add_argument("--index", type=int, default=0)
-    _add_common(s, window=True, grid=161)
-
-    s = subs.add_parser("trajectory", help="eigenvalue pair along the cusp bisector")
-    _n_arg(s); _type_arg(s)
-    s.add_argument("--index", type=int, default=0)
-    s.add_argument("--d-max", type=float, default=0.02, dest="d_max")
-    _add_common(s, grid=81)
-
-    s = subs.add_parser("imaginary", help="imaginary-axis family parameters (odd n)")
-    _n_arg(s); _add_common(s)
-
-    s = subs.add_parser("large-n", help="asymptotic parameter table")
-    s.add_argument("--n", type=int, nargs="+", required=True, dest="n_list")
-    _add_common(s)
-
-    s = subs.add_parser("figure", help="reproduce figure data sets (1..9)")
+    svg = ("csv", "json", "svg")
+    command("critical-points", cmd_critical_points, "catalog of double-eigenvalue points",
+            ["--n", "--type", "--tol"])
+    command("puiseux", cmd_puiseux, "series parameters a, b, phases, c",
+            ["--n", "--type", "--index"], index=None)
+    command("level-curve", cmd_level_curve, "local |lambda| = n level curve at a point",
+            ["--n", "--type", "--index", "--window", "--grid"], svg, grid=161)
+    command("trajectory", cmd_trajectory, "eigenvalue pair along the cusp bisector",
+            ["--n", "--type", "--index", "--d-max", "--grid", "--tol"], svg, grid=81)
+    command("imaginary", cmd_imaginary, "imaginary-axis family parameters (odd n)", ["--n"])
+    s = command("large-n", cmd_large_n, "asymptotic parameter table", [])
+    s.add_argument("--n", type=_AT_LEAST_3, nargs="+", required=True, dest="n_list")
+    s = command("figure", cmd_figure, "reproduce figure data sets (1..9)",
+                ["--n-max", "--window", "--grid"], ("csv", "svg"), "output directory",
+                n_max=50, grid=96)
     s.add_argument("fig_id", type=int, choices=range(1, 10))
-    s.add_argument("--n-max", type=int, default=None, dest="n_max",
-                   help="largest n for the parameter sweep (figure 6)")
-    _add_common(s, window=True, grid=96)
-
-    s = subs.add_parser("verify", help="run the invariant battery")
-    s.add_argument("--n-max", type=int, default=12, dest="n_max")
-    _add_common(s)
+    command("verify", cmd_verify, "run the invariant battery", ["--n-max", "--tol"],
+            n_max=12, tol=1.0)
     return parser
 
 
-_HANDLERS = {
-    "critical-points": cmd_critical_points,
-    "puiseux": cmd_puiseux,
-    "level-curve": cmd_level_curve,
-    "trajectory": cmd_trajectory,
-    "imaginary": cmd_imaginary,
-    "large-n": cmd_large_n,
-    "figure": cmd_figure,
-    "verify": cmd_verify,
-}
-
-
-def _config_from_args(args: argparse.Namespace, parser: _Parser) -> RunConfig:
-    cfg = RunConfig()
-    cfg.output_format = getattr(args, "output_format", "csv")
-    cfg.output_path = getattr(args, "output_path", "-")
-    cfg.tol = getattr(args, "tol", None)
-    cfg.window = getattr(args, "window", 0.8)
-    cfg.grid = getattr(args, "grid", 96)
-    if hasattr(args, "n") and args.n is not None:
-        if args.n < 3:
-            parser.error(f"--n must be >= 3, got {args.n}")
-        cfg.n = args.n
-    if getattr(args, "eig_type", None) is not None:
-        cfg.eig_type = EigType(args.eig_type)
-    if cfg.tol is not None and cfg.tol <= 0:
-        parser.error("--tol must be positive")
-    for key in ("index", "d_max", "n_max", "fig_id", "n_list"):
-        if hasattr(args, key):
-            cfg.extra[key] = getattr(args, key)
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args, parser)
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](cfg)
+        args.handler(args)
     except KmsBifError as exc:
         print(f"kmsbif: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

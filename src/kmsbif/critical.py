@@ -15,8 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import ChebDegree, cheb_t, cheb_u
-from .errors import (DegenerateDenominator, RootFindingFailure, SizeError,
-                     UnsupportedCase)
+from .errors import DegenerateArgument, RootFindingFailure, SizeError, UnsupportedCase
 from .kms import EigType, type_sign
 
 _MERGE_DIST = 1e-8
@@ -166,7 +165,7 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
             num = cheb_t(ChebDegree(n + 1), t_c)
             den = cheb_t(ChebDegree(n - 1), t_c)
     if abs(den) < 1e-12 * (1.0 + abs(num)):
-        raise DegenerateDenominator(f"critical-rho denominator vanished at t_c = {t_c}")
+        raise DegenerateArgument(f"critical-rho denominator vanished at t_c = {t_c}")
     return num / den
 
 

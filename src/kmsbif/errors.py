@@ -14,7 +14,11 @@ class DomainError(KmsBifError):
 
 
 class DegenerateArgument(KmsBifError):
-    """Evaluation point where the requested formula degenerates (e.g. U at z = +/-1)."""
+    """Evaluation point where the requested formula degenerates.
+
+    Examples: U at z = +/-1, a vanishing critical-rho denominator at t_c, or a
+    t_c with t_c^2 = 1 or t_c = -s T_n(t_c) in the closed-form Puiseux route.
+    """
 
 
 class DegenerateMu(KmsBifError):
@@ -25,20 +29,16 @@ class ExcludedRho(KmsBifError):
     """rho hit one of the excluded parameter values {+/-1, +/-(n+1)/(n-1)}."""
 
 
-class DegenerateDenominator(KmsBifError):
-    """Denominator polynomial of the critical-rho ratio vanished at t_c."""
-
-
-class DegenerateT(KmsBifError):
-    """t_c hit a degenerate configuration for the closed-form Puiseux route."""
-
-
 class UnsupportedCase(KmsBifError):
     """Parameter combination the theory does not define (e.g. type-1 with n = 3)."""
 
 
 class RootFindingFailure(KmsBifError):
-    """Polynomial root finding or its verification did not meet tolerance."""
+    """An iterative solve did not converge or did not meet its tolerance.
+
+    Covers polynomial root finding and its verification, the scalar
+    Newton/bisection iterations, and the dense eigensolver.
+    """
 
 
 class ZeroLeadingCoefficient(KmsBifError):
@@ -46,20 +46,11 @@ class ZeroLeadingCoefficient(KmsBifError):
 
 
 class HypothesisViolation(KmsBifError):
-    """A hypothesis that the formulas rely on (rho''_c != 0, ...) failed numerically."""
+    """A hypothesis that the formulas rely on failed numerically.
+
+    Examples: rho''_c != 0, or a quantity that must be positive (a_n, b_n).
+    """
 
 
 class ConditionViolated(KmsBifError):
     """The level-curve condition |a|^2 - 2|b|cos(Theta) != 0 failed."""
-
-
-class PositivityViolation(KmsBifError):
-    """A quantity that must be positive (a_n, b_n) came out non-positive."""
-
-
-class ConvergenceFailure(KmsBifError):
-    """Scalar iteration (Newton/bisection) exhausted its iteration budget."""
-
-
-class NoConvergence(KmsBifError):
-    """The dense eigensolver failed to converge."""

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ConditionViolated
+from .errors import ConditionViolated, DomainError
 from .puiseux import PuiseuxParams, wrap_angle
 
 
@@ -50,13 +50,16 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     theta_a) + 2|b| cos(theta + theta_b)))^2.  The cusp sample (|eps| = 0 at
     theta = pi - 2 theta_a) is always included exactly once; samples past a
     sign change of the denominator, or with |eps| above eps_cap, are outside
-    the validity region and are dropped (with a warning).
+    the validity region and are dropped (with a warning).  Raises DomainError
+    for count < 3.
     """
     den_cusp = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
     if abs(den_cusp) < 1e-10:
         raise ConditionViolated("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
     if theta_window <= 0:
         raise ConditionViolated("theta_window must be positive")
+    if count < 3:
+        raise DomainError(f"need count >= 3 samples, got {count}")
     if count % 2 == 0:
         count += 1  # keep the cusp as the exact middle sample
     bis = cusp_bisector_angle(p)

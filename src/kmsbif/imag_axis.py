@@ -4,7 +4,8 @@ For every odd n >= 3 there is a critical point at rho = i y_n whose data is
 real: v_n solves cosh(n v) = n cosh(v), x_n = cosh(v_n), and the series
 magnitudes a_n, b_n follow from hyperbolic closed forms.  The family has
 fixed phases theta_a = 3 pi/4, theta_b = -pi/2 (so Theta reduces to 0), and
-its own simplified level-curve/trajectory/parabola formulas.
+its own simplified level-curve and parabola formulas; its bisector trajectory
+is the general one, trajectory_along_bisector(imag_puiseux_params(p), d).
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import numpy as np
 
 from .chebyshev import _log_cosh, _log_sinh, cheb_t, cheb_t_hyperbolic, cheb_u
 from .critical import rho_c_of_t
-from .errors import (ConditionViolated, ConvergenceFailure, DomainError,
-                     HypothesisViolation, PositivityViolation, RootFindingFailure,
+from .errors import (ConditionViolated, DomainError, HypothesisViolation, RootFindingFailure,
                      SizeError)
-from .geometry import CurveSamples, TrajectoryPoint, trajectory_along_bisector
+from .geometry import CurveSamples
 from .kms import EigType
 from .puiseux import PuiseuxParams
 
@@ -63,7 +63,7 @@ def solve_v_n(n: int) -> float:
         return math.cosh(n * v) - n * math.cosh(v)
 
     if not (g(lo) < 0.0 < g(hi)):
-        raise ConvergenceFailure(f"bracket failed for n = {n}")
+        raise RootFindingFailure(f"bracket failed for n = {n}")
     v = math.log(2 * n) / n
     for _ in range(100):
         gv = g(v)
@@ -76,7 +76,7 @@ def solve_v_n(n: int) -> float:
         dg = n * (math.sinh(n * v) - math.sinh(v))
         step = v - gv / dg if dg != 0.0 else None
         v = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
-    raise ConvergenceFailure(f"v_n iteration did not converge for n = {n}")
+    raise RootFindingFailure(f"v_n iteration did not converge for n = {n}")
 
 
 def solve_x_n(n: int) -> float:
@@ -119,7 +119,7 @@ def imag_axis_params(n: int) -> ImagAxisParams:
              + (n + 1) * (4.0 * x2 - 3.0) * t_big)
     b = num_b / (6.0 * n * x2 * math.sqrt(x2 - 1.0) * (u_big - 1.0))
     if a <= 0.0 or b <= 0.0:
-        raise PositivityViolation(f"a_{n} = {a}, b_{n} = {b} must be positive")
+        raise HypothesisViolation(f"a_{n} = {a}, b_{n} = {b} must be positive")
     return ImagAxisParams(n=n, v_n=v, x_n=x, y_n=y, a_n=a, b_n=b,
                           c_n=0.5 * (a * a - 2.0 * b), eig_type=_imag_type(n))
 
@@ -154,13 +154,16 @@ def imag_level_curve(params: ImagAxisParams, theta_range=(-math.pi, 0.0),
 
     The curve is symmetric under theta -> -pi - theta (mirror in the
     imaginary axis).  Samples past a denominator sign change or above
-    eps_cap are dropped, as in the general routine.
+    eps_cap are dropped, as in the general routine.  Raises DomainError for
+    count < 3.
     """
     if abs(params.c_n) < 1e-10:
         raise ConditionViolated("a_n^2 - 2 b_n ~ 0: no local level curve")
     lo, hi = theta_range
     if not lo < hi:
         raise DomainError("empty theta range")
+    if count < 3:
+        raise DomainError(f"need count >= 3 samples, got {count}")
     center = 1j * params.y_n
     sign_cusp = 1.0 if params.c_n > 0 else -1.0
     a2 = params.a_n ** 2
@@ -176,16 +179,6 @@ def imag_level_curve(params: ImagAxisParams, theta_range=(-math.pi, 0.0),
         rho = center + eps * complex(math.cos(theta), math.sin(theta))
         samples.append((theta, eps, rho))
     return CurveSamples(center=center, samples=samples)
-
-
-def imag_trajectory(params: ImagAxisParams, d_values) -> list[TrajectoryPoint]:
-    """Trajectory along rho = i(y_n + d): the bisector points straight down.
-
-    Specialization of the general bisector trajectory with Theta = 0; for
-    d <= 0 the magnitude slope is c_n and the pair is conjugate to leading
-    order, for d >= 0 both eigenvalues are real.
-    """
-    return trajectory_along_bisector(imag_puiseux_params(params), d_values)
 
 
 def critical_eigenvector_imag(n: int) -> np.ndarray:

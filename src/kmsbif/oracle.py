@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, SizeError
+from .errors import DomainError, RootFindingFailure, SizeError
 from .geometry import CurveSamples
 from .kms import EigType, KmsMatrix, build_matrix
 
@@ -46,7 +46,7 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise RootFindingFailure(str(exc)) from exc
 
 
 def eigenvalues(m) -> Spectrum:
@@ -208,7 +208,7 @@ def numeric_borderline(n: int, bounds, resolution: int = 64,
     from its type block, or over both blocks when eig_type is None.  Returns
     a list of CurveSamples with center 0, one per connected polyline.
     Raises DomainError for resolution < 64, SizeError unless 3 <= n <= 512
-    and NoConvergence when the eigensolver fails.
+    and RootFindingFailure when the eigensolver fails.
     """
     if resolution < 64:
         raise DomainError(f"grid resolution must be >= 64, got {resolution}")

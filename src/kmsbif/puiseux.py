@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .chebyshev import cheb_t
-from .errors import DegenerateMu, DegenerateT, HypothesisViolation, ZeroLeadingCoefficient
+from .errors import DegenerateArgument, DegenerateMu, HypothesisViolation, ZeroLeadingCoefficient
 from .kms import type_sign
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -149,7 +149,7 @@ def puiseux_ab_from_t(cp: "CriticalPoint") -> PuiseuxParams:
     one_minus_t2 = 1.0 - t * t
     pivot = t + s * t_n
     if abs(one_minus_t2) < 1e-12 or abs(pivot) < 1e-12:
-        raise DegenerateT(f"degenerate t_c = {t} (t^2 = 1 or t = -s T_n(t))")
+        raise DegenerateArgument(f"degenerate t_c = {t} (t^2 = 1 or t = -s T_n(t))")
     a = 1j * cmath.sqrt(2.0 / n) * cmath.sqrt(pivot * (1.0 + s * t_nm1) / one_minus_t2)
     num_b = (12.0 * t * t + 5.0 * n * (n + 1) * (t * t - 1.0)
              + 4.0 * (n + 1) * t_nm1 ** 2 - 4.0 * (n - 2) * t_n ** 2

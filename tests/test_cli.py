@@ -38,6 +38,17 @@ def parse_csv(text):
     ["critical-points", "--n", "5", "--tol", "0"],
     ["level-curve"],
     [],
+    # bad numbers are usage errors, never a crash or a silent default
+    ["trajectory", "--n", "4", "--type", "2", "--grid", "1"],
+    ["level-curve", "--n", "4", "--type", "2", "--grid", "1"],
+    ["verify", "--n-max", "2"],
+    ["verify", "--n-max", "0"],
+    ["figure", "6", "--n-max", "0"],
+    ["trajectory", "--n", "4", "--tol", "nan"],
+    # each subcommand takes only the flags and formats it uses
+    ["critical-points", "--n", "5", "--format", "svg"],
+    ["puiseux", "--n", "4", "--tol", "1e-3"],
+    ["figure", "2", "--format", "json"],
 ])
 def test_usage_errors_exit_one(argv):
     with pytest.raises(SystemExit) as exc:
@@ -149,6 +160,12 @@ def test_trajectory_columns(capsys):
     assert float(mid[0]) == 0.0
     worst = max(float(r[header.index("residual")]) for r in rows)
     assert worst < 5e-3
+    # --d-max 0 is honoured: every sample sits on the critical point itself
+    _, out, _ = run(capsys, "trajectory", "--n", "4", "--type", "2",
+                    "--d-max", "0", "--grid", "21")
+    _, _, rows = parse_csv(out)
+    assert len(rows) == 21
+    assert all(float(r[0]) == 0.0 for r in rows)
 
 
 def test_tol_gate(capsys):
@@ -187,17 +204,46 @@ def test_figure_nine(tmp_path, capsys):
     assert oh[0] == "d" and len(orows) == 41
 
 
-def test_figure_two_files(tmp_path, capsys):
-    code = main(["figure", "2", "--grid", "64", "--format", "svg",
+_LEVEL = ["theta", "eps_mag", "re_rho", "im_rho"]
+_RAY = ["dist", "re_rho", "im_rho"]
+_FORMULA = ["d", "re_plus", "re_minus", "im_plus", "im_minus", "mag_plus", "mag_minus"]
+_ORACLE = ["d", "oracle_re_plus", "oracle_re_minus", "oracle_im_plus", "oracle_im_minus",
+           "oracle_mag_plus", "oracle_mag_minus", "residual"]
+
+# figure -> {curve: (CSV header, dashed in the SVG)}, in drawing order
+FIGURE_CURVES = {
+    1: {"borderline_type1": (_LEVEL, False), "borderline_type2": (_LEVEL, False),
+        "level_plus": (_LEVEL, True), "level_minus": (_LEVEL, True)},
+    2: {"borderline": (_LEVEL, False), "level": (_LEVEL, True), "bisector": (_RAY, False)},
+    3: {"borderline": (_LEVEL, False), "level": (_LEVEL, True), "bisector": (_RAY, False)},
+    4: {"formula": (_FORMULA, True), "oracle": (_ORACLE, False)},
+    5: {"formula": (_FORMULA, True), "oracle": (_ORACLE, False)},
+    6: {"params": (["n", "a_n", "b_n", "c_n"], False)},
+    7: {"formula": (_FORMULA, True), "oracle": (_ORACLE, False)},
+    8: {"level": (_LEVEL, True), "borderline": (_LEVEL, False), "bisector": (_RAY, False)},
+    9: {"parabola": (["chi", "psi_plus", "psi_minus"], True),
+        "oracle": (["d", "chi_plus", "chi_minus", "psi_plus", "psi_minus"], False)},
+}
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_CURVES))
+def test_figure_files(fig, tmp_path, capsys):
+    code = main(["figure", str(fig), "--grid", "64", "--format", "svg",
                  "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
-    for name in ("fig2_borderline.csv", "fig2_level.csv", "fig2_bisector.csv",
-                 "fig2.svg"):
-        assert (tmp_path / name).exists(), name
-    svg = (tmp_path / "fig2.svg").read_text()
-    assert svg.count("<polyline") >= 2
-    assert "stroke-dasharray" in svg  # the series curve is dashed
+    curves = FIGURE_CURVES[fig]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"fig{fig}_{name}.csv" for name in curves] + [f"fig{fig}.svg"])
+    for name, (header, _) in curves.items():
+        meta, got, rows = parse_csv((tmp_path / f"fig{fig}_{name}.csv").read_text())
+        assert f"# fig: {fig}" in meta
+        assert got == header, name
+        assert rows, name
+    polylines = [line for line in (tmp_path / f"fig{fig}.svg").read_text().splitlines()
+                 if line.startswith("<polyline")]
+    assert ["stroke-dasharray" in line for line in polylines] == [
+        dashed for _, dashed in curves.values()]
 
 
 # ---------------------------------------------------------------------------

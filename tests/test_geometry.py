@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kmsbif.critical import all_critical_points
-from kmsbif.errors import ConditionViolated
+from kmsbif.errors import ConditionViolated, DomainError
 from kmsbif.geometry import (bifurcation_strength, cardioid_approx,
                              cusp_bisector_angle, local_level_curve,
                              trajectory_along_bisector)
@@ -126,6 +126,9 @@ def test_level_curve_condition_violated():
     good = puiseux_ab_from_t(all_critical_points(3)[0])
     with pytest.raises(ConditionViolated):
         local_level_curve(good, 0j, theta_window=0.0)
+    for count in (0, 1, 2):  # too few samples to hold the cusp and both branches
+        with pytest.raises(DomainError):
+            local_level_curve(good, 0j, count=count)
 
 
 def test_cardioid_approx():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from kmsbif.errors import ConditionViolated, DomainError, SizeError
-from kmsbif.geometry import _level_eps, cusp_bisector_angle
+from kmsbif.geometry import _level_eps, cusp_bisector_angle, trajectory_along_bisector
 from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, critical_eigenvector_imag,
                               imag_axis_params, imag_level_curve, imag_level_eps,
-                              imag_puiseux_params, imag_trajectory, large_n_params,
+                              imag_puiseux_params, large_n_params,
                               parabola_trajectory, solve_v_n, solve_x_n, y_n_of)
 from kmsbif.kms import EigType, build_matrix
 from kmsbif.oracle import count_extraordinary, kms_spectrum
@@ -235,6 +235,9 @@ def test_level_curve_guards():
         imag_level_curve(degenerate)
     with pytest.raises(DomainError):
         imag_level_curve(params, theta_range=(1.0, 1.0))
+    for count in (0, 1, 2):
+        with pytest.raises(DomainError):
+            imag_level_curve(params, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +247,7 @@ def test_level_curve_guards():
 def test_trajectory_forms():
     params = imag_axis_params(9)
     a, b, c = params.a_n, params.b_n, params.c_n
-    pts = imag_trajectory(params, [-4e-3, 0.0, 4e-3])
+    pts = trajectory_along_bisector(imag_puiseux_params(params), [-4e-3, 0.0, 4e-3])
     inside, origin, outside = pts
     d = 4e-3
     assert inside.re_pair[0] == pytest.approx(1.0 - d * b, rel=1e-14)
@@ -261,7 +264,7 @@ def test_trajectory_matches_oracle_n19():
     params = imag_axis_params(19)
     n, y = params.n, params.y_n
     for d in (-1e-3, 1e-3):
-        point = imag_trajectory(params, [d])[0]
+        point = trajectory_along_bisector(imag_puiseux_params(params), [d])[0]
         lam = kms_spectrum(n, 1j * (y + d)).eigenvalues
         pair = sorted(lam, key=lambda z: abs(z + n))[:2]
         scaled = sorted((z / -n for z in pair), key=lambda z: -z.imag if d < 0 else -z.real)

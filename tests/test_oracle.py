@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kmsbif import oracle
-from kmsbif.errors import DomainError, SizeError
+from kmsbif.errors import DomainError, KmsBifError, RootFindingFailure, SizeError
 from kmsbif.kms import EigType, build_matrix
 from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
                            eigenvalues, kms_spectrum, numeric_borderline,
@@ -57,6 +57,13 @@ def test_accepts_plain_arrays_and_rejects_bad_shapes():
         eigenvalues(np.zeros((2, 3), dtype=complex))
     with pytest.raises(SizeError):
         eigenvalues(np.eye(600, dtype=complex))
+
+
+def test_solver_failure_is_a_typed_error():
+    # LAPACK refuses non-finite input; the oracle reports it as a failed solve
+    with pytest.raises(RootFindingFailure) as exc:
+        eigenvalues(np.full((3, 3), np.nan))
+    assert isinstance(exc.value, KmsBifError)
 
 
 # Both the full solve and the block solves are backward stable (LAPACK zgeev):
