@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import io
+import itertools
 import json
 import math
 import sys
@@ -36,8 +37,8 @@ _TRAJ_COLS = ["d", "re_plus", "re_minus", "im_plus", "im_minus", "mag_plus", "ma
 
 @dataclass(frozen=True)
 class Curve:
-    """One figure data set: fig<id>_<name>.csv, drawn in the SVG sketch as one
-    polyline through columns xy of the rows (dashed = series formula)."""
+    """One figure data set: fig<id>_<name>.csv, drawn in the SVG sketch through
+    columns xy of the rows (dashed = series formula; a NaN row breaks the line)."""
     name: str
     meta: dict
     columns: list
@@ -72,11 +73,19 @@ def _render_json(meta: dict, columns: list, rows: list) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _pieces(points: list) -> list:
+    """The runs of finite points; a non-finite point (a NaN break row) ends a run."""
+    runs = itertools.groupby(points, lambda p: math.isfinite(p[0]) and math.isfinite(p[1]))
+    return [list(run) for finite, run in runs if finite]
+
+
 def _render_svg(series: list, meta: dict, width: int = 640, height: int = 480) -> str:
-    """Tiny hand-rolled SVG: one polyline per (rows, (x, y), dashed) series, through
-    columns x and y of its rows; dashed = formula."""
-    series = [([(row[x], row[y]) for row in rows], dashed) for rows, (x, y), dashed in series]
-    pts = [p for points, _ in series for p in points]
+    """Tiny hand-rolled SVG for (rows, (x, y), dashed) series through columns x and y
+    of their rows (dashed = formula); each piece of a series is one polyline in the
+    series' style."""
+    curves = [(_pieces([(row[x], row[y]) for row in rows]), dashed)
+              for rows, (x, y), dashed in series]
+    pts = [p for pieces, _ in curves for piece in pieces for p in piece]
     if not pts:
         return '<svg xmlns="http://www.w3.org/2000/svg"/>\n'
     xs, ys = [p[0] for p in pts], [p[1] for p in pts]
@@ -94,12 +103,13 @@ def _render_svg(series: list, meta: dict, width: int = 640, height: int = 480) -
     title = "; ".join(f"{k}={v}" for k, v in meta.items() if k in ("command", "n", "fig"))
     out.append(f'<title>{title}</title>')
     out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    for i, (points, dashed) in enumerate(series):
+    for i, (pieces, dashed) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="6 4"' if dashed else ""
-        path = " ".join(map_pt(p) for p in points)
-        out.append(f'<polyline points="{path}" fill="none" stroke="{color}"'
-                   f' stroke-width="1.5"{dash}/>')
+        for piece in pieces:
+            path = " ".join(map_pt(p) for p in piece)
+            out.append(f'<polyline points="{path}" fill="none" stroke="{color}"'
+                       f' stroke-width="1.5"{dash}/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -576,10 +586,15 @@ def _build_parser() -> _Parser:
     command("imaginary", cmd_imaginary, "imaginary-axis family parameters (odd n)", ["--n"])
     s = command("large-n", cmd_large_n, "asymptotic parameter table", [])
     s.add_argument("--n", type=_AT_LEAST_3, nargs="+", required=True, dest="n_list")
-    s = command("figure", cmd_figure, "reproduce figure data sets (1..9)",
-                ["--n-max", "--window", "--grid"], ("csv", "svg"), "output directory",
-                n_max=50, grid=96)
+    s = command("figure", cmd_figure, "reproduce figure data sets (1..9)", [],
+                ("csv", "svg"), "output directory")
     s.add_argument("fig_id", type=int, choices=range(1, 10))
+    for flag, only in (  # what each figure reads
+            ("--grid", dict(type=_checked(int, lambda v: v >= 64, "an integer >= 64"),
+                            default=96, help="borderline grid, >= 64 (figures 1, 2, 3, 8)")),
+            ("--window", dict(help="level-curve theta half-window (figures 1, 2, 3)")),
+            ("--n-max", dict(default=50, help="largest n of the sweep (figure 6)"))):
+        s.add_argument(flag, **{**flags[flag], **only})
     command("verify", cmd_verify, "run the invariant battery", ["--n-max", "--tol"],
             n_max=12, tol=1.0)
     return parser

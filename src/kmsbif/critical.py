@@ -1,7 +1,7 @@
 """Critical (exceptional) points of K_n(rho): the double eigenvalue -n.
 
 Every critical point is a root t_c of U_{n-1}(t) -+ n with the known trivial
-factors removed: type-1 points come from U_{n-1} - n, type-2 points from
+roots +/-1 removed: type-1 points come from U_{n-1} - n, type-2 points from
 U_{n-1} + n.  The parameter value follows as a Chebyshev ratio in t_c, with
 half-integer degrees when n is even.
 """
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import ChebDegree, cheb_t, cheb_u
+from .chebyshev import cheb_t, cheb_u
 from .errors import DegenerateArgument, RootFindingFailure, SizeError, UnsupportedCase
 from .kms import EigType, type_sign
 
@@ -32,100 +32,51 @@ class CriticalPoint:
     lambda_c: complex
 
 
-def _u_coeffs(n_minus_1: int) -> list[int]:
-    """Integer monomial coefficients (ascending) of U_{n-1}."""
-    prev, cur = [1], [0, 2]
-    if n_minus_1 == 0:
-        return prev
-    for _ in range(n_minus_1 - 1):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
-
-
-def _divide_linear(coeffs: list[int], root: int) -> list[int]:
-    """Exact synthetic division of an ascending-coefficient poly by (t - root)."""
-    desc = coeffs[::-1]
-    out = [desc[0]]
-    for c in desc[1:]:
-        out.append(c + root * out[-1])
-    remainder = out.pop()
-    if remainder != 0:
-        raise RootFindingFailure(f"expected exact factor (t - {root}), remainder {remainder}")
-    return out[::-1]
-
-
-def q_polynomial(n: int, eig_type: EigType) -> list[int]:
-    """The deflated critical polynomial, exact integer coefficients ascending.
-
-    Type-1 divides U_{n-1} - n by (t-1) (even n) or (t^2-1) (odd n >= 5);
-    type-2 divides U_{n-1} + n by (t+1) (even n) and by nothing (odd n).
-    Type-1 with n = 3 is undefined: K_3 has the type-1 eigenvalue 1 - rho^2,
-    which never bifurcates.
-    """
-    if n < 3:
-        raise SizeError(f"need n >= 3, got {n}")
-    if eig_type is EigType.Type1 and n == 3:
-        raise UnsupportedCase("no type-1 critical polynomial for n = 3")
-    coeffs = _u_coeffs(n - 1)
-    coeffs[0] += type_sign(eig_type) * n
-    if eig_type is EigType.Type1:
-        coeffs = _divide_linear(coeffs, 1)
-        if n % 2 == 1:
-            coeffs = _divide_linear(coeffs, -1)
-    elif n % 2 == 0:
-        coeffs = _divide_linear(coeffs, -1)
-    return coeffs
-
-
-def _newton_polish(n: int, s: int, t: complex) -> complex:
-    # residual U_{n-1}(t) + s n, derivative (n T_n - t U_{n-1})/(t^2 - 1)
-    best, best_res = t, abs(cheb_u(n - 1, t) + s * n)
+def _newton_polish(n: int, s: int, t: complex) -> tuple[complex, float]:
+    """Newton on g(t) = U_{n-1}(t) + s n; returns the best iterate and its |g|."""
+    # derivative (n T_n - t U_{n-1})/(t^2 - 1); each step evaluates U_{n-1} once
+    u = cheb_u(n - 1, t)
+    best, best_res = t, abs(u + s * n)
     for _ in range(40):
-        u = cheb_u(n - 1, t)
-        g = u + s * n
         dg = (n * cheb_t(n, t) - t * u) / (t * t - 1.0)
         if dg == 0:
             break
-        t = t - g / dg
-        res = abs(cheb_u(n - 1, t) + s * n)
+        t = t - (u + s * n) / dg
+        u = cheb_u(n - 1, t)
+        res = abs(u + s * n)
         if res < best_res:
             best, best_res = t, res
         if res <= 1e-13 * n:
             break
-    return best
+    return best, best_res
 
 
 def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
-    """All nontrivial roots of U_{n-1}(t) -+ n, Newton-polished.
+    """All nontrivial roots t_c of U_{n-1}(t) + s n (s = type_sign), Newton-polished.
 
-    Roots come from the eigenvalues of the second-kind-basis colleague matrix
-    (the monomial coefficients of U_{n-1} overflow well before n = 50, the
-    Chebyshev-basis companion does not), then the known factor roots +/-1 are
-    deflated and each survivor is polished on the Chebyshev-form residual.
+    The roots are the eigenvalues of the colleague matrix in the second-kind
+    Chebyshev basis (monomial coefficients overflow long before n = 50), less
+    the trivial roots t = +/-1, sorted by (real, imag).  That leaves n - 2
+    roots for even n and n - 3 (type 1) or n - 1 (type 2) for odd n.  Raises
+    SizeError for n < 3, UnsupportedCase for type 1 at n = 3 (K_3's type-1
+    eigenvalue 1 - rho^2 never bifurcates) and RootFindingFailure when a
+    trivial root is missing, a polished residual exceeds 1e-9 n or two
+    polished roots coincide.
     """
-    q_polynomial(n, eig_type)  # validates n and the (Type1, n=3) exclusion
+    if n < 3:
+        raise SizeError(f"need n >= 3, got {n}")
+    if eig_type is EigType.Type1 and n == 3:
+        raise UnsupportedCase("no type-1 critical points for n = 3")
     s = type_sign(eig_type)
     size = n - 1
     colleague = np.zeros((size, size))
-    for j in range(size):
-        if j + 1 < size:
-            colleague[j + 1, j] = 0.5
-        if j - 1 >= 0:
-            colleague[j - 1, j] = 0.5
-    c = np.zeros(size + 1)
-    c[size] = 1.0
-    c[0] = s * n
-    colleague[:, size - 1] -= c[:size] / (2.0 * c[size])
+    off = np.arange(size - 1)
+    colleague[off + 1, off] = colleague[off, off + 1] = 0.5
+    colleague[0, size - 1] -= s * n / 2.0
     raw = list(np.linalg.eigvals(colleague))
 
-    if eig_type is EigType.Type1:
-        trivial = [1.0] if n % 2 == 0 else [1.0, -1.0]
-    else:
-        trivial = [-1.0] if n % 2 == 0 else []
-    for r in trivial:
+    # U_{n-1}(1) = n and U_{n-1}(-1) = (-1)^(n-1) n, so the trivial roots test exactly
+    for r in [r for r in (1.0, -1.0) if cheb_u(n - 1, r) + s * n == 0]:
         nearest = min(range(len(raw)), key=lambda i: abs(raw[i] - r))
         if abs(raw[nearest] - r) > 1e-6:
             raise RootFindingFailure(f"expected a root near t = {r}, none found")
@@ -133,21 +84,29 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
 
     polished = []
     for t in raw:
-        t = _newton_polish(n, s, complex(t))
-        if abs(cheb_u(n - 1, t) + s * n) > 1e-9 * n:
+        t, residual = _newton_polish(n, s, complex(t))
+        if residual > 1e-9 * n:
             raise RootFindingFailure(f"root residual above tolerance at t = {t}")
-        if all(abs(t - seen) > _MERGE_DIST for seen in polished):
-            polished.append(t)
+        polished.append(t)
     polished.sort(key=lambda z: (z.real, z.imag))
+    # sorted by real part: compare each root with the earlier ones within _MERGE_DIST in real part
+    for i in range(1, len(polished)):
+        j = i - 1
+        while j >= 0 and polished[i].real - polished[j].real <= _MERGE_DIST:
+            if abs(polished[i] - polished[j]) <= _MERGE_DIST:
+                raise RootFindingFailure(f"polished roots coincide at t = {polished[i]}")
+            j -= 1
     return polished
 
 
 def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
     """Critical parameter value as a Chebyshev ratio at t_c.
 
-    Odd n uses integer degrees (U ratio for type-1, T ratio for type-2);
-    even n needs half-integer degrees (n +/- 1)/2, evaluated on the principal
-    Arccos branch.  The ratio is branch-independent.
+    Odd n: U_{(n-1)/2}/U_{(n-3)/2} (type 1) or T_{(n+1)/2}/T_{(n-1)/2} (type 2).
+    Even n needs the half-integer degrees (n +/- 1)/2, evaluated in place from
+    mu = Arccos t_c; the ratio is even in mu, so the branch does not matter.
+    Raises DegenerateArgument at t_c = +/-1 for even n and wherever the
+    denominator vanishes.
     """
     t_c = complex(t_c)
     if n % 2 == 1:
@@ -158,12 +117,16 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
             num = cheb_t((n + 1) // 2, t_c)
             den = cheb_t((n - 1) // 2, t_c)
     else:
+        if min(abs(t_c - 1.0), abs(t_c + 1.0)) < 1e-14:
+            raise DegenerateArgument(f"critical-rho ratio undefined at t_c = {t_c}")
+        mu = cmath.acos(t_c)
         if eig_type is EigType.Type1:
-            num = cheb_u(ChebDegree(n - 1), t_c)
-            den = cheb_u(ChebDegree(n - 3), t_c)
+            s = cmath.sin(mu)  # U_k = sin((k+1)mu)/sin(mu), k = (n-1)/2 and (n-3)/2
+            num = cmath.sin((n + 1) / 2 * mu) / s
+            den = cmath.sin((n - 1) / 2 * mu) / s
         else:
-            num = cheb_t(ChebDegree(n + 1), t_c)
-            den = cheb_t(ChebDegree(n - 1), t_c)
+            num = cmath.cos((n + 1) / 2 * mu)
+            den = cmath.cos((n - 1) / 2 * mu)
     if abs(den) < 1e-12 * (1.0 + abs(num)):
         raise DegenerateArgument(f"critical-rho denominator vanished at t_c = {t_c}")
     return num / den
@@ -179,14 +142,12 @@ def _catalog(n: int) -> tuple:
             continue
         for t_c in critical_t_values(n, eig_type):
             rho_c = rho_c_of_t(n, t_c, eig_type)
-            if min(abs(rho_c - v) for v in (-1.0, 0.0, 1.0)) < 1e-9:
-                continue  # excluded parameter values never carry a bifurcation
             gaps = np.sort(np.abs(kms_spectrum(n, rho_c).eigenvalues + n))
             if gaps[1] > _ORACLE_GAP * n:
                 raise RootFindingFailure(
                     f"oracle found no double eigenvalue -{n} at rho_c = {rho_c} "
                     f"(gaps {gaps[:3]})")
-            if n > 2 and len(gaps) > 2 and gaps[2] <= _ORACLE_GAP * n:
+            if gaps[2] <= _ORACLE_GAP * n:
                 raise RootFindingFailure(
                     f"unexpected eigenvalue multiplicity > 2 at rho_c = {rho_c}")
             points.append(CriticalPoint(

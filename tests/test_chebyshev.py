@@ -1,4 +1,4 @@
-"""Unit tests for Chebyshev evaluation (integer and half-integer degrees)."""
+"""Unit tests for Chebyshev evaluation (integer degrees)."""
 
 import cmath
 import math
@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from kmsbif.chebyshev import ChebDegree, cheb_t, cheb_t_hyperbolic, cheb_t_log, cheb_u
-from kmsbif.errors import DegenerateArgument, DomainError
+from kmsbif.chebyshev import cheb_t, cheb_t_hyperbolic, cheb_t_log, cheb_u
+from kmsbif.errors import DomainError
 
 
 def _rel(lhs, rhs):
@@ -106,13 +106,17 @@ def test_growth_for_x_above_one():
 
 
 def test_hyperbolic_routing_matches_recurrence():
-    # real |x| > 1 goes through cosh/acosh; complex input takes the recurrence
+    # a real |x| > 1 runs the real recurrence; it matches cosh(k arccosh |x|) and
+    # the complex recurrence at the same point
     for k in (3, 10, 41):
         for x in (1.5, 2.0, -1.7):
             via_real = cheb_t(k, x)
             via_complex = cheb_t(k, complex(x))
+            assert isinstance(via_real, float)
             assert _rel(via_real, via_complex) < 1e-12
             assert abs(via_complex.imag) < 1e-9 * abs(via_complex)
+            hyperbolic = math.copysign(1.0, x) ** k * math.cosh(k * math.acosh(abs(x)))
+            assert _rel(via_real, hyperbolic) < 1e-12
 
 
 def test_cheb_t_hyperbolic():
@@ -128,30 +132,12 @@ def test_cheb_t_log():
         cheb_t_log(3, 1.0)
 
 
-def test_half_integer_degrees():
-    deg = ChebDegree(7)  # degree 7/2
-    assert not deg.is_integer
-    assert deg.value == 3.5
-    rng = np.random.default_rng(108)
-    for _ in range(50):
-        z = complex(rng.uniform(-0.9, 0.9), rng.uniform(0.1, 1.0))
-        mu = cmath.acos(z)
-        assert _rel(cheb_t(deg, z), cmath.cos(3.5 * mu)) < 1e-10
-        assert _rel(cheb_u(deg, z), cmath.sin(4.5 * mu) / cmath.sin(mu)) < 1e-10
-
-
-def test_half_integer_float_degree_accepted():
-    z = 0.3 + 0.4j
-    assert cheb_t(3.5, z) == cheb_t(ChebDegree(7), z)
-
-
 def test_degree_validation():
-    with pytest.raises(DomainError):
-        ChebDegree(-1)
-    with pytest.raises(DomainError):
-        cheb_t(0.3, 1.0 + 0j)  # neither integer nor half-integer
-
-
-def test_half_integer_u_degenerate_near_unity():
-    with pytest.raises(DegenerateArgument):
-        cheb_u(ChebDegree(5), 1.0 + 0j)
+    # integer degrees only: k >= 0 for T, k >= -1 for U
+    for bad in (3.5, 0.3, -1, 3.0):
+        with pytest.raises(DomainError):
+            cheb_t(bad, 1.0 + 0j)
+    for bad in (3.5, 0.3, -2):
+        with pytest.raises(DomainError):
+            cheb_u(bad, 1.0 + 0j)
+    assert cheb_u(-1, 0.5) == 0.0 and cheb_u(np.int64(4), 1.0) == 5.0

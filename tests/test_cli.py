@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from kmsbif.cli import main
+from kmsbif.cli import _render_svg, main
 from kmsbif.imag_axis import imag_axis_params
 
 
@@ -49,6 +49,8 @@ def parse_csv(text):
     ["critical-points", "--n", "5", "--format", "svg"],
     ["puiseux", "--n", "4", "--tol", "1e-3"],
     ["figure", "2", "--format", "json"],
+    # the borderline figures need a grid of at least 64
+    ["figure", "2", "--grid", "10"],
 ])
 def test_usage_errors_exit_one(argv):
     with pytest.raises(SystemExit) as exc:
@@ -121,6 +123,24 @@ def test_svg_smoke(capsys):
     assert out.startswith("<svg")
     assert "<polyline" in out
     assert out.rstrip().endswith("</svg>")
+
+
+def test_svg_draws_each_piece_of_a_broken_curve():
+    # a NaN row breaks a curve: both pieces get their own polyline in the
+    # curve's colour, and the NaN neither shows up nor spoils the bounds
+    def polylines(rows):
+        svg = _render_svg([(rows, (0, 1), False), ([(0.0, 1.0), (3.0, 0.0)], (0, 1), True)],
+                          {})
+        assert "nan" not in svg
+        return [line for line in svg.splitlines() if line.startswith("<polyline")]
+
+    rows = [(0.0, 0.0), (1.0, 1.0), (math.nan, math.nan), (2.0, 0.0), (3.0, 1.0)]
+    broken, whole = polylines(rows), polylines(rows[:2] + rows[3:])
+    assert len(broken) == 3 and len(whole) == 2
+    points = [line.split('"')[1] for line in broken]
+    assert " ".join(points[:2]) == whole[0].split('"')[1]
+    assert broken[0].split('"', 2)[2] == broken[1].split('"', 2)[2] == whole[0].split('"', 2)[2]
+    assert broken[2] == whole[1]
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +255,17 @@ def test_figure_files(fig, tmp_path, capsys):
     curves = FIGURE_CURVES[fig]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [f"fig{fig}_{name}.csv" for name in curves] + [f"fig{fig}.svg"])
-    for name, (header, _) in curves.items():
+    expected = []  # one SVG polyline per piece; a NaN row separates pieces
+    for name, (header, dashed) in curves.items():
         meta, got, rows = parse_csv((tmp_path / f"fig{fig}_{name}.csv").read_text())
         assert f"# fig: {fig}" in meta
         assert got == header, name
         assert rows, name
-    polylines = [line for line in (tmp_path / f"fig{fig}.svg").read_text().splitlines()
-                 if line.startswith("<polyline")]
-    assert ["stroke-dasharray" in line for line in polylines] == [
-        dashed for _, dashed in curves.values()]
+        expected += [dashed] * (1 + sum(row[0] == "nan" for row in rows))
+    svg = (tmp_path / f"fig{fig}.svg").read_text()
+    assert "nan" not in svg
+    polylines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert ["stroke-dasharray" in line for line in polylines] == expected
 
 
 # ---------------------------------------------------------------------------

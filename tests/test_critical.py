@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from kmsbif.critical import (CriticalPoint, all_critical_points,
-                             critical_t_values, q_polynomial, rho_c_of_t)
-from kmsbif.errors import SizeError, UnsupportedCase
-from kmsbif.kms import EigType, MuPoint, lambda_of_mu, rho_prime_of_mu
+from kmsbif import critical
+from kmsbif.critical import all_critical_points, critical_t_values, rho_c_of_t
+from kmsbif.errors import DegenerateArgument, RootFindingFailure, SizeError, UnsupportedCase
+from kmsbif.kms import EigType, MuPoint, lambda_of_mu, rho_of_mu, rho_prime_of_mu
 from kmsbif.oracle import kms_spectrum
 
 SQRT8 = math.sqrt(8.0)
@@ -21,27 +21,13 @@ def _expected_degree(n, eig_type):
     return n - 2 if n % 2 == 0 else n - 1
 
 
-def test_q_polynomial_n3_type2():
-    # U_2(t) + 3 = 4t^2 + 2, ascending coefficients
-    coeffs = q_polynomial(3, EigType.Type2)
-    assert list(coeffs) == [2, 0, 4]
-
-
 def test_q_polynomial_type1_n3_unsupported():
+    # critical_t_values validates n and the (Type1, n = 3) exclusion itself
     with pytest.raises(UnsupportedCase):
-        q_polynomial(3, EigType.Type1)
-    with pytest.raises(SizeError):
-        q_polynomial(2, EigType.Type2)
-
-
-def test_q_polynomial_degrees():
-    for n in range(3, 31):
-        for et in EigType:
-            if n == 3 and et is EigType.Type1:
-                continue
-            coeffs = q_polynomial(n, et)
-            assert len(coeffs) - 1 == _expected_degree(n, et)
-            assert coeffs[-1] != 0
+        critical_t_values(3, EigType.Type1)
+    for et in EigType:
+        with pytest.raises(SizeError):
+            critical_t_values(2, et)
 
 
 def test_q_polynomial_divides_exactly():
@@ -77,6 +63,36 @@ def test_root_count_matches_degree():
                 continue
             roots = critical_t_values(n, et)
             assert len(roots) == _expected_degree(n, et)
+
+
+def test_coinciding_roots_raise(monkeypatch):
+    # two Newton runs that land on the same root must not be merged silently
+    polish = critical._newton_polish
+
+    def collapse(n, s, t):
+        t, residual = polish(n, s, t)
+        return (complex(abs(t.real), abs(t.imag)), residual)
+
+    monkeypatch.setattr(critical, "_newton_polish", collapse)
+    with pytest.raises(RootFindingFailure, match="coincide"):
+        critical_t_values(5, EigType.Type2)
+
+
+def test_rho_c_matches_mu_route():
+    # the Chebyshev ratio in t_c (half-integer degrees for even n, evaluated in
+    # place) equals rho(mu) of the mu-parameterization at mu = acos t_c
+    for n in range(3, 41):
+        for p in all_critical_points(n):
+            via_mu = rho_of_mu(MuPoint(n, cmath.acos(p.t_c), p.eig_type))
+            assert abs(p.rho_c - via_mu) <= 1e-10 * abs(via_mu)
+
+
+def test_rho_c_degenerate_at_unit_argument():
+    for n in (4, 8):
+        for et in EigType:
+            for t in (1.0, -1.0, 1.0 + 1e-15j):
+                with pytest.raises(DegenerateArgument):
+                    rho_c_of_t(n, t, et)
 
 
 def test_rho_c_examples():
