@@ -141,3 +141,13 @@ def test_degree_validation():
         with pytest.raises(DomainError):
             cheb_u(bad, 1.0 + 0j)
     assert cheb_u(-1, 0.5) == 0.0 and cheb_u(np.int64(4), 1.0) == 5.0
+
+
+def test_half_integer_float_degree_rejected():
+    # half-integer degrees are not Chebyshev polynomials here: the even-n
+    # critical ratio evaluates them in place from mu (see critical.rho_c_of_t)
+    z = 0.3 + 0.4j
+    for bad in (3.5, np.float64(3.5), 7 / 2, 0.5):
+        for fn in (cheb_t, cheb_u):
+            with pytest.raises(DomainError, match="integer"):
+                fn(bad, z)
