@@ -3,10 +3,12 @@
 ``cheb_t`` and ``cheb_u`` run the three-term recurrence, in floats for a real
 argument and in complex numbers otherwise.  For real x > 1 there are also
 cosh(k arccosh x) and log T_k(x), which stays finite after T_k overflows.
+A value that is not finite in double precision raises DomainError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 
@@ -23,6 +25,13 @@ def _checked_degree(k, lowest: int) -> int:
 
 def _as_field(z):
     return float(z) if isinstance(z, numbers.Real) else complex(z)
+
+
+def _finite(value, name: str, k: int, z):
+    # checked once per call: an overflow leaves inf or nan in the recurrence to the end
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name}_{k}({z}) is not finite in double precision")
+    return value
 
 
 def _t_recurrence(k: int, z):
@@ -45,24 +54,36 @@ def _u_recurrence(k: int, z):
 
 
 def cheb_t(k, z):
-    """First-kind Chebyshev polynomial T_k(z) for an integer degree k >= 0."""
-    return _t_recurrence(_checked_degree(k, 0), _as_field(z))
+    """First-kind Chebyshev polynomial T_k(z) for an integer degree k >= 0.
+
+    Raises DomainError when the value overflows double precision.
+    """
+    k, z = _checked_degree(k, 0), _as_field(z)
+    return _finite(_t_recurrence(k, z), "T", k, z)
 
 
 def cheb_u(k, z):
     """Second-kind Chebyshev polynomial U_k(z) for an integer degree k >= -1.
 
-    The degree k = -1 is accepted and gives U_{-1} = 0.
+    The degree k = -1 is accepted and gives U_{-1} = 0.  Raises DomainError
+    when the value overflows double precision.
     """
     k, z = _checked_degree(k, -1), _as_field(z)
-    return type(z)(0) if k == -1 else _u_recurrence(k, z)
+    return type(z)(0) if k == -1 else _finite(_u_recurrence(k, z), "U", k, z)
 
 
 def cheb_t_hyperbolic(k: int, x: float) -> float:
-    """T_k(x) = cosh(k arccosh x) for real x >= 1 (overflow-safe for k acosh x < ~700)."""
+    """T_k(x) = cosh(k arccosh x) for real x >= 1.
+
+    Raises DomainError for x < 1 and when the value overflows double precision
+    (k arccosh x above about 710); cheb_t_log stays finite there.
+    """
     if x < 1.0:
         raise DomainError(f"hyperbolic form requires x >= 1, got {x}")
-    return math.cosh(int(k) * math.acosh(x))
+    try:
+        return math.cosh(int(k) * math.acosh(x))
+    except OverflowError:
+        raise DomainError(f"T_{k}({x}) overflows double precision") from None
 
 
 def cheb_t_log(k: int, x: float) -> float:

@@ -542,6 +542,7 @@ def _checked(convert, accept, rule: str):
 
 _AT_LEAST_3 = _checked(int, lambda v: v >= 3, "an integer >= 3")
 _POSITIVE = _checked(float, lambda v: v > 0, "a number > 0")
+_FINITE = _checked(float, math.isfinite, "a finite number")
 
 
 def _build_parser() -> _Parser:
@@ -553,8 +554,8 @@ def _build_parser() -> _Parser:
         "--type": dict(type=int, choices=(1, 2), default=None, dest="eig_type"),
         "--index": dict(type=int, default=0,
                         help="catalog point (0-based, after --type filter)"),
-        "--d-max": dict(type=float, default=0.02, dest="d_max"),
-        "--window": dict(type=float, default=0.8,
+        "--d-max": dict(type=_FINITE, default=0.02, dest="d_max"),
+        "--window": dict(type=_POSITIVE, default=0.8,
                          help="theta half-window around the cusp (radians)"),
         "--grid": dict(type=_AT_LEAST_3, help="samples per curve / grid resolution"),
         "--n-max": dict(type=_AT_LEAST_3, dest="n_max",

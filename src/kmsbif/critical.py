@@ -15,7 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import cheb_t, cheb_u
-from .errors import DegenerateArgument, RootFindingFailure, SizeError, UnsupportedCase
+from .errors import (DegenerateArgument, DomainError, RootFindingFailure, SizeError,
+                     UnsupportedCase)
 from .kms import EigType, type_sign
 
 _MERGE_DIST = 1e-8
@@ -106,7 +107,8 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
     Even n needs the half-integer degrees (n +/- 1)/2, evaluated in place from
     mu = Arccos t_c; the ratio is even in mu, so the branch does not matter.
     Raises DegenerateArgument at t_c = +/-1 for even n and wherever the
-    denominator vanishes.
+    denominator vanishes, and DomainError when a Chebyshev value overflows
+    double precision.
     """
     t_c = complex(t_c)
     if n % 2 == 1:
@@ -120,13 +122,16 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
         if min(abs(t_c - 1.0), abs(t_c + 1.0)) < 1e-14:
             raise DegenerateArgument(f"critical-rho ratio undefined at t_c = {t_c}")
         mu = cmath.acos(t_c)
-        if eig_type is EigType.Type1:
-            s = cmath.sin(mu)  # U_k = sin((k+1)mu)/sin(mu), k = (n-1)/2 and (n-3)/2
-            num = cmath.sin((n + 1) / 2 * mu) / s
-            den = cmath.sin((n - 1) / 2 * mu) / s
-        else:
-            num = cmath.cos((n + 1) / 2 * mu)
-            den = cmath.cos((n - 1) / 2 * mu)
+        try:
+            if eig_type is EigType.Type1:
+                s = cmath.sin(mu)  # U_k = sin((k+1)mu)/sin(mu), k = (n-1)/2 and (n-3)/2
+                num = cmath.sin((n + 1) / 2 * mu) / s
+                den = cmath.sin((n - 1) / 2 * mu) / s
+            else:
+                num = cmath.cos((n + 1) / 2 * mu)
+                den = cmath.cos((n - 1) / 2 * mu)
+        except OverflowError:
+            raise DomainError(f"critical-rho ratio overflows at t_c = {t_c}") from None
     if abs(den) < 1e-12 * (1.0 + abs(num)):
         raise DegenerateArgument(f"critical-rho denominator vanished at t_c = {t_c}")
     return num / den

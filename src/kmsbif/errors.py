@@ -10,7 +10,11 @@ class SizeError(KmsBifError):
 
 
 class DomainError(KmsBifError):
-    """Real-argument domain violation (e.g. hyperbolic form requested for x < 1)."""
+    """Argument outside a function's domain, or a value that overflows there.
+
+    Examples: the hyperbolic form requested for x < 1, or T_1000(3), which is
+    not finite in double precision.
+    """
 
 
 class DegenerateArgument(KmsBifError):

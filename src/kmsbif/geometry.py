@@ -51,13 +51,13 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     theta = pi - 2 theta_a) is always included exactly once; samples past a
     sign change of the denominator, or with |eps| above eps_cap, are outside
     the validity region and are dropped (with a warning).  Raises DomainError
-    for count < 3.
+    for count < 3, and ConditionViolated unless theta_window is finite and > 0.
     """
     den_cusp = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
     if abs(den_cusp) < 1e-10:
         raise ConditionViolated("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
-    if theta_window <= 0:
-        raise ConditionViolated("theta_window must be positive")
+    if not (math.isfinite(theta_window) and theta_window > 0):
+        raise ConditionViolated(f"theta_window must be finite and > 0, got {theta_window}")
     if count < 3:
         raise DomainError(f"need count >= 3 samples, got {count}")
     if count % 2 == 0:

@@ -133,69 +133,71 @@ def _grid_values(n, res, bounds, eig_type):
     return xs, ys, f
 
 
-def _cell_segments(x0, x1, y0, y1, fa, fb, fc, fd):
-    # corners: a=(x0,y0) b=(x1,y0) c=(x1,y1) d=(x0,y1); f<0 inside
-    def interp(p, q, fp, fq):
+# cell corners a, b, c, d as (row, column) offsets from the cell's lowest node;
+# edge k runs from corner k to corner k + 1 (mod 4): ab, bc, cd, da
+_CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
+_AB, _BC, _CD, _DA = range(4)
+# edge pairs per case index (f < 0 at a, b, c, d gives bits 1, 2, 4, 8); the
+# saddles 5 and 10 are listed with the cell centre inside, and a saddle whose
+# centre is outside is traced as its complement 15 - case
+_SEGMENTS = {
+    1: ((_DA, _AB),), 2: ((_AB, _BC),), 3: ((_DA, _BC),), 4: ((_BC, _CD),),
+    5: ((_AB, _BC), (_CD, _DA)), 6: ((_AB, _CD),), 7: ((_DA, _CD),),
+    8: ((_CD, _DA),), 9: ((_CD, _AB),), 10: ((_DA, _AB), (_BC, _CD)),
+    11: ((_CD, _BC),), 12: ((_BC, _DA),), 13: ((_BC, _AB),), 14: ((_AB, _DA),),
+}
+
+
+def _march(xs, ys, f) -> list:
+    """Marching-squares polylines of f = 0, with f[j, i] at (xs[i], ys[j]); f < 0 is inside.
+
+    A crossing is keyed by the grid edge it lies on, or by the grid node where
+    f is exactly 0, and segments that share a key are joined.  Each chain
+    starts at the first unused segment in row-major cell order and grows from
+    its second end, then from its first; a closed chain repeats its first point.
+    """
+    inside = f < 0
+    case = inside[:-1, :-1] + 2 * inside[:-1, 1:] + 4 * inside[1:, 1:] + 8 * inside[1:, :-1]
+
+    def crossing(j, i, edge):
+        # interpolated from the edge's first corner p, so the two cells that
+        # share an edge may differ in the last bit; the key is exact either way
+        p, q = [(j + dj, i + di) for dj, di in (_CORNERS[edge], _CORNERS[(edge + 1) % 4])]
+        fp, fq = f[p], f[q]
         t = fp / (fp - fq)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+        point = (xs[p[1]] + t * (xs[q[1]] - xs[p[1]]), ys[p[0]] + t * (ys[q[0]] - ys[p[0]]))
+        if fp == 0 or fq == 0:
+            return point, (p if fp == 0 else q,)
+        return point, (min(p, q), max(p, q))
 
-    a, b, c, d = (x0, y0), (x1, y0), (x1, y1), (x0, y1)
-    idx = (fa < 0) | ((fb < 0) << 1) | ((fc < 0) << 2) | ((fd < 0) << 3)
-    if idx in (0, 15):
-        return []
-    e_ab = interp(a, b, fa, fb) if (fa < 0) != (fb < 0) else None
-    e_bc = interp(b, c, fb, fc) if (fb < 0) != (fc < 0) else None
-    e_cd = interp(c, d, fc, fd) if (fc < 0) != (fd < 0) else None
-    e_da = interp(d, a, fd, fa) if (fd < 0) != (fa < 0) else None
-    table = {
-        1: [(e_da, e_ab)], 2: [(e_ab, e_bc)], 3: [(e_da, e_bc)],
-        4: [(e_bc, e_cd)], 6: [(e_ab, e_cd)], 7: [(e_da, e_cd)],
-        8: [(e_cd, e_da)], 9: [(e_cd, e_ab)], 11: [(e_cd, e_bc)],
-        12: [(e_bc, e_da)], 13: [(e_bc, e_ab)], 14: [(e_ab, e_da)],
-    }
-    if idx in (5, 10):
-        # saddle: disambiguate with the center sign
-        center_neg = (fa + fb + fc + fd) / 4.0 < 0
-        if idx == 5:
-            segs = [(e_ab, e_bc), (e_cd, e_da)] if center_neg else [(e_da, e_ab), (e_bc, e_cd)]
-        else:
-            segs = [(e_da, e_ab), (e_bc, e_cd)] if center_neg else [(e_ab, e_bc), (e_cd, e_da)]
-        return segs
-    return table[idx]
+    segments, ends = [], {}
+    for j, i in zip(*np.nonzero((case != 0) & (case != 15))):
+        idx = int(case[j, i])
+        if idx in (5, 10):
+            centre = (f[j, i] + f[j, i + 1] + f[j + 1, i + 1] + f[j + 1, i]) / 4.0
+            idx = idx if centre < 0 else 15 - idx
+        for edges in _SEGMENTS[idx]:
+            (p, kp), (q, kq) = (crossing(j, i, e) for e in edges)
+            ends.setdefault(kp, []).append((len(segments), 0))
+            ends.setdefault(kq, []).append((len(segments), 1))
+            segments.append(((p, kp), (q, kq)))
 
-
-def _chain(segments, tol):
-    # join shared endpoints into polylines
-    def key(p):
-        return (round(p[0] / tol), round(p[1] / tol))
-
-    ends: dict = {}
-    for si, (p, q) in enumerate(segments):
-        ends.setdefault(key(p), []).append((si, 0))
-        ends.setdefault(key(q), []).append((si, 1))
     used = [False] * len(segments)
+
+    def grow(key):
+        points = []
+        while nxt := next(((si, e) for si, e in ends[key] if not used[si]), None):
+            used[nxt[0]] = True
+            point, key = segments[nxt[0]][1 - nxt[1]]
+            points.append(point)
+        return points
+
     chains = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        used[start] = True
-        p, q = segments[start]
-        chain = [p, q]
-        for head, grow_front in ((q, False), (p, True)):
-            cur = head
-            while True:
-                cands = [(si, e) for (si, e) in ends.get(key(cur), []) if not used[si]]
-                if not cands:
-                    break
-                si, e = cands[0]
-                used[si] = True
-                nxt = segments[si][1 - e]
-                if grow_front:
-                    chain.insert(0, nxt)
-                else:
-                    chain.append(nxt)
-                cur = nxt
-        chains.append(chain)
+    for start, (head, tail) in enumerate(segments):
+        if not used[start]:
+            used[start] = True
+            after, before = grow(tail[1]), grow(head[1])
+            chains.append(before[::-1] + [head[0], tail[0]] + after)
     return chains
 
 
@@ -214,16 +216,9 @@ def numeric_borderline(n: int, bounds, resolution: int = 64,
         raise DomainError(f"grid resolution must be >= 64, got {resolution}")
     _check_order(n)
     xs, ys, f = _grid_values(n, resolution, bounds, eig_type)
-    segments = []
-    for j in range(resolution - 1):
-        for i in range(resolution - 1):
-            segs = _cell_segments(xs[i], xs[i + 1], ys[j], ys[j + 1],
-                                  f[j, i], f[j, i + 1], f[j + 1, i + 1], f[j + 1, i])
-            segments.extend(s for s in segs if s[0] is not None and s[1] is not None)
-    cell = max(xs[1] - xs[0], ys[1] - ys[0])
     out = []
     inside_unit = 0
-    for chain in _chain(segments, tol=1e-9 + 1e-6 * cell):
+    for chain in _march(xs, ys, f):
         samples = []
         for (x, y) in chain:
             rho = complex(x, y)

@@ -51,6 +51,11 @@ def parse_csv(text):
     ["figure", "2", "--format", "json"],
     # the borderline figures need a grid of at least 64
     ["figure", "2", "--grid", "10"],
+    # float flags that would reach the library as NaN or inf
+    ["level-curve", "--n", "8", "--window", "nan"],
+    ["figure", "1", "--window", "nan"],
+    ["trajectory", "--n", "8", "--d-max", "nan"],
+    ["trajectory", "--n", "8", "--d-max", "inf"],
 ])
 def test_usage_errors_exit_one(argv):
     with pytest.raises(SystemExit) as exc:

@@ -124,8 +124,9 @@ def test_level_curve_condition_violated():
     with pytest.raises(ConditionViolated):
         local_level_curve(bad, 0j)
     good = puiseux_ab_from_t(all_critical_points(3)[0])
-    with pytest.raises(ConditionViolated):
-        local_level_curve(good, 0j, theta_window=0.0)
+    for window in (0.0, math.nan, math.inf):
+        with pytest.raises(ConditionViolated):
+            local_level_curve(good, 0j, theta_window=window)
     for count in (0, 1, 2):  # too few samples to hold the cusp and both branches
         with pytest.raises(DomainError):
             local_level_curve(good, 0j, count=count)

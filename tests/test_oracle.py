@@ -187,3 +187,59 @@ def test_borderline_sample_fields_consistent():
         for theta, mag, rho in piece.samples:
             assert mag == pytest.approx(abs(rho))
             assert theta == pytest.approx(cmath.phase(rho))
+
+
+# ---------------------------------------------------------------------------
+# the marching-squares tracer on synthetic fields: f[j][i] sits at (x, y) = (i, j)
+# and f < 0 is inside
+
+
+def _march(f):
+    f = np.asarray(f, dtype=float)
+    xs, ys = np.arange(f.shape[1], dtype=float), np.arange(f.shape[0], dtype=float)
+    return [[(float(x), float(y)) for x, y in chain] for chain in oracle._march(xs, ys, f)]
+
+
+def test_march_one_inside_node_is_a_closed_loop():
+    f = np.ones((3, 3))
+    f[1, 1] = -1.0
+    (chain,) = _march(f)
+    assert len(chain) == 5 and chain[0] == chain[-1]
+    assert sorted(chain[:-1]) == [(0.5, 1), (1, 0.5), (1, 1.5), (1.5, 1)]
+
+
+@pytest.mark.parametrize("f, chains", [
+    # case 5 (a, c inside), centre inside: a and c join, b and d are cut off
+    ([[-1, 1], [1, -3]], [[(0.5, 0), (1, 0.25)], [(0.25, 1), (0, 0.5)]]),
+    # case 5, centre outside: a and c are cut off
+    ([[-1, 3], [3, -1]], [[(0, 0.25), (0.25, 0)], [(1, 0.75), (0.75, 1)]]),
+    # case 10 (b, d inside), centre inside: a and c are cut off
+    ([[1, -1], [-3, 1]], [[(0, 0.25), (0.5, 0)], [(1, 0.5), (0.75, 1)]]),
+    # case 10, centre outside: b and d are cut off
+    ([[3, -1], [-1, 3]], [[(0.75, 0), (1, 0.25)], [(0.25, 1), (0, 0.75)]]),
+])
+def test_march_saddle_follows_the_centre_sign(f, chains):
+    assert _march(f) == chains
+
+
+def test_march_two_islands_are_two_chains():
+    f = np.ones((3, 5))
+    f[1, 1] = f[1, 3] = -1.0
+    chains = _march(f)
+    assert len(chains) == 2
+    for chain, x in zip(chains, (1, 3)):
+        assert len(chain) == 5 and chain[0] == chain[-1]
+        assert all(abs(px - x) + abs(py - 1) == 0.5 for px, py in chain)
+
+
+def test_march_curve_leaving_the_box_is_open():
+    f = [[-0.5, 0.5, 1.5]] * 3  # f = x - 1/2
+    assert _march(f) == [[(0.5, 2), (0.5, 1), (0.5, 0)]]
+
+
+def test_march_joins_at_an_exact_zero_node():
+    # f = 0 at node (1, 1), between inside nodes on its left and right: all four
+    # crossings fall on the node and join there in cell order, lower pair then
+    # upper pair; keyed by edge alone, the left and right pairs would join instead
+    f = [[1, 1, 1], [-1, 0, -1], [1, 1, 1]]
+    assert _march(f) == [[(2, 0.5), (1, 1), (0, 0.5)], [(0, 1.5), (1, 1), (2, 1.5)]]
