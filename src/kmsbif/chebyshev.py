@@ -1,9 +1,9 @@
 """Chebyshev polynomials T_k and U_k of integer degree.
 
 ``cheb_t`` and ``cheb_u`` run the three-term recurrence, in floats for a real
-argument and in complex numbers otherwise.  For real x > 1 there are also
-cosh(k arccosh x) and log T_k(x), which stays finite after T_k overflows.
-A value that is not finite in double precision raises DomainError.
+argument and in complex numbers otherwise.  For real x > 1 there is also
+log T_k(x), which stays finite after T_k overflows.  A value that is not
+finite in double precision raises DomainError.
 """
 
 from __future__ import annotations
@@ -72,28 +72,15 @@ def cheb_u(k, z):
     return type(z)(0) if k == -1 else _finite(_u_recurrence(k, z), "U", k, z)
 
 
-def cheb_t_hyperbolic(k: int, x: float) -> float:
-    """T_k(x) = cosh(k arccosh x) for real x >= 1.
-
-    Raises DomainError for x < 1 and when the value overflows double precision
-    (k arccosh x above about 710); cheb_t_log stays finite there.
-    """
-    if x < 1.0:
-        raise DomainError(f"hyperbolic form requires x >= 1, got {x}")
-    try:
-        return math.cosh(int(k) * math.acosh(x))
-    except OverflowError:
-        raise DomainError(f"T_{k}({x}) overflows double precision") from None
-
-
 def cheb_t_log(k: int, x: float) -> float:
     """log T_k(x) for real x > 1, computed without overflow.
 
     Uses log cosh(A) = A + log1p(exp(-2A)) - log 2 with A = k arccosh(x),
     which stays finite long after T_k itself overflows double precision.
+    Raises DomainError unless 1 < x < inf (NaN included).
     """
-    if x <= 1.0:
-        raise DomainError(f"log form requires x > 1, got {x}")
+    if not 1.0 < x < math.inf:
+        raise DomainError(f"log form requires 1 < x < inf, got {x}")
     if int(k) == 0:
         return 0.0
     return _log_cosh(int(k) * math.acosh(x))

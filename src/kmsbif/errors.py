@@ -12,8 +12,8 @@ class SizeError(KmsBifError):
 class DomainError(KmsBifError):
     """Argument outside a function's domain, or a value that overflows there.
 
-    Examples: the hyperbolic form requested for x < 1, or T_1000(3), which is
-    not finite in double precision.
+    Examples: log T_k(x) requested for x <= 1, a non-finite bound of a
+    borderline box, or T_1000(3), which is not finite in double precision.
     """
 
 
@@ -43,10 +43,6 @@ class RootFindingFailure(KmsBifError):
     Covers polynomial root finding and its verification, the scalar
     Newton/bisection iterations, and the dense eigensolver.
     """
-
-
-class ZeroLeadingCoefficient(KmsBifError):
-    """Leading series coefficient vanished; the inversion lemma does not apply."""
 
 
 class HypothesisViolation(KmsBifError):

@@ -132,11 +132,3 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
                 mag_pair=(base + root, base - root))
         out.append(point)
     return out
-
-
-def bifurcation_strength(p: PuiseuxParams) -> float:
-    """c = (|a|^2 - 2|b| cos Theta)/2: the O(|d|) magnitude slope before the cusp.
-
-    Negative c means the normalized magnitudes dip below 1 on approach.
-    """
-    return 0.5 * (abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta))

@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .chebyshev import _log_cosh, _log_sinh, cheb_t, cheb_t_hyperbolic, cheb_u
+from .chebyshev import _log_cosh, _log_sinh
 from .critical import rho_c_of_t
 from .errors import (ConditionViolated, DomainError, HypothesisViolation, RootFindingFailure,
                      SizeError)
@@ -79,20 +77,13 @@ def solve_v_n(n: int) -> float:
     raise RootFindingFailure(f"v_n iteration did not converge for n = {n}")
 
 
-def solve_x_n(n: int) -> float:
-    """x_n = cosh(v_n), the unique x > 1 with T_n(x) = n x."""
-    x = math.cosh(solve_v_n(n))
-    below = cheb_t_hyperbolic(n, x * (1.0 - 1e-6)) - n * x * (1.0 - 1e-6)
-    above = cheb_t_hyperbolic(n, x * (1.0 + 1e-6)) - n * x * (1.0 + 1e-6)
-    if not (below < 0.0 < above):
-        raise RootFindingFailure(f"T_n(x) - n x does not change sign at x_{n}")
-    return x
-
-
 def y_n_of(n: int) -> float:
     """The critical height y_n > 0, from the overflow-safe hyperbolic ratio."""
     _require_odd(n)
-    v = solve_v_n(n)
+    return _y_of_v(n, solve_v_n(n))
+
+
+def _y_of_v(n: int, v: float) -> float:
     y = math.exp(_log_cosh((n + 1) * v / 2.0) - _log_sinh((n - 1) * v / 2.0))
     if n <= 51:
         # cross-check against the Chebyshev-ratio route at t_c = i sinh(v)
@@ -107,7 +98,7 @@ def imag_axis_params(n: int) -> ImagAxisParams:
     _require_odd(n)
     v = solve_v_n(n)
     x = math.cosh(v)
-    y = y_n_of(n)
+    y = _y_of_v(n, v)
     t_big = math.cosh((n - 1) * v)             # T_{n-1}(x_n)
     u_big = math.sinh(n * v) / math.sinh(v)    # U_{n-1}(x_n)
     x2 = x * x
@@ -179,28 +170,6 @@ def imag_level_curve(params: ImagAxisParams, theta_range=(-math.pi, 0.0),
         rho = center + eps * complex(math.cos(theta), math.sin(theta))
         samples.append((theta, eps, rho))
     return CurveSamples(center=center, samples=samples)
-
-
-def critical_eigenvector_imag(n: int) -> np.ndarray:
-    """The (isotropic) eigenvector at rho = i y_n, entries alternating
-    real / purely imaginary.
-
-    Both types evaluate Chebyshev polynomials at t_c = i sinh(v_n): type-1
-    (n = 5, 9, ...) uses signed second-kind values and is skew-symmetric,
-    type-2 (n = 3, 7, ...) uses first-kind values and is symmetric.
-    """
-    _require_odd(n)
-    t_c = 1j * math.sinh(solve_v_n(n))
-    mid = (n - 1) // 2
-    vec = np.empty(n, dtype=complex)
-    for j in range(n):
-        k = abs(mid - j)
-        if _imag_type(n) is EigType.Type1:
-            sign = 0 if j == mid else (1 if j < mid else -1)
-            vec[j] = 0.0 if k == 0 else sign * cheb_u(k - 1, t_c)
-        else:
-            vec[j] = cheb_t(k, t_c)
-    return vec
 
 
 def large_n_params(n: int) -> tuple[float, float, float, float]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -28,6 +29,7 @@ from .geometry import CurveSamples
 from .kms import EigType, KmsMatrix, build_matrix
 
 _MAX_N = 512
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,12 +211,21 @@ def numeric_borderline(n: int, bounds, resolution: int = 64,
     node is max |lambda| - n over the eigenvalues of type eig_type, taken
     from its type block, or over both blocks when eig_type is None.  Returns
     a list of CurveSamples with center 0, one per connected polyline.
-    Raises DomainError for resolution < 64, SizeError unless 3 <= n <= 512
-    and RootFindingFailure when the eigensolver fails.
+    Raises DomainError for resolution < 64, for a bound that is not finite
+    and for a box where an eigenvalue bound 2 n |rho|^(n-1) overflows;
+    SizeError unless 3 <= n <= 512; RootFindingFailure when the eigensolver
+    fails.
     """
     if resolution < 64:
         raise DomainError(f"grid resolution must be >= 64, got {resolution}")
     _check_order(n)
+    if not all(math.isfinite(b) for b in bounds):
+        raise DomainError(f"box bounds must be finite, got {bounds}")
+    re0, re1, im0, im1 = bounds
+    r_max = math.hypot(max(abs(re0), abs(re1)), max(abs(im0), abs(im1)))
+    # block entries reach 2 |rho|^(n-1), so every eigenvalue is below 2 n |rho|^(n-1)
+    if r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
+        raise DomainError(f"|rho|^{n - 1} overflows on the box {bounds}")
     xs, ys, f = _grid_values(n, resolution, bounds, eig_type)
     out = []
     inside_unit = 0

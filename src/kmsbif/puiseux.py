@@ -5,10 +5,9 @@ Near a critical point the two eigenvalues obey
     lambda(rho) = lambda_c [ 1 +/- a eps^{1/2} + b eps + O(eps^{3/2}) ],
     eps = rho - rho_c.
 
-Two independent routes to (a, b) are provided: a derivative chain through the
-mu-parameterization (generic inversion lemmas applied to lambda(mu), rho(mu))
-and closed forms directly in t_c.  They must agree, with a defined only up to
-a global sign.
+Two independent routes to (a, b) are provided: closed forms in the derivatives
+of lambda(mu) and rho(mu) at mu_c, where rho'(mu_c) = 0, and closed forms
+directly in t_c.  They must agree, with a defined only up to a global sign.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .chebyshev import cheb_t
-from .errors import DegenerateArgument, DegenerateMu, HypothesisViolation, ZeroLeadingCoefficient
+from .errors import DegenerateArgument, DegenerateMu, HypothesisViolation
 from .kms import type_sign
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,36 +51,6 @@ class DerivativeBundle:
     lambda_c_pp: complex
     rho_c_pp: complex
     rho_c_ppp: complex
-
-
-def series_invert_regular(a1: complex, a2: complex) -> tuple[complex, complex]:
-    """Invert w = a1 z + a2 z^2 + ...: returns the (w, w^2) coefficients of z(w)."""
-    if a1 == 0:
-        raise ZeroLeadingCoefficient("a1 = 0")
-    return 1.0 / a1, -a2 / a1 ** 3
-
-
-def series_invert_puiseux(a2: complex, a3: complex) -> tuple[complex, complex]:
-    """Invert w = a2 z^2 + a3 z^3 + ...: returns the (sqrt(w), w) coefficients.
-
-    The inverse is double-valued; the principal square root fixes one sheet
-    and the caller carries the +/- convention.
-    """
-    if a2 == 0:
-        raise ZeroLeadingCoefficient("a2 = 0")
-    return 1.0 / cmath.sqrt(a2), -a3 / (2.0 * a2 ** 2)
-
-
-def compose_puiseux(f0: complex, f1: complex, f2: complex,
-                    g0: complex, g2: complex, g3: complex) -> tuple[complex, complex, complex]:
-    """Coefficients of f as a Puiseux series in w = g - g0.
-
-    With f = f0 + f1 z + f2 z^2 + ... and g = g0 + g2 z^2 + g3 z^3 + ...,
-    returns (A0, A1, A2) in f = A0 +/- A1 sqrt(w) + A2 w + O(w^{3/2}).
-    """
-    if f1 == 0 or g2 == 0:
-        raise ZeroLeadingCoefficient("need f1 != 0 and g2 != 0")
-    return f0, f1 / cmath.sqrt(g2), (2.0 * f2 * g2 - f1 * g3) / (2.0 * g2 ** 2)
 
 
 def derivatives_at_critical(cp: "CriticalPoint") -> DerivativeBundle:

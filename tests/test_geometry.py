@@ -9,9 +9,8 @@ import pytest
 
 from kmsbif.critical import all_critical_points
 from kmsbif.errors import ConditionViolated, DomainError
-from kmsbif.geometry import (bifurcation_strength, cardioid_approx,
-                             cusp_bisector_angle, local_level_curve,
-                             trajectory_along_bisector)
+from kmsbif.geometry import (cardioid_approx, cusp_bisector_angle,
+                             local_level_curve, trajectory_along_bisector)
 from kmsbif.kms import EigType
 from kmsbif.oracle import closed_form_eigenvalues_n3, kms_spectrum
 from kmsbif.puiseux import PuiseuxParams, puiseux_ab_from_t, wrap_angle
@@ -170,7 +169,7 @@ def test_trajectory_at_zero_and_slope():
     assert mid.re_pair == (1.0, 1.0)
     assert mid.im_pair == (0.0, 0.0)
     assert mid.mag_pair == (1.0, 1.0)
-    c = bifurcation_strength(pp)
+    c = pp.c
     for tp in pts[:2]:
         assert tp.mag_pair[0] == pytest.approx(1.0 + abs(tp.d) * c)
         assert tp.mag_pair[1] == pytest.approx(1.0 + abs(tp.d) * c)
@@ -210,5 +209,5 @@ def test_trajectory_matches_oracle_n4():
 
 def test_bifurcation_strength_examples():
     pp = puiseux_ab_from_t(_point(4, EigType.Type2, 1 + 2j))
-    assert bifurcation_strength(pp) == pytest.approx(-0.55, abs=1e-9)
-    assert bifurcation_strength(_params_from_ab(2.0, 1e-300)) == pytest.approx(2.0)
+    assert pp.c == pytest.approx(-0.55, abs=1e-9)
+    assert _params_from_ab(2.0, 1e-300).c == pytest.approx(2.0)

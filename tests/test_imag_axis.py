@@ -7,14 +7,19 @@ import pytest
 
 from kmsbif.errors import ConditionViolated, DomainError, SizeError
 from kmsbif.geometry import _level_eps, cusp_bisector_angle, trajectory_along_bisector
-from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, critical_eigenvector_imag,
-                              imag_axis_params, imag_level_curve, imag_level_eps,
-                              imag_puiseux_params, large_n_params,
-                              parabola_trajectory, solve_v_n, solve_x_n, y_n_of)
-from kmsbif.kms import EigType, build_matrix
+from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, imag_axis_params,
+                              imag_level_curve, imag_level_eps, imag_puiseux_params,
+                              large_n_params, parabola_trajectory, solve_v_n, y_n_of)
+from kmsbif.kms import EigType, MuPoint, build_matrix, eigenvector_of_mu
 from kmsbif.oracle import count_extraordinary, kms_spectrum
 
 ODD = range(3, 51, 2)
+
+
+def _critical_eigenvector(n):
+    # mu_c = pi/2 - i v_n, so t_c = cos(mu_c) = i sinh(v_n)
+    p = imag_axis_params(n)
+    return eigenvector_of_mu(MuPoint(n, complex(math.pi / 2.0, -p.v_n), p.eig_type))
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +44,13 @@ def test_defining_equation_residuals():
 
 
 def test_x_n_properties():
-    assert solve_x_n(3) == pytest.approx(math.sqrt(1.5), abs=1e-14)
+    assert imag_axis_params(3).x_n == pytest.approx(math.sqrt(1.5), abs=1e-14)
     # T_n(x_n) = n x_n, checked through the recurrence route
     from kmsbif.chebyshev import cheb_t
-    x = solve_x_n(19)
+    x = imag_axis_params(19).x_n
     assert cheb_t(19, complex(x)).real / (19.0 * x) == pytest.approx(1.0, abs=1e-10)
     # x_n - 1 ~ (ln 2n)^2 / (2 n^2) for large n
-    x = solve_x_n(155)
+    x = imag_axis_params(155).x_n
     approx = 1.0 + 0.5 * (math.log(310.0) / 155.0) ** 2
     assert abs(x - approx) / (x - 1.0) < 0.01
 
@@ -55,9 +60,13 @@ def test_y_values():
     assert y_n_of(19) == pytest.approx(1.2780414700042164, abs=1e-12)
 
 
+def test_params_height_is_y_n_of():
+    for n in range(3, 200, 2):
+        assert imag_axis_params(n).y_n == y_n_of(n)
+
+
 def test_odd_only():
-    for fn in (solve_v_n, solve_x_n, y_n_of, imag_axis_params,
-               critical_eigenvector_imag, large_n_params):
+    for fn in (solve_v_n, y_n_of, imag_axis_params, large_n_params):
         with pytest.raises(DomainError):
             fn(6)
         with pytest.raises(SizeError):
@@ -163,27 +172,32 @@ def test_extraordinary_count_steps_up():
 
 
 def test_critical_eigenvector():
-    for n in (3, 7, 11, 19):
-        v = critical_eigenvector_imag(n)
+    # type 2 at n = 3 mod 4, type 1 at n = 1 mod 4
+    for n in (3, 7, 11, 19, 5, 9, 13, 21):
+        v = _critical_eigenvector(n)
         k = build_matrix(n, 1j * y_n_of(n))
         resid = np.linalg.norm(k.entries @ v + n * v) / np.linalg.norm(v)
         assert resid <= 1e-9 * n
         # isotropy: the collision eigenvector is a null vector of the bilinear form
         assert abs(np.sum(v * v)) <= 1e-10 * np.linalg.norm(v) ** 2
-        # entries alternate between real and purely imaginary
+        # entries alternate between real and purely imaginary: type 2 is real at
+        # even offsets from the middle, type 1 at odd offsets with a zero middle
         mid = (n - 1) // 2
+        real_offset = 0 if n % 4 == 3 else 1
+        if n % 4 == 1:
+            assert v[mid] == 0.0
         for j, z in enumerate(v):
-            if (j - mid) % 2 == 0:
+            if (j - mid) % 2 == real_offset:
                 assert abs(z.imag) < 1e-12 * max(1.0, abs(z))
             else:
                 assert abs(z.real) < 1e-12 * max(1.0, abs(z))
 
 
 def test_eigenvector_symmetry_by_type():
-    v1 = critical_eigenvector_imag(5)   # type 1: skew-symmetric
+    v1 = _critical_eigenvector(5)   # type 1: skew-symmetric
     assert np.allclose(v1[::-1], -v1, atol=1e-14)
     assert v1[2] == 0.0
-    v2 = critical_eigenvector_imag(7)   # type 2: symmetric
+    v2 = _critical_eigenvector(7)   # type 2: symmetric
     assert np.allclose(v2[::-1], v2, atol=1e-14)
 
 

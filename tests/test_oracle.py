@@ -141,6 +141,11 @@ def test_borderline_rejects_sizes_before_grid_work(monkeypatch):
     for n in (2, 513):
         with pytest.raises(SizeError):
             numeric_borderline(n, (-2, 2, -2, 2), resolution=64)
+    # a NaN or infinite bound, and a box where |rho|^(n-1) overflows
+    for bounds in ((float("nan"), 1, 0, 1), (0, float("inf"), 0, 1),
+                   (-1e200, 1e200, -1e200, 1e200)):
+        with pytest.raises(DomainError):
+            numeric_borderline(3, bounds)
 
 
 def test_count_extraordinary_steps_across_bifurcation():

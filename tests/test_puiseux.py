@@ -1,4 +1,4 @@
-"""Tests for the Puiseux-series machinery (inversion lemmas and parameters)."""
+"""Tests for the Puiseux-series machinery (the two routes to a and b)."""
 
 import cmath
 import math
@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from kmsbif.critical import all_critical_points
-from kmsbif.errors import HypothesisViolation, ZeroLeadingCoefficient
+from kmsbif.errors import HypothesisViolation
 from kmsbif.kms import EigType, MuPoint, rho_of_mu
 from kmsbif.oracle import kms_spectrum
-from kmsbif.puiseux import (DerivativeBundle, compose_puiseux,
-                            derivatives_at_critical, eval_truncated_series,
-                            puiseux_ab_from_t, puiseux_from_derivatives,
-                            series_invert_puiseux, series_invert_regular,
-                            wrap_angle)
+from kmsbif.puiseux import (DerivativeBundle, derivatives_at_critical,
+                            eval_truncated_series, puiseux_ab_from_t,
+                            puiseux_from_derivatives, wrap_angle)
 
 
 def _points(n, eig_type=None):
@@ -22,11 +20,6 @@ def _points(n, eig_type=None):
     if eig_type is not None:
         pts = [p for p in pts if p.eig_type is eig_type]
     return pts
-
-
-def _nonzero(rng):
-    z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    return z if abs(z) > 0.1 else z + 0.5
 
 
 def test_wrap_angle():
@@ -40,61 +33,6 @@ def test_wrap_angle():
         w = wrap_angle(float(x))
         assert -math.pi < w <= math.pi
         assert abs((x - w) / (2 * math.pi) - round((x - w) / (2 * math.pi))) < 1e-9
-
-
-def test_series_invert_regular_resubstitution():
-    rng = np.random.default_rng(402)
-    for _ in range(1000):
-        a1, a2 = _nonzero(rng), _nonzero(rng)
-        g1, g2 = series_invert_regular(a1, a2)
-        # z(w(z)) = z + O(z^3): check the order by halving the step
-        resid = []
-        for z in (1e-3, 5e-4):
-            w = a1 * z + a2 * z * z
-            resid.append(abs(g1 * w + g2 * w * w - z))
-        assert resid[0] < abs(a2 / a1) ** 2 * 1e-8 + abs(a2) * 1e-8 + 1e-12
-        assert resid[1] < 0.2 * resid[0] + 1e-15  # cubic decay ~ 1/8
-
-
-def test_series_invert_puiseux_resubstitution():
-    rng = np.random.default_rng(403)
-    for _ in range(1000):
-        a2, a3 = _nonzero(rng), _nonzero(rng)
-        g1, g2 = series_invert_puiseux(a2, a3)
-        resid = []
-        for z in (1e-4, 2.5e-5):
-            w = a2 * z * z + a3 * z ** 3
-            # sqrt(w) lands on either sheet; accept the matching branch
-            root = cmath.sqrt(w)
-            cand = [abs(g1 * r + g2 * w - z) for r in (root, -root)]
-            resid.append(min(cand))
-        assert resid[1] < 0.2 * resid[0] + 1e-16  # z^2 decay ~ 1/16
-
-
-def test_compose_puiseux_resubstitution():
-    rng = np.random.default_rng(404)
-    for _ in range(1000):
-        f0, f1, f2 = _nonzero(rng), _nonzero(rng), _nonzero(rng)
-        g0, g2, g3 = _nonzero(rng), _nonzero(rng), _nonzero(rng)
-        a0, a1v, a2v = compose_puiseux(f0, f1, f2, g0, g2, g3)
-        assert a0 == f0
-        resid = []
-        for z in (1e-4, 2.5e-5):
-            w = g2 * z * z + g3 * z ** 3
-            direct = f0 + f1 * z + f2 * z * z
-            root = cmath.sqrt(w)
-            cand = [abs(a0 + s * a1v * root + a2v * w - direct) for s in (1, -1)]
-            resid.append(min(cand))
-        assert resid[1] < 0.2 * resid[0] + 1e-16
-
-
-def test_zero_leading_coefficients_rejected():
-    with pytest.raises(ZeroLeadingCoefficient):
-        series_invert_regular(0.0, 1.0)
-    with pytest.raises(ZeroLeadingCoefficient):
-        series_invert_puiseux(0.0, 1.0)
-    with pytest.raises(ZeroLeadingCoefficient):
-        compose_puiseux(1.0, 0.0, 1.0, 0.0, 1.0, 1.0)
 
 
 def test_derivatives_against_finite_differences():
