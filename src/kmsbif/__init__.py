@@ -11,7 +11,7 @@ eigensolver.
 from .critical import CriticalPoint, all_critical_points, critical_t_values, rho_c_of_t
 from .errors import (ConditionViolated, DegenerateArgument, DegenerateMu, DomainError,
                      ExcludedRho, HypothesisViolation, KmsBifError, RootFindingFailure,
-                     SizeError, UnsupportedCase)
+                     SizeError)
 from .geometry import local_level_curve, trajectory_along_bisector
 from .imag_axis import imag_axis_params, large_n_params
 from .kms import EigType
@@ -30,7 +30,7 @@ __all__ = [
     "derivatives_at_critical", "puiseux_from_derivatives",
     # errors
     "KmsBifError", "SizeError", "DomainError", "DegenerateArgument", "DegenerateMu",
-    "ExcludedRho", "UnsupportedCase", "RootFindingFailure",
+    "ExcludedRho", "RootFindingFailure",
     "HypothesisViolation", "ConditionViolated",
     "__version__",
 ]

@@ -77,13 +77,19 @@ def cheb_t_log(k: int, x: float) -> float:
 
     Uses log cosh(A) = A + log1p(exp(-2A)) - log 2 with A = k arccosh(x),
     which stays finite long after T_k itself overflows double precision.
-    Raises DomainError unless 1 < x < inf (NaN included).
+    Raises DomainError for a degree that is not an integer >= 0, unless
+    1 < x < inf (NaN included), and when log T_k(x) itself overflows.
     """
+    k = _checked_degree(k, 0)
     if not 1.0 < x < math.inf:
         raise DomainError(f"log form requires 1 < x < inf, got {x}")
-    if int(k) == 0:
+    if k == 0:
         return 0.0
-    return _log_cosh(int(k) * math.acosh(x))
+    try:
+        value = _log_cosh(k * math.acosh(x))
+    except OverflowError:  # k itself is beyond float range
+        value = math.inf
+    return _finite(value, "log T", k, x)
 
 
 # log cosh(x) and log sinh(x) for real x > 0, finite long after cosh(x) overflows

@@ -79,10 +79,11 @@ def _pieces(points: list) -> list:
     return [list(run) for finite, run in runs if finite]
 
 
-def _render_svg(series: list, meta: dict, width: int = 640, height: int = 480) -> str:
-    """Tiny hand-rolled SVG for (rows, (x, y), dashed) series through columns x and y
-    of their rows (dashed = formula); each piece of a series is one polyline in the
-    series' style."""
+def _render_svg(series: list, meta: dict) -> str:
+    """Tiny hand-rolled 640 x 480 SVG for (rows, (x, y), dashed) series through
+    columns x and y of their rows (dashed = formula); each piece of a series is one
+    polyline in the series' style."""
+    width, height = 640, 480
     curves = [(_pieces([(row[x], row[y]) for row in rows]), dashed)
               for rows, (x, y), dashed in series]
     pts = [p for pieces, _ in curves for piece in pieces for p in piece]
@@ -291,11 +292,12 @@ def _borderline(name: str, meta: dict, n: int, eig_type, bounds, grid: int) -> C
     return Curve(name, meta, _LEVEL_COLS, rows[:-1], False, (2, 3))
 
 
-def _bisector(meta: dict, point, length: float = 0.3, count: int = 61) -> Curve:
+def _bisector(meta: dict, point, length: float = 0.3) -> Curve:
+    """The cusp bisector ray from rho_c, 61 samples over [0, length]."""
     bis = geometry.cusp_bisector_angle(puiseux.puiseux_ab_from_t(point))
     rows = []
-    for i in range(count):
-        t = length * i / (count - 1)
+    for i in range(61):
+        t = length * i / 60
         rho = point.rho_c + t * complex(math.cos(bis), math.sin(bis))
         rows.append((t, rho.real, rho.imag))
     return Curve("bisector", meta, ["dist", "re_rho", "im_rho"], rows, False, (1, 2))
@@ -363,7 +365,7 @@ def _fig_imag_level(args) -> list:
     point = _nearest_point(19, EigType.Type2, 1j * params.y_n)
     return [
         Curve("level", {"fig": 8, "curve": "imaginary-family level curve", "n": 19},
-              _LEVEL_COLS, _sample_rows(imag_axis.imag_level_curve(params, count=161)),
+              _LEVEL_COLS, _sample_rows(imag_axis.imag_level_curve(params)),
               True, (2, 3)),
         _borderline("borderline", {"fig": 8, "curve": "oracle borderline", "n": 19},
                     19, EigType.Type2, (-0.45, 0.45, 1.05, 1.55), args.grid),

@@ -15,9 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import cheb_t, cheb_u
-from .errors import (DegenerateArgument, DomainError, RootFindingFailure, SizeError,
-                     UnsupportedCase)
+from .errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
 from .kms import EigType, type_sign
+from .oracle import kms_spectrum
 
 _MERGE_DIST = 1e-8
 _ORACLE_GAP = 1e-5  # scaled by n; QR loses half its digits at a defective eigenvalue
@@ -58,16 +58,13 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
     The roots are the eigenvalues of the colleague matrix in the second-kind
     Chebyshev basis (monomial coefficients overflow long before n = 50), less
     the trivial roots t = +/-1, sorted by (real, imag).  That leaves n - 2
-    roots for even n and n - 3 (type 1) or n - 1 (type 2) for odd n.  Raises
-    SizeError for n < 3, UnsupportedCase for type 1 at n = 3 (K_3's type-1
-    eigenvalue 1 - rho^2 never bifurcates) and RootFindingFailure when a
-    trivial root is missing, a polished residual exceeds 1e-9 n or two
-    polished roots coincide.
+    roots for even n and n - 3 (type 1) or n - 1 (type 2) for odd n, so type 1
+    at n = 3 gives [] (K_3's type-1 eigenvalue 1 - rho^2 never bifurcates).
+    Raises SizeError for n < 3 and RootFindingFailure when a trivial root is
+    missing, a polished residual exceeds 1e-9 n or two polished roots coincide.
     """
     if n < 3:
         raise SizeError(f"need n >= 3, got {n}")
-    if eig_type is EigType.Type1 and n == 3:
-        raise UnsupportedCase("no type-1 critical points for n = 3")
     s = type_sign(eig_type)
     size = n - 1
     colleague = np.zeros((size, size))
@@ -139,12 +136,8 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
 
 @lru_cache(maxsize=None)
 def _catalog(n: int) -> tuple:
-    from .oracle import kms_spectrum  # deferred: oracle depends on geometry only
-
     points = []
     for eig_type in (EigType.Type1, EigType.Type2):
-        if eig_type is EigType.Type1 and n == 3:
-            continue
         for t_c in critical_t_values(n, eig_type):
             rho_c = rho_c_of_t(n, t_c, eig_type)
             gaps = np.sort(np.abs(kms_spectrum(n, rho_c).eigenvalues + n))
@@ -168,8 +161,6 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
 
     Each point is checked against the dense eigensolver: the spectrum of
     K_n(rho_c) must contain exactly two eigenvalues within 1e-5 n of -n.
-    Points are ordered by (type, arg rho_c).
+    Points are ordered by (type, arg rho_c).  Raises SizeError for n < 3.
     """
-    if n < 3:
-        raise SizeError(f"need n >= 3, got {n}")
     return list(_catalog(n))

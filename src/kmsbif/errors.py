@@ -20,8 +20,9 @@ class DomainError(KmsBifError):
 class DegenerateArgument(KmsBifError):
     """Evaluation point where the requested formula degenerates.
 
-    Examples: U at z = +/-1, a vanishing critical-rho denominator at t_c, or a
-    t_c with t_c^2 = 1 or t_c = -s T_n(t_c) in the closed-form Puiseux route.
+    Raised by the critical-rho ratio (t_c = +/-1 for even n, or a vanishing
+    denominator) and by the closed-form Puiseux route (t_c^2 = 1 or
+    t_c = -s T_n(t_c)).
     """
 
 
@@ -31,10 +32,6 @@ class DegenerateMu(KmsBifError):
 
 class ExcludedRho(KmsBifError):
     """rho hit one of the excluded parameter values {+/-1, +/-(n+1)/(n-1)}."""
-
-
-class UnsupportedCase(KmsBifError):
-    """Parameter combination the theory does not define (e.g. type-1 with n = 3)."""
 
 
 class RootFindingFailure(KmsBifError):

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from .errors import ConditionViolated, DomainError
 from .puiseux import PuiseuxParams, wrap_angle
 
+# level-curve samples with a larger |eps| lie outside the series' validity region
+_EPS_CAP = 0.5
+
 
 @dataclass(frozen=True)
 class CurveSamples:
@@ -43,13 +46,13 @@ def _level_eps(p: PuiseuxParams, theta: float) -> tuple[float, float]:
 
 
 def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.8,
-                      count: int = 161, eps_cap: float = 0.5) -> CurveSamples:
+                      count: int = 161) -> CurveSamples:
     """Sample the local level curve over the cusp-centered theta window.
 
     |eps|(theta) = (2|a| cos(theta/2 + theta_a) / (|a|^2 sin^2(theta/2 +
     theta_a) + 2|b| cos(theta + theta_b)))^2.  The cusp sample (|eps| = 0 at
     theta = pi - 2 theta_a) is always included exactly once; samples past a
-    sign change of the denominator, or with |eps| above eps_cap, are outside
+    sign change of the denominator, or with |eps| above 0.5, are outside
     the validity region and are dropped (with a warning).  Raises DomainError
     for count < 3, and ConditionViolated unless theta_window is finite and > 0.
     """
@@ -76,7 +79,7 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
             dropped += 1
             continue
         eps = (num / den) ** 2
-        if eps > eps_cap:
+        if eps > _EPS_CAP:
             dropped += 1
             continue
         rho = rho_c + eps * complex(math.cos(theta), math.sin(theta))

@@ -17,7 +17,7 @@ from .chebyshev import _log_cosh, _log_sinh
 from .critical import rho_c_of_t
 from .errors import (ConditionViolated, DomainError, HypothesisViolation, RootFindingFailure,
                      SizeError)
-from .geometry import CurveSamples
+from .geometry import _EPS_CAP, CurveSamples
 from .kms import EigType
 from .puiseux import PuiseuxParams
 
@@ -77,28 +77,18 @@ def solve_v_n(n: int) -> float:
     raise RootFindingFailure(f"v_n iteration did not converge for n = {n}")
 
 
-def y_n_of(n: int) -> float:
-    """The critical height y_n > 0, from the overflow-safe hyperbolic ratio."""
+def imag_axis_params(n: int) -> ImagAxisParams:
+    """The full real-parameter bundle (v, x, y, a, b, c) for odd n."""
     _require_odd(n)
-    return _y_of_v(n, solve_v_n(n))
-
-
-def _y_of_v(n: int, v: float) -> float:
+    v = solve_v_n(n)
+    x = math.cosh(v)
+    # the critical height, from the overflow-safe hyperbolic ratio
     y = math.exp(_log_cosh((n + 1) * v / 2.0) - _log_sinh((n - 1) * v / 2.0))
     if n <= 51:
         # cross-check against the Chebyshev-ratio route at t_c = i sinh(v)
         other = rho_c_of_t(n, 1j * math.sinh(v), _imag_type(n)) / 1j
         if abs(other - y) > 1e-9 * y:
             raise HypothesisViolation(f"y_{n} routes disagree: {y} vs {other}")
-    return y
-
-
-def imag_axis_params(n: int) -> ImagAxisParams:
-    """The full real-parameter bundle (v, x, y, a, b, c) for odd n."""
-    _require_odd(n)
-    v = solve_v_n(n)
-    x = math.cosh(v)
-    y = _y_of_v(n, v)
     t_big = math.cosh((n - 1) * v)             # T_{n-1}(x_n)
     u_big = math.sinh(n * v) / math.sinh(v)    # U_{n-1}(x_n)
     x2 = x * x
@@ -121,12 +111,10 @@ def imag_puiseux_params(params: ImagAxisParams) -> PuiseuxParams:
     Phases are pinned: theta_a = 3 pi/4, theta_b = -pi/2, and Theta (= -2 pi
     before reduction) is 0 in the canonical (-pi, pi] range.
     """
-    lam_c = complex(-params.n)
     a = params.a_n * complex(math.cos(THETA_A_IMAG), math.sin(THETA_A_IMAG))
     b = params.b_n * complex(math.cos(THETA_B_IMAG), math.sin(THETA_B_IMAG))
-    return PuiseuxParams(lambda_c=lam_c, alpha=a * lam_c, beta=b * lam_c, a=a, b=b,
-                         theta_a=THETA_A_IMAG, theta_b=THETA_B_IMAG, Theta=0.0,
-                         c=params.c_n)
+    return PuiseuxParams(lambda_c=complex(-params.n), a=a, b=b, theta_a=THETA_A_IMAG,
+                         theta_b=THETA_B_IMAG, Theta=0.0, c=params.c_n)
 
 
 def imag_level_eps(params: ImagAxisParams, theta: float) -> float:
@@ -139,22 +127,17 @@ def imag_level_eps(params: ImagAxisParams, theta: float) -> float:
     return 8.0 * a2 * (1.0 + s) / den ** 2
 
 
-def imag_level_curve(params: ImagAxisParams, theta_range=(-math.pi, 0.0),
-                     count: int = 161, eps_cap: float = 0.5) -> CurveSamples:
+def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
     """Level-curve samples around i y_n; cusp at theta = -pi/2.
 
-    The curve is symmetric under theta -> -pi - theta (mirror in the
-    imaginary axis).  Samples past a denominator sign change or above
-    eps_cap are dropped, as in the general routine.  Raises DomainError for
-    count < 3.
+    161 evenly spaced theta from -pi to 0.  The curve is symmetric under
+    theta -> -pi - theta (mirror in the imaginary axis).  Samples past a
+    denominator sign change or with |eps| above 0.5 are dropped, as in the
+    general routine.
     """
     if abs(params.c_n) < 1e-10:
         raise ConditionViolated("a_n^2 - 2 b_n ~ 0: no local level curve")
-    lo, hi = theta_range
-    if not lo < hi:
-        raise DomainError("empty theta range")
-    if count < 3:
-        raise DomainError(f"need count >= 3 samples, got {count}")
+    lo, hi, count = -math.pi, 0.0, 161
     center = 1j * params.y_n
     sign_cusp = 1.0 if params.c_n > 0 else -1.0
     a2 = params.a_n ** 2
@@ -165,7 +148,7 @@ def imag_level_curve(params: ImagAxisParams, theta_range=(-math.pi, 0.0),
         if den * sign_cusp <= 0.0:
             continue
         eps = imag_level_eps(params, theta)
-        if eps > eps_cap:
+        if eps > _EPS_CAP:
             continue
         rho = center + eps * complex(math.cos(theta), math.sin(theta))
         samples.append((theta, eps, rho))

@@ -35,13 +35,23 @@ _LOG_MAX = math.log(sys.float_info.max)
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     n: int
-    rho: complex
     eigenvalues: np.ndarray
 
 
 def _check_order(n: int) -> None:
     if not 3 <= n <= _MAX_N:
         raise SizeError(f"oracle needs 3 <= n <= {_MAX_N}, got {n}")
+
+
+def _check_rho(n: int, *rhos: complex) -> None:
+    # entries of K_n(rho) and of its type blocks reach 2 |rho|^(n-1), so every
+    # eigenvalue is below 2 n |rho|^(n-1), which must stay finite
+    shown = ", ".join(map(str, rhos))
+    if not all(cmath.isfinite(r) for r in rhos):
+        raise DomainError(f"rho must be finite, got {shown}")
+    r_max = max(abs(r) for r in rhos)
+    if r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
+        raise DomainError(f"|rho|^{n - 1} overflows at rho = {shown}")
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
@@ -51,21 +61,17 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
         raise RootFindingFailure(str(exc)) from exc
 
 
-def eigenvalues(m) -> Spectrum:
-    """Full spectrum of a KmsMatrix (or any square complex array)."""
-    if isinstance(m, KmsMatrix):
-        a, n, rho = m.entries, m.n, m.rho
-    else:
-        a = np.asarray(m, dtype=complex)
-        n, rho = a.shape[0], complex("nan")
-    if a.shape[0] != a.shape[1]:
-        raise SizeError(f"matrix must be square, got {a.shape}")
-    if a.shape[0] > _MAX_N:
-        raise SizeError(f"oracle is desk-scale only (n <= {_MAX_N}), got {a.shape[0]}")
-    return Spectrum(n=n, rho=rho, eigenvalues=_eigvals(a))
+def eigenvalues(m: KmsMatrix) -> Spectrum:
+    """Full spectrum of a KmsMatrix; SizeError unless 3 <= n <= 512."""
+    _check_order(m.n)
+    return Spectrum(n=m.n, eigenvalues=_eigvals(m.entries))
 
 
 def kms_spectrum(n: int, rho: complex) -> Spectrum:
+    """Full spectrum of K_n(rho).  Before building the matrix, raises SizeError
+    unless 3 <= n <= 512 and DomainError for a non-finite rho or overflowing powers."""
+    _check_order(n)
+    _check_rho(n, complex(rho))
     return eigenvalues(build_matrix(n, rho))
 
 
@@ -219,13 +225,8 @@ def numeric_borderline(n: int, bounds, resolution: int = 64,
     if resolution < 64:
         raise DomainError(f"grid resolution must be >= 64, got {resolution}")
     _check_order(n)
-    if not all(math.isfinite(b) for b in bounds):
-        raise DomainError(f"box bounds must be finite, got {bounds}")
-    re0, re1, im0, im1 = bounds
-    r_max = math.hypot(max(abs(re0), abs(re1)), max(abs(im0), abs(im1)))
-    # block entries reach 2 |rho|^(n-1), so every eigenvalue is below 2 n |rho|^(n-1)
-    if r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
-        raise DomainError(f"|rho|^{n - 1} overflows on the box {bounds}")
+    # |rho| is largest at a corner of the box
+    _check_rho(n, *(complex(re, im) for re in bounds[:2] for im in bounds[2:]))
     xs, ys, f = _grid_values(n, resolution, bounds, eig_type)
     out = []
     inside_unit = 0

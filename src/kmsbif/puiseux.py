@@ -35,8 +35,6 @@ def wrap_angle(x: float) -> float:
 @dataclass(frozen=True)
 class PuiseuxParams:
     lambda_c: complex
-    alpha: complex
-    beta: complex
     a: complex
     b: complex
     theta_a: float
@@ -84,8 +82,7 @@ def _params_from_ab(lambda_c: complex, a: complex, b: complex) -> PuiseuxParams:
     theta_b = cmath.phase(b)
     big_theta = wrap_angle(theta_b - 2.0 * theta_a)
     c = 0.5 * (abs(a) ** 2 - 2.0 * abs(b) * math.cos(big_theta))
-    return PuiseuxParams(lambda_c=lambda_c, alpha=a * lambda_c, beta=b * lambda_c,
-                         a=a, b=b, theta_a=theta_a, theta_b=theta_b,
+    return PuiseuxParams(lambda_c=lambda_c, a=a, b=b, theta_a=theta_a, theta_b=theta_b,
                          Theta=big_theta, c=c)
 
 
@@ -130,12 +127,11 @@ def puiseux_ab_from_t(cp: "CriticalPoint") -> PuiseuxParams:
     return _params_from_ab(cp.lambda_c, a, b)
 
 
-def eval_truncated_series(lambda_c: complex, p: PuiseuxParams,
-                          eps: complex) -> tuple[complex, complex]:
+def eval_truncated_series(p: PuiseuxParams, eps: complex) -> tuple[complex, complex]:
     """Both branch values lambda_c (1 +/- a sqrt(eps) + b eps), principal sqrt.
 
     The pair is unordered; callers match branches by proximity.
     """
     root = cmath.sqrt(eps)
     common = 1.0 + p.b * eps
-    return (lambda_c * (common + p.a * root), lambda_c * (common - p.a * root))
+    return (p.lambda_c * (common + p.a * root), p.lambda_c * (common - p.a * root))

@@ -14,7 +14,7 @@ import numpy as np
 from kmsbif.chebyshev import cheb_t, cheb_t_log, cheb_u
 from kmsbif.critical import all_critical_points
 from kmsbif.geometry import cusp_bisector_angle, local_level_curve
-from kmsbif.imag_axis import imag_axis_params, large_n_params, y_n_of
+from kmsbif.imag_axis import imag_axis_params, large_n_params
 from kmsbif.kms import MuPoint, eigenvector_of_mu, isotropy_defect
 from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
                            kms_spectrum)
@@ -131,7 +131,7 @@ def test_ac05_series_order(capsys):
         resid = []
         for m in mags:
             eps = m * u
-            series = eval_truncated_series(cp.lambda_c, pp, eps)
+            series = eval_truncated_series(pp, eps)
             pair = _near_pair(n, cp.rho_c + eps)
             r = min(max(abs(series[0] - pair[0]), abs(series[1] - pair[1])),
                     max(abs(series[0] - pair[1]), abs(series[1] - pair[0]))) / n
@@ -205,7 +205,7 @@ def test_ac09_isotropy(capsys):
 def test_ac10_reality_after_bifurcation(capsys):
     worst_im, worst_conj = 0.0, 0.0
     for n in range(3, 26, 2):
-        y = y_n_of(n)
+        y = imag_axis_params(n).y_n
         outer = _near_pair(n, 1j * (y + 1e-3))
         worst_im = max(worst_im, max(abs(z.imag) for z in outer) / n)
         lo, hi = _near_pair(n, 1j * (y - 1e-3))
@@ -219,7 +219,7 @@ def test_ac10_reality_after_bifurcation(capsys):
 def test_ac11_extraordinary_count(capsys):
     steps = {}
     for n in (3, 7, 11, 19):
-        y = y_n_of(n)
+        y = imag_axis_params(n).y_n
         steps[n] = (count_extraordinary(kms_spectrum(n, 1j * (y + 0.01)))
                     - count_extraordinary(kms_spectrum(n, 1j * (y - 0.01))))
     ok = all(s == 1 for s in steps.values())

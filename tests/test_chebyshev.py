@@ -137,6 +137,11 @@ def test_cheb_t_log():
     for bad in (1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             cheb_t_log(3, bad)
+    # degrees as cheb_t takes them, and a typed error once the log overflows
+    for k, x in ((3.5, 2.0), (-2, 2.0), (10 ** 400, 2.0), (10 ** 308, 1e10)):
+        with pytest.raises(DomainError):
+            cheb_t_log(k, x)
+    assert cheb_t_log(0, 2.0) == 0.0 and cheb_t_log(np.int64(5), 2.0) == cheb_t_log(5, 2.0)
 
 
 def test_degree_validation():

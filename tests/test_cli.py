@@ -72,6 +72,10 @@ def test_computation_errors_return_two(capsys):
     assert "out of range" in err
     code, _, err = run(capsys, "large-n", "--n", "19", "4")
     assert code == 2
+    # K_8(rho) at |rho| = 1e300 overflows: a typed error before any matrix is built
+    code, _, err = run(capsys, "trajectory", "--n", "8", "--d-max", "1e300")
+    assert code == 2
+    assert "overflows" in err
 
 
 def test_success_returns_zero(capsys):

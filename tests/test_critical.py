@@ -8,7 +8,7 @@ import pytest
 
 from kmsbif import critical
 from kmsbif.critical import all_critical_points, critical_t_values, rho_c_of_t
-from kmsbif.errors import DegenerateArgument, RootFindingFailure, SizeError, UnsupportedCase
+from kmsbif.errors import DegenerateArgument, RootFindingFailure, SizeError
 from kmsbif.kms import EigType, MuPoint, lambda_of_mu, rho_of_mu, rho_prime_of_mu
 from kmsbif.oracle import kms_spectrum
 
@@ -21,13 +21,15 @@ def _expected_degree(n, eig_type):
     return n - 2 if n % 2 == 0 else n - 1
 
 
-def test_q_polynomial_type1_n3_unsupported():
-    # critical_t_values validates n and the (Type1, n = 3) exclusion itself
-    with pytest.raises(UnsupportedCase):
-        critical_t_values(3, EigType.Type1)
+def test_critical_t_values_type1_n3_is_empty():
+    # U_2(t) - 3 = 4t^2 - 4 has only the trivial roots +/-1, and both are removed
+    assert critical_t_values(3, EigType.Type1) == []
+    # critical_t_values validates n, also for the catalog
     for et in EigType:
-        with pytest.raises(SizeError):
+        with pytest.raises(SizeError, match="need n >= 3, got 2"):
             critical_t_values(2, et)
+    with pytest.raises(SizeError, match="need n >= 3, got 2"):
+        all_critical_points(2)
 
 
 def test_q_polynomial_divides_exactly():

@@ -20,8 +20,8 @@ def _params_from_ab(a, b, lambda_c=-4.0):
     theta_a, theta_b = cmath.phase(a), cmath.phase(b)
     big = wrap_angle(theta_b - 2 * theta_a)
     c = 0.5 * (abs(a) ** 2 - 2 * abs(b) * math.cos(big))
-    return PuiseuxParams(lambda_c=lambda_c, alpha=a * lambda_c, beta=b * lambda_c,
-                         a=a, b=b, theta_a=theta_a, theta_b=theta_b, Theta=big, c=c)
+    return PuiseuxParams(lambda_c=lambda_c, a=a, b=b, theta_a=theta_a, theta_b=theta_b,
+                         Theta=big, c=c)
 
 
 def _point(n, eig_type, target):

@@ -9,7 +9,7 @@ from kmsbif.errors import ConditionViolated, DomainError, SizeError
 from kmsbif.geometry import _level_eps, cusp_bisector_angle, trajectory_along_bisector
 from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, imag_axis_params,
                               imag_level_curve, imag_level_eps, imag_puiseux_params,
-                              large_n_params, parabola_trajectory, solve_v_n, y_n_of)
+                              large_n_params, parabola_trajectory, solve_v_n)
 from kmsbif.kms import EigType, MuPoint, build_matrix, eigenvector_of_mu
 from kmsbif.oracle import count_extraordinary, kms_spectrum
 
@@ -56,17 +56,12 @@ def test_x_n_properties():
 
 
 def test_y_values():
-    assert y_n_of(3) == pytest.approx(math.sqrt(8.0), abs=1e-12)
-    assert y_n_of(19) == pytest.approx(1.2780414700042164, abs=1e-12)
-
-
-def test_params_height_is_y_n_of():
-    for n in range(3, 200, 2):
-        assert imag_axis_params(n).y_n == y_n_of(n)
+    assert imag_axis_params(3).y_n == pytest.approx(math.sqrt(8.0), abs=1e-12)
+    assert imag_axis_params(19).y_n == pytest.approx(1.2780414700042164, abs=1e-12)
 
 
 def test_odd_only():
-    for fn in (solve_v_n, y_n_of, imag_axis_params, large_n_params):
+    for fn in (solve_v_n, imag_axis_params, large_n_params):
         with pytest.raises(DomainError):
             fn(6)
         with pytest.raises(SizeError):
@@ -130,7 +125,7 @@ def test_puiseux_bundle_phases():
 
 def test_double_eigenvalue_on_axis():
     for n in range(3, 27, 2):
-        y = y_n_of(n)
+        y = imag_axis_params(n).y_n
         lam = kms_spectrum(n, 1j * y).eigenvalues
         near = np.abs(lam + n) <= 1e-4 * n
         assert near.sum() == 2, f"n={n}: {near.sum()} eigenvalues near -n"
@@ -139,7 +134,7 @@ def test_double_eigenvalue_on_axis():
 def test_mirror_point_below_axis():
     # the conjugate point -i y_n carries the same collision
     for n in (3, 7, 11, 19):
-        y = y_n_of(n)
+        y = imag_axis_params(n).y_n
         lam = kms_spectrum(n, -1j * y).eigenvalues
         near = np.abs(lam + n) <= 1e-4 * n
         assert near.sum() == 2
@@ -148,7 +143,7 @@ def test_mirror_point_below_axis():
 def test_real_pair_outside():
     # just past the critical height the colliding pair is real
     for n in range(3, 27, 2):
-        y = y_n_of(n)
+        y = imag_axis_params(n).y_n
         lam = kms_spectrum(n, 1j * (y + 1e-3)).eigenvalues
         pair = sorted(lam, key=lambda z: abs(z + n))[:2]
         for z in pair:
@@ -157,7 +152,7 @@ def test_real_pair_outside():
 
 def test_conjugate_pair_inside():
     for n in range(3, 27, 2):
-        y = y_n_of(n)
+        y = imag_axis_params(n).y_n
         lam = kms_spectrum(n, 1j * (y - 1e-3)).eigenvalues
         lo, hi = sorted(lam, key=lambda z: abs(z + n))[:2]
         assert abs(lo - hi.conjugate()) <= 1e-7 * n
@@ -165,7 +160,7 @@ def test_conjugate_pair_inside():
 
 def test_extraordinary_count_steps_up():
     for n in (3, 7, 11, 19):
-        y = y_n_of(n)
+        y = imag_axis_params(n).y_n
         below = count_extraordinary(kms_spectrum(n, 1j * (y - 0.01)))
         above = count_extraordinary(kms_spectrum(n, 1j * (y + 0.01)))
         assert above - below == 1, f"n={n}: {below} -> {above}"
@@ -175,7 +170,7 @@ def test_critical_eigenvector():
     # type 2 at n = 3 mod 4, type 1 at n = 1 mod 4
     for n in (3, 7, 11, 19, 5, 9, 13, 21):
         v = _critical_eigenvector(n)
-        k = build_matrix(n, 1j * y_n_of(n))
+        k = build_matrix(n, 1j * imag_axis_params(n).y_n)
         resid = np.linalg.norm(k.entries @ v + n * v) / np.linalg.norm(v)
         assert resid <= 1e-9 * n
         # isotropy: the collision eigenvector is a null vector of the bilinear form
@@ -229,13 +224,15 @@ def test_level_eps_cusp_and_peak():
 
 def test_level_curve_samples():
     params = imag_axis_params(19)
-    curve = imag_level_curve(params, count=201, eps_cap=0.2)
+    curve = imag_level_curve(params)
     assert curve.center == 1j * params.y_n
     assert len(curve.samples) > 50
     thetas = [s[0] for s in curve.samples]
     assert thetas == sorted(thetas)
+    # the fixed window: 161 evenly spaced theta over [-pi, 0]
+    assert set(thetas) <= {-math.pi + math.pi * i / 160 for i in range(161)}
     for theta, eps, rho in curve.samples:
-        assert 0.0 <= eps <= 0.2
+        assert 0.0 <= eps <= 0.5
         want = curve.center + eps * complex(math.cos(theta), math.sin(theta))
         assert abs(rho - want) < 1e-14
 
@@ -247,11 +244,6 @@ def test_level_curve_guards():
                                   eig_type=params.eig_type)
     with pytest.raises(ConditionViolated):
         imag_level_curve(degenerate)
-    with pytest.raises(DomainError):
-        imag_level_curve(params, theta_range=(1.0, 1.0))
-    for count in (0, 1, 2):
-        with pytest.raises(DomainError):
-            imag_level_curve(params, count=count)
 
 
 # ---------------------------------------------------------------------------

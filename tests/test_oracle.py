@@ -1,6 +1,7 @@
 """Tests for the dense-eigensolver oracle and the borderline tracer."""
 
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -49,21 +50,44 @@ def test_trace_and_determinant_invariants():
         assert abs(prod - det) < 1e-6 * max(abs(det), 1e-30)
 
 
-def test_accepts_plain_arrays_and_rejects_bad_shapes():
-    a = np.diag([1.0 + 0j, 2.0, 3.0])
-    s = eigenvalues(a)
-    assert sorted(s.eigenvalues.real) == pytest.approx([1.0, 2.0, 3.0])
-    with pytest.raises(SizeError):
-        eigenvalues(np.zeros((2, 3), dtype=complex))
-    with pytest.raises(SizeError):
-        eigenvalues(np.eye(600, dtype=complex))
+def _no_build(*args):
+    raise AssertionError("matrix built")
 
 
-def test_solver_failure_is_a_typed_error():
-    # LAPACK refuses non-finite input; the oracle reports it as a failed solve
-    with pytest.raises(RootFindingFailure) as exc:
-        eigenvalues(np.full((3, 3), np.nan))
-    assert isinstance(exc.value, KmsBifError)
+def test_rejects_orders_outside_the_limit(monkeypatch):
+    with pytest.raises(SizeError):
+        eigenvalues(build_matrix(600, 0.5))
+    monkeypatch.setattr(oracle, "build_matrix", _no_build)
+    for n in (2, 600):
+        with pytest.raises(SizeError):
+            kms_spectrum(n, 0.5)
+
+
+def test_kms_spectrum_rejects_bad_rho_before_building(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the largest |rho| whose eigenvalue bound 2 n |rho|^(n-1) stays finite
+        for n in (4, 20, 100):
+            r = math.exp((math.log(np.finfo(float).max) - math.log(2 * n)) / (n - 1))
+            assert np.all(np.isfinite(kms_spectrum(n, 0.999 * r * 1j).eigenvalues))
+        monkeypatch.setattr(oracle, "build_matrix", _no_build)
+        for n, rho in ((3, math.nan), (3, math.inf), (3, complex(0, math.nan)),
+                       (100, 1e10)):
+            with pytest.raises(DomainError):
+                kms_spectrum(n, rho)
+
+
+def test_solver_failure_is_a_typed_error(monkeypatch):
+    # a LAPACK failure surfaces as a failed solve from every oracle route
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    for route in (lambda: kms_spectrum(3, 0.5),
+                  lambda: numeric_borderline(3, (-2, 2, -2, 2))):
+        with pytest.raises(RootFindingFailure) as exc:
+            route()
+        assert isinstance(exc.value, KmsBifError)
 
 
 # Both the full solve and the block solves are backward stable (LAPACK zgeev):

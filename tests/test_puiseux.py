@@ -106,8 +106,6 @@ def test_parameter_invariants():
             assert pp.c == pytest.approx(
                 0.5 * (abs(pp.a) ** 2 - 2 * abs(pp.b) * math.cos(pp.Theta)))
             assert pp.c != 0.0
-            assert pp.alpha == pytest.approx(pp.a * p.lambda_c)
-            assert pp.beta == pytest.approx(pp.b * p.lambda_c)
 
 
 def test_truncated_series_converges_to_oracle():
@@ -121,7 +119,7 @@ def test_truncated_series_converges_to_oracle():
         eps = mag * direction
         ev = kms_spectrum(4, p.rho_c + eps).eigenvalues
         pair = ev[np.argsort(np.abs(ev - lam_c))[:2]]
-        s1, s2 = eval_truncated_series(lam_c, pp, eps)
+        s1, s2 = eval_truncated_series(pp, eps)
         err = min(max(abs(pair[0] - s1), abs(pair[1] - s2)),
                   max(abs(pair[0] - s2), abs(pair[1] - s1)))
         mags.append(mag)
@@ -132,7 +130,7 @@ def test_truncated_series_converges_to_oracle():
 
 def test_eval_truncated_series_at_zero():
     pp = puiseux_ab_from_t(_points(5)[0])
-    lam1, lam2 = eval_truncated_series(-5.0, pp, 0.0)
+    lam1, lam2 = eval_truncated_series(pp, 0.0)
     assert lam1 == lam2 == -5.0
 
 
