@@ -9,9 +9,8 @@ eigensolver.
 """
 
 from .critical import CriticalPoint, all_critical_points, critical_t_values, rho_c_of_t
-from .errors import (ConditionViolated, DegenerateArgument, DegenerateMu, DomainError,
-                     ExcludedRho, HypothesisViolation, KmsBifError, RootFindingFailure,
-                     SizeError)
+from .errors import (DegenerateArgument, DomainError, HypothesisViolation, KmsBifError,
+                     RootFindingFailure, SizeError)
 from .geometry import local_level_curve, trajectory_along_bisector
 from .imag_axis import imag_axis_params, large_n_params
 from .kms import EigType
@@ -29,8 +28,7 @@ __all__ = [
     "CriticalPoint", "EigType", "critical_t_values", "rho_c_of_t",
     "derivatives_at_critical", "puiseux_from_derivatives",
     # errors
-    "KmsBifError", "SizeError", "DomainError", "DegenerateArgument", "DegenerateMu",
-    "ExcludedRho", "RootFindingFailure",
-    "HypothesisViolation", "ConditionViolated",
+    "KmsBifError", "SizeError", "DomainError", "DegenerateArgument", "RootFindingFailure",
+    "HypothesisViolation",
     "__version__",
 ]

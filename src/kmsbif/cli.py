@@ -133,14 +133,16 @@ def _catalog_points(args) -> list:
     return pts
 
 
-def _pick(pts: list, index: int):
-    if not 0 <= index < len(pts):
-        raise KmsBifError(f"point index {index} out of range (0..{len(pts) - 1})")
-    return pts[index]
+def _pick(pts: list, args):
+    if not pts:  # only a --type filter empties a catalog: type 1 at n = 3
+        raise KmsBifError(f"no type-{args.eig_type} critical points at n = {args.n}")
+    if not 0 <= args.index < len(pts):
+        raise KmsBifError(f"point index {args.index} out of range (0..{len(pts) - 1})")
+    return pts[args.index]
 
 
 def _oracle_gap(point) -> float:
-    gaps = np.sort(np.abs(oracle.kms_spectrum(point.n, point.rho_c).eigenvalues + point.n))
+    gaps = np.sort(np.abs(oracle.kms_spectrum(point.n, point.rho_c) + point.n))
     return float(gaps[1])
 
 
@@ -152,7 +154,7 @@ def _oracle_pair(n: int, rho: complex, d: float) -> list:
     real part, matching the series' (plus, minus) branches.
     """
     lam_c = complex(-n)
-    ev = oracle.kms_spectrum(n, rho).eigenvalues
+    ev = oracle.kms_spectrum(n, rho)
     pair = ev[np.argsort(np.abs(ev - lam_c))[:2]] / lam_c
     if d <= 0:
         return sorted(pair, key=lambda z: -z.imag)
@@ -210,7 +212,7 @@ def cmd_critical_points(args) -> None:
 def cmd_puiseux(args) -> None:
     pts = _catalog_points(args)
     if args.index is not None:
-        pts = [_pick(pts, args.index)]
+        pts = [_pick(pts, args)]
     rows = []
     for i, p in enumerate(pts, start=args.index or 0):
         pp = puiseux.puiseux_ab_from_t(p)
@@ -226,7 +228,7 @@ def cmd_puiseux(args) -> None:
 
 
 def cmd_level_curve(args) -> None:
-    point = _pick(_catalog_points(args), args.index)
+    point = _pick(_catalog_points(args), args)
     rows = _level_curve_rows(point, args.window, args.grid)
     meta = {"command": "level-curve", "n": args.n, "type": point.eig_type.value,
             "rho_c": f"{_fmt(point.rho_c.real)}{point.rho_c.imag:+.17g}j",
@@ -235,7 +237,7 @@ def cmd_level_curve(args) -> None:
 
 
 def cmd_trajectory(args) -> None:
-    point = _pick(_catalog_points(args), args.index)
+    point = _pick(_catalog_points(args), args)
     pp = puiseux.puiseux_ab_from_t(point)
     count = args.grid if args.grid % 2 else args.grid + 1
     rows = _trajectory_rows(pp, point.rho_c, args.n, _symmetric_grid(args.d_max, count))
@@ -455,7 +457,7 @@ def _verify_battery(n_max: int, scale: float, rng: np.random.Generator) -> list:
             for et in EigType:
                 p = MuPoint(n, mu, et)
                 lam = lambda_of_mu(p)
-                ev = oracle.kms_spectrum(n, rho_of_mu(p)).eigenvalues
+                ev = oracle.kms_spectrum(n, rho_of_mu(p))
                 worst = max(worst, float(np.min(np.abs(ev - lam))))
         return worst, 1e-8, "lambda(mu) sits in the oracle spectrum"
 
@@ -487,7 +489,7 @@ def _verify_battery(n_max: int, scale: float, rng: np.random.Generator) -> list:
         for _ in range(20):
             n = int(rng.integers(3, n_max + 1))
             rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            ev = oracle.kms_spectrum(n, rho).eigenvalues
+            ev = oracle.kms_spectrum(n, rho)
             worst = max(worst, abs(complex(np.sum(ev)) - n) / n)
         return worst, 1e-9, "sum of eigenvalues = n"
 

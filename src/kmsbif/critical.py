@@ -140,7 +140,7 @@ def _catalog(n: int) -> tuple:
     for eig_type in (EigType.Type1, EigType.Type2):
         for t_c in critical_t_values(n, eig_type):
             rho_c = rho_c_of_t(n, t_c, eig_type)
-            gaps = np.sort(np.abs(kms_spectrum(n, rho_c).eigenvalues + n))
+            gaps = np.sort(np.abs(kms_spectrum(n, rho_c) + n))
             if gaps[1] > _ORACLE_GAP * n:
                 raise RootFindingFailure(
                     f"oracle found no double eigenvalue -{n} at rho_c = {rho_c} "

@@ -13,7 +13,8 @@ class DomainError(KmsBifError):
     """Argument outside a function's domain, or a value that overflows there.
 
     Examples: log T_k(x) requested for x <= 1, a non-finite bound of a
-    borderline box, or T_1000(3), which is not finite in double precision.
+    borderline box, T_1000(3), which is not finite in double precision, and
+    rho on one of the excluded values {+/-1, +/-(n+1)/(n-1)}.
     """
 
 
@@ -21,17 +22,11 @@ class DegenerateArgument(KmsBifError):
     """Evaluation point where the requested formula degenerates.
 
     Raised by the critical-rho ratio (t_c = +/-1 for even n, or a vanishing
-    denominator) and by the closed-form Puiseux route (t_c^2 = 1 or
-    t_c = -s T_n(t_c)).
+    denominator), by the closed-form Puiseux route (t_c^2 = 1 or
+    t_c = -s T_n(t_c)), by a sine/cosine denominator of the
+    mu-parameterization below its floor, and by a vanished denominator of
+    the imaginary-axis level curve.
     """
-
-
-class DegenerateMu(KmsBifError):
-    """A sine/cosine denominator in the mu-parameterization fell below the floor."""
-
-
-class ExcludedRho(KmsBifError):
-    """rho hit one of the excluded parameter values {+/-1, +/-(n+1)/(n-1)}."""
 
 
 class RootFindingFailure(KmsBifError):
@@ -45,9 +40,6 @@ class RootFindingFailure(KmsBifError):
 class HypothesisViolation(KmsBifError):
     """A hypothesis that the formulas rely on failed numerically.
 
-    Examples: rho''_c != 0, or a quantity that must be positive (a_n, b_n).
+    Examples: rho''_c != 0, a quantity that must be positive (a_n, b_n), or
+    the level-curve condition |a|^2 - 2|b|cos(Theta) != 0.
     """
-
-
-class ConditionViolated(KmsBifError):
-    """The level-curve condition |a|^2 - 2|b|cos(Theta) != 0 failed."""

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ConditionViolated, DomainError
+from .errors import DomainError, HypothesisViolation
 from .puiseux import PuiseuxParams, wrap_angle
 
 # level-curve samples with a larger |eps| lie outside the series' validity region
@@ -54,13 +54,14 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     theta = pi - 2 theta_a) is always included exactly once; samples past a
     sign change of the denominator, or with |eps| above 0.5, are outside
     the validity region and are dropped (with a warning).  Raises DomainError
-    for count < 3, and ConditionViolated unless theta_window is finite and > 0.
+    for count < 3 or a theta_window that is not finite and > 0, and
+    HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
     """
     den_cusp = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
     if abs(den_cusp) < 1e-10:
-        raise ConditionViolated("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
+        raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
     if not (math.isfinite(theta_window) and theta_window > 0):
-        raise ConditionViolated(f"theta_window must be finite and > 0, got {theta_window}")
+        raise DomainError(f"theta_window must be finite and > 0, got {theta_window}")
     if count < 3:
         raise DomainError(f"need count >= 3 samples, got {count}")
     if count % 2 == 0:
@@ -100,7 +101,7 @@ def cardioid_approx(p: PuiseuxParams, theta: float) -> float:
     """
     den = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)
     if abs(den) < 1e-10:
-        raise ConditionViolated("|a|^2 - 2|b|cos(Theta) ~ 0")
+        raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0")
     bis = cusp_bisector_angle(p)
     return 4.0 * math.sin(0.5 * (theta - bis)) ** 2 / den ** 2
 
@@ -110,13 +111,17 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
 
     d < 0 approaches the cusp along the bisector, d > 0 leaves along the
     opposite ray.  Pairs are (plus-branch, minus-branch) of the +/- sign in
-    the series; all values are normalized by lambda_c.
+    the series; all values are normalized by lambda_c.  Raises DomainError,
+    before any point is built, for a d that is NaN or infinite.
     """
+    d_values = [float(d) for d in d_values]
+    for d in d_values:
+        if not math.isfinite(d):
+            raise DomainError(f"d must be finite, got {d}")
     mag_a, mag_b = abs(p.a), abs(p.b)
     cos_t, sin_t = math.cos(p.Theta), math.sin(p.Theta)
     out = []
     for d in d_values:
-        d = float(d)
         if d <= 0.0:
             ad = abs(d)
             root = mag_a * math.sqrt(ad)

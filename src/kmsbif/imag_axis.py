@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .chebyshev import _log_cosh, _log_sinh
 from .critical import rho_c_of_t
-from .errors import (ConditionViolated, DomainError, HypothesisViolation, RootFindingFailure,
+from .errors import (DegenerateArgument, DomainError, HypothesisViolation, RootFindingFailure,
                      SizeError)
 from .geometry import _EPS_CAP, CurveSamples
 from .kms import EigType
@@ -123,7 +123,7 @@ def imag_level_eps(params: ImagAxisParams, theta: float) -> float:
     s = math.sin(theta)
     den = a2 + (4.0 * params.b_n - a2) * s
     if den == 0.0:
-        raise ConditionViolated(f"level-curve denominator vanished at theta = {theta}")
+        raise DegenerateArgument(f"level-curve denominator vanished at theta = {theta}")
     return 8.0 * a2 * (1.0 + s) / den ** 2
 
 
@@ -136,7 +136,7 @@ def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
     general routine.
     """
     if abs(params.c_n) < 1e-10:
-        raise ConditionViolated("a_n^2 - 2 b_n ~ 0: no local level curve")
+        raise HypothesisViolation("a_n^2 - 2 b_n ~ 0: no local level curve")
     lo, hi, count = -math.pi, 0.0, 161
     center = 1j * params.y_n
     sign_cusp = 1.0 if params.c_n > 0 else -1.0

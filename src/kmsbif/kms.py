@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMu, ExcludedRho, SizeError
+from .errors import DegenerateArgument, DomainError, SizeError
 
 _FLOOR = 1e-12
 
@@ -52,7 +52,7 @@ class MuPoint:
 
 def _guard(num: complex, den: complex, what: str) -> None:
     if abs(den) < _FLOOR * (1.0 + abs(num)):
-        raise DegenerateMu(f"denominator of {what} below floor: |{den}|")
+        raise DegenerateArgument(f"denominator of {what} below floor: |{den}|")
 
 
 def build_matrix(n: int, rho: complex) -> KmsMatrix:
@@ -96,18 +96,18 @@ def _check_rho_allowed(n: int, rho: complex) -> None:
     bad = [1.0, -1.0, (n + 1) / (n - 1), -(n + 1) / (n - 1)]
     for x in bad:
         if abs(rho - x) < 1e-12 * (1.0 + abs(x)):
-            raise ExcludedRho(f"rho = {rho} is an excluded parameter value")
+            raise DomainError(f"rho = {rho} is an excluded parameter value")
 
 
 def eigenvector_of_mu(p: MuPoint) -> np.ndarray:
     """Unnormalized eigenvector of K_n(rho(mu)) for eigenvalue lambda(mu).
 
     Entries are sin(mu (j - (n-1)/2)) for type-1 and cos(...) for type-2,
-    j = 0 .. n-1.  Raises DegenerateMu when mu is a multiple of pi and
-    ExcludedRho when rho(mu) lands on {+/-1, +/-(n+1)/(n-1)}.
+    j = 0 .. n-1.  Raises DegenerateArgument when mu is a multiple of pi and
+    DomainError when rho(mu) lands on {+/-1, +/-(n+1)/(n-1)}.
     """
     if abs(cmath.sin(p.mu)) < _FLOOR * (1.0 + abs(p.mu)):
-        raise DegenerateMu(f"mu = {p.mu} is a multiple of pi")
+        raise DegenerateArgument(f"mu = {p.mu} is a multiple of pi")
     _check_rho_allowed(p.n, rho_of_mu(p))
     j = np.arange(p.n)
     arg = p.mu * (j - (p.n - 1) / 2.0)

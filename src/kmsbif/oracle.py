@@ -19,7 +19,6 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,26 +31,24 @@ _MAX_N = 512
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    n: int
-    eigenvalues: np.ndarray
-
-
 def _check_order(n: int) -> None:
     if not 3 <= n <= _MAX_N:
         raise SizeError(f"oracle needs 3 <= n <= {_MAX_N}, got {n}")
 
 
-def _check_rho(n: int, *rhos: complex) -> None:
+def _check_rho(n: int, rho) -> None:
     # entries of K_n(rho) and of its type blocks reach 2 |rho|^(n-1), so every
-    # eigenvalue is below 2 n |rho|^(n-1), which must stay finite
-    shown = ", ".join(map(str, rhos))
-    if not all(cmath.isfinite(r) for r in rhos):
-        raise DomainError(f"rho must be finite, got {shown}")
-    r_max = max(abs(r) for r in rhos)
-    if r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
-        raise DomainError(f"|rho|^{n - 1} overflows at rho = {shown}")
+    # eigenvalue is below 2 n |rho|^(n-1), which must stay finite; rho may be
+    # an array, checked as a whole and shown in full
+    rho = np.asarray(rho, dtype=complex)
+    r_max = np.abs(rho).max(initial=0.0)
+    if not np.isfinite(rho).all():
+        problem = "rho must be finite, got"
+    elif r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
+        problem = f"|rho|^{n - 1} overflows at rho ="
+    else:
+        return
+    raise DomainError(f"{problem} {', '.join(str(complex(r)) for r in rho.ravel())}")
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
@@ -61,14 +58,14 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
         raise RootFindingFailure(str(exc)) from exc
 
 
-def eigenvalues(m: KmsMatrix) -> Spectrum:
-    """Full spectrum of a KmsMatrix; SizeError unless 3 <= n <= 512."""
+def eigenvalues(m: KmsMatrix) -> np.ndarray:
+    """The n eigenvalues of a KmsMatrix; SizeError unless 3 <= n <= 512."""
     _check_order(m.n)
-    return Spectrum(n=m.n, eigenvalues=_eigvals(m.entries))
+    return _eigvals(m.entries)
 
 
-def kms_spectrum(n: int, rho: complex) -> Spectrum:
-    """Full spectrum of K_n(rho).  Before building the matrix, raises SizeError
+def kms_spectrum(n: int, rho: complex) -> np.ndarray:
+    """The n eigenvalues of K_n(rho).  Before building the matrix, raises SizeError
     unless 3 <= n <= 512 and DomainError for a non-finite rho or overflowing powers."""
     _check_order(n)
     _check_rho(n, complex(rho))
@@ -83,9 +80,12 @@ def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
     rho^|j-k| - rho^(n-1-j-k) (type-1) or rho^|j-k| + rho^(n-1-j-k) (type-2);
     for odd n the type-2 block's last row and column belong to the unpaired
     middle basis vector and read sqrt(2) rho^|j-k|, with 1 on the diagonal.
+    Raises SizeError unless 3 <= n <= 512, and DomainError unless every rho
+    is finite and 2 n |rho|^(n-1) stays finite.
     """
     _check_order(n)
     rho = np.asarray(rho, dtype=complex)
+    _check_rho(n, rho)
     # powers by repeated multiplication, as in build_matrix
     factors = np.ones(rho.shape + (n,), dtype=complex)
     factors[..., 1:] = rho[..., None]
@@ -104,9 +104,9 @@ def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
     return blocks
 
 
-def count_extraordinary(s: Spectrum) -> int:
+def count_extraordinary(n: int, eigenvalues: np.ndarray) -> int:
     """Number of eigenvalues with |lambda| > n (strictly, with 1e-12 slack)."""
-    return int(np.sum(np.abs(s.eigenvalues) > s.n * (1.0 + 1e-12)))
+    return int(np.sum(np.abs(eigenvalues) > n * (1.0 + 1e-12)))
 
 
 def closed_form_eigenvalues_n3(rho: complex):
@@ -226,7 +226,7 @@ def numeric_borderline(n: int, bounds, resolution: int = 64,
         raise DomainError(f"grid resolution must be >= 64, got {resolution}")
     _check_order(n)
     # |rho| is largest at a corner of the box
-    _check_rho(n, *(complex(re, im) for re in bounds[:2] for im in bounds[2:]))
+    _check_rho(n, [complex(re, im) for re in bounds[:2] for im in bounds[2:]])
     xs, ys, f = _grid_values(n, resolution, bounds, eig_type)
     out = []
     inside_unit = 0

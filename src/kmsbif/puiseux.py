@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .chebyshev import cheb_t
-from .errors import DegenerateArgument, DegenerateMu, HypothesisViolation
+from .errors import DegenerateArgument, HypothesisViolation
 from .kms import type_sign
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,10 +63,10 @@ def derivatives_at_critical(cp: "CriticalPoint") -> DerivativeBundle:
     sin_mu, cos_mu = cmath.sin(mu), cmath.cos(mu)
     sin_nmu, cos_nmu = cmath.sin(n * mu), cmath.cos(n * mu)
     if abs(sin_mu) < 1e-12 * (1.0 + abs(mu)):
-        raise DegenerateMu(f"sin(mu_c) ~ 0 at mu_c = {mu}")
+        raise DegenerateArgument(f"sin(mu_c) ~ 0 at mu_c = {mu}")
     den = 1.0 + s * cmath.cos((n - 1) * mu)
     if abs(den) < 1e-12:
-        raise DegenerateMu(f"1 + s cos((n-1) mu_c) ~ 0 at mu_c = {mu}")
+        raise DegenerateArgument(f"1 + s cos((n-1) mu_c) ~ 0 at mu_c = {mu}")
     lam_p = n * (cos_mu + s * cos_nmu) / sin_mu
     lam_pp = (-n * sin_mu - 2.0 * lam_p * cos_mu - s * n * n * sin_nmu) / sin_mu
     rho_pp = -lam_p * sin_mu / den

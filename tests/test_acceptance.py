@@ -42,7 +42,7 @@ def _nearest(n, eig_type, target):
 
 
 def _near_pair(n, rho):
-    lam = kms_spectrum(n, rho).eigenvalues
+    lam = kms_spectrum(n, rho)
     return sorted(lam, key=lambda z: abs(z + n))[:2]
 
 
@@ -55,7 +55,7 @@ def test_ac01_n3_closed_forms(capsys):
     worst = 0.0
     for _ in range(100):
         rho = 4.0 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
-        oracle = kms_spectrum(3, rho).eigenvalues
+        oracle = kms_spectrum(3, rho)
         closed = closed_form_eigenvalues_n3(rho)
         for z in closed:
             worst = max(worst, min(abs(z - w) for w in oracle))
@@ -169,7 +169,7 @@ def test_ac07_imaginary_family_n19(capsys):
     # one unit in the last printed digit of (0.192, 1.28, 5.39, 19.4)
     ok = (abs(p.v_n - 0.192) < 1e-3 and abs(p.y_n - 1.28) < 1e-2
           and abs(p.a_n - 5.39) < 1e-2 and abs(p.b_n - 19.4) < 1e-1)
-    lam = kms_spectrum(19, 1j * p.y_n).eigenvalues
+    lam = kms_spectrum(19, 1j * p.y_n)
     near = np.abs(lam + 19.0) <= 1e-3
     ok = ok and near.sum() == 2
     _line(capsys, "AC07 imaginary-family", ok,
@@ -220,8 +220,8 @@ def test_ac11_extraordinary_count(capsys):
     steps = {}
     for n in (3, 7, 11, 19):
         y = imag_axis_params(n).y_n
-        steps[n] = (count_extraordinary(kms_spectrum(n, 1j * (y + 0.01)))
-                    - count_extraordinary(kms_spectrum(n, 1j * (y - 0.01))))
+        steps[n] = (count_extraordinary(n, kms_spectrum(n, 1j * (y + 0.01)))
+                    - count_extraordinary(n, kms_spectrum(n, 1j * (y - 0.01))))
     ok = all(s == 1 for s in steps.values())
     _line(capsys, "AC11 extraordinary-count", ok,
           f"count step across i y_n: {steps}")
@@ -345,7 +345,7 @@ def test_ac14_parabola_trajectory(capsys):
     ds = np.geomspace(1e-4, 1e-2, 13)
     dev = []
     for d in ds:
-        z = min(kms_spectrum(19, 1j * (p.y_n - d)).eigenvalues,
+        z = min(kms_spectrum(19, 1j * (p.y_n - d)),
                 key=lambda w: abs(w + 19.0)) / -19.0
         dev.append(abs(z.imag ** 2 - coef * (1.0 - z.real)))
     slope = np.polyfit(np.log(ds), np.log(dev), 1)[0]

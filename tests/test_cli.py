@@ -78,6 +78,28 @@ def test_computation_errors_return_two(capsys):
     assert "overflows" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # an empty catalog has no point to pick: type 1 at n = 3
+    ["level-curve", "--n", "3", "--type", "1"],
+    ["trajectory", "--n", "3", "--type", "1"],
+    ["puiseux", "--n", "3", "--type", "1", "--index", "0"],
+])
+def test_pick_from_empty_catalog_returns_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "kmsbif: no type-1 critical points at n = 3\n"
+
+
+def test_empty_catalog_table_returns_zero(capsys):
+    code, out, err = run(capsys, "puiseux", "--n", "3", "--type", "1")
+    assert code == 0
+    assert err == ""
+    meta, header, rows = parse_csv(out)
+    assert header[:3] == ["n", "type", "index"]
+    assert rows == []
+
+
 def test_success_returns_zero(capsys):
     code, out, err = run(capsys, "critical-points", "--n", "5")
     assert code == 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kmsbif.critical import all_critical_points
-from kmsbif.errors import ConditionViolated, DomainError
+from kmsbif.errors import DomainError, HypothesisViolation
 from kmsbif.geometry import (cardioid_approx, cusp_bisector_angle,
                              local_level_curve, trajectory_along_bisector)
 from kmsbif.kms import EigType
@@ -93,7 +93,7 @@ def test_level_curve_residual_decays_like_eps_cubed_halves():
     for _, mag, rho in curve.samples:
         if not 1e-4 <= mag <= 3e-2:
             continue
-        ev = kms_spectrum(4, rho).eigenvalues
+        ev = kms_spectrum(4, rho)
         pair = ev[np.argsort(np.abs(ev + 4.0))[:2]]
         mags.append(mag)
         resid.append(min(abs(abs(lam) / 4.0 - 1.0) for lam in pair))
@@ -120,11 +120,11 @@ def test_level_curve_two_branches_reach_cusp():
 def test_level_curve_condition_violated():
     bad = _params_from_ab(complex(math.sqrt(2.0)), 1.0)  # |a|^2 = 2|b|cos(0)
     assert abs(bad.c) < 1e-12
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(HypothesisViolation):
         local_level_curve(bad, 0j)
     good = puiseux_ab_from_t(all_critical_points(3)[0])
     for window in (0.0, math.nan, math.inf):
-        with pytest.raises(ConditionViolated):
+        with pytest.raises(DomainError):
             local_level_curve(good, 0j, theta_window=window)
     for count in (0, 1, 2):  # too few samples to hold the cusp and both branches
         with pytest.raises(DomainError):
@@ -137,7 +137,7 @@ def test_cardioid_approx():
     den = abs(pp.a) ** 2 - 2 * abs(pp.b) * math.cos(pp.Theta)
     assert cardioid_approx(pp, bis) == 0.0
     assert cardioid_approx(pp, bis + math.pi) == pytest.approx(4.0 / den ** 2)
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(HypothesisViolation):
         cardioid_approx(_params_from_ab(complex(math.sqrt(2.0)), 1.0), 0.3)
 
 
@@ -175,6 +175,13 @@ def test_trajectory_at_zero_and_slope():
         assert tp.mag_pair[1] == pytest.approx(1.0 + abs(tp.d) * c)
 
 
+def test_trajectory_rejects_non_finite_d():
+    pp = puiseux_ab_from_t(all_critical_points(4)[0])
+    for d in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            trajectory_along_bisector(pp, [0.0, d])
+
+
 def test_trajectory_straddles_after_bifurcation():
     pp = puiseux_ab_from_t(_point(4, EigType.Type2, 1 + 2j))
     for tp in trajectory_along_bisector(pp, [1e-4, 1e-3, 1e-2]):
@@ -195,7 +202,7 @@ def test_trajectory_matches_oracle_n4():
     direction = cmath.exp(-2j * pp.theta_a)
     for d in (-0.01, 0.01):
         tp = trajectory_along_bisector(pp, [d])[0]
-        ev = kms_spectrum(4, point.rho_c + d * direction).eigenvalues
+        ev = kms_spectrum(4, point.rho_c + d * direction)
         pair = ev[np.argsort(np.abs(ev + 4.0))[:2]] / (-4.0)
         if d <= 0:
             pair = sorted(pair, key=lambda z: -z.imag)

@@ -16,23 +16,23 @@ from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
 
 
 def test_identity_matrix_spectrum():
-    s = kms_spectrum(6, 0.0)
-    assert np.allclose(s.eigenvalues, np.ones(6))
-    assert count_extraordinary(s) == 0
+    ev = kms_spectrum(6, 0.0)
+    assert np.allclose(ev, np.ones(6))
+    assert count_extraordinary(6, ev) == 0
 
 
 def test_double_eigenvalue_at_i_sqrt8():
-    s = kms_spectrum(3, 1j * np.sqrt(8.0))
-    ev = np.sort(np.abs(s.eigenvalues + 3.0))
-    assert ev[0] < 1e-6 and ev[1] < 1e-6   # -3 twice (defective, so ~sqrt(eps))
-    assert np.any(np.abs(s.eigenvalues - 9.0) < 1e-10)  # 1 - rho^2 = 9
+    ev = kms_spectrum(3, 1j * np.sqrt(8.0))
+    gaps = np.sort(np.abs(ev + 3.0))
+    assert gaps[0] < 1e-6 and gaps[1] < 1e-6   # -3 twice (defective, so ~sqrt(eps))
+    assert np.any(np.abs(ev - 9.0) < 1e-10)  # 1 - rho^2 = 9
 
 
 def test_closed_forms_match_solver():
     rng = np.random.default_rng(301)
     for _ in range(50):
         rho = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        ev = kms_spectrum(3, rho).eigenvalues
+        ev = kms_spectrum(3, rho)
         for lam in closed_form_eigenvalues_n3(rho):
             assert np.min(np.abs(ev - lam)) < 1e-10
 
@@ -43,10 +43,10 @@ def test_trace_and_determinant_invariants():
         n = int(rng.integers(3, 20))
         rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         m = build_matrix(n, rho)
-        s = eigenvalues(m)
-        assert abs(complex(np.sum(s.eigenvalues)) - n) < 1e-8 * n
+        ev = eigenvalues(m)
+        assert abs(complex(np.sum(ev)) - n) < 1e-8 * n
         det = complex(np.linalg.det(m.entries))
-        prod = complex(np.prod(s.eigenvalues))
+        prod = complex(np.prod(ev))
         assert abs(prod - det) < 1e-6 * max(abs(det), 1e-30)
 
 
@@ -69,7 +69,7 @@ def test_kms_spectrum_rejects_bad_rho_before_building(monkeypatch):
         # the largest |rho| whose eigenvalue bound 2 n |rho|^(n-1) stays finite
         for n in (4, 20, 100):
             r = math.exp((math.log(np.finfo(float).max) - math.log(2 * n)) / (n - 1))
-            assert np.all(np.isfinite(kms_spectrum(n, 0.999 * r * 1j).eigenvalues))
+            assert np.all(np.isfinite(kms_spectrum(n, 0.999 * r * 1j)))
         monkeypatch.setattr(oracle, "build_matrix", _no_build)
         for n, rho in ((3, math.nan), (3, math.inf), (3, complex(0, math.nan)),
                        (100, 1e10)):
@@ -136,9 +136,20 @@ def test_type1_block_of_k3():
     assert type_blocks(3, rhos, EigType.Type2).shape == (2, 2, 2, 2)
 
 
+def test_type_blocks_rejects_bad_rho_before_arithmetic():
+    # the rule of kms_spectrum: rho finite and 2 n |rho|^(n-1) finite, checked
+    # over the whole array before a power is formed (so no RuntimeWarning)
+    row = np.array([0.5, 1j, math.nan, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n, rho in ((4, math.nan), (20, 1e200), (4, row), (20, row.real * 1e20)):
+            with pytest.raises(DomainError):
+                type_blocks(n, rho, EigType.Type1)
+
+
 def test_split_spectra_match_full_spectrum():
     for n, rho, k, scale in _random_draws(401, 300):
-        full = kms_spectrum(n, rho).eigenvalues
+        full = kms_spectrum(n, rho)
         split = np.concatenate([np.linalg.eigvals(type_blocks(n, rho, t)) for t in EigType])
         assert split.size == n
         dist = np.abs(full[:, None] - split[None, :])
@@ -174,8 +185,8 @@ def test_borderline_rejects_sizes_before_grid_work(monkeypatch):
 
 def test_count_extraordinary_steps_across_bifurcation():
     y = np.sqrt(8.0)
-    below = count_extraordinary(kms_spectrum(3, 1j * (y - 0.01)))
-    above = count_extraordinary(kms_spectrum(3, 1j * (y + 0.01)))
+    below = count_extraordinary(3, kms_spectrum(3, 1j * (y - 0.01)))
+    above = count_extraordinary(3, kms_spectrum(3, 1j * (y + 0.01)))
     assert above == below + 1
 
 
