@@ -17,7 +17,7 @@ import numpy as np
 from .chebyshev import cheb_t, cheb_u
 from .errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
 from .kms import EigType, type_sign
-from .oracle import kms_spectrum
+from .oracle import _check_order, kms_spectrum
 
 _MERGE_DIST = 1e-8
 _ORACLE_GAP = 1e-5  # scaled by n; QR loses half its digits at a defective eigenvalue
@@ -160,7 +160,11 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
     """Every critical point of K_n, both types, oracle-verified.
 
     Each point is checked against the dense eigensolver: the spectrum of
-    K_n(rho_c) must contain exactly two eigenvalues within 1e-5 n of -n.
-    Points are ordered by (type, arg rho_c).  Raises SizeError for n < 3.
+    K_n(rho_c) must contain exactly two eigenvalues within 1e-5 n of -n, so
+    the catalog covers the oracle's range 3 <= n <= 512.  Points are ordered
+    by (type, arg rho_c).  Raises SizeError outside that range, before any
+    root finding.
     """
+    if n >= 3:  # below 3, critical_t_values names the lower bound alone
+        _check_order(n)
     return list(_catalog(n))

@@ -1,7 +1,11 @@
-"""End-to-end tests of the command-line interface (in-process)."""
+"""End-to-end tests of the command-line interface (in-process, and one fresh interpreter)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,10 +131,14 @@ def test_csv_shape(capsys):
         assert float(r[8]) < 1e-5  # oracle gap at the collision
 
 
-def test_byte_determinism(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["critical-points", "--n", "5"],
+    ["verify", "--n-max", "6"],  # seeded draws: the sampled checks repeat exactly
+], ids=["critical-points", "verify"])
+def test_byte_determinism(tmp_path, capsys, argv):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["critical-points", "--n", "5", "--out", str(a)]) == 0
-    assert main(["critical-points", "--n", "5", "--out", str(b)]) == 0
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 
@@ -312,3 +320,15 @@ def test_verify_passes(capsys):
     assert all(r[0] == "PASS" for r in rows)
     names = {r[1] for r in rows}
     assert "route-equivalence" in names and "chebyshev-identities" in names
+
+
+def test_verify_leaves_numpy_random_unloaded():
+    # numpy.random adds about 6 MiB of RSS; a fresh interpreter shows whether it loads
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, kmsbif, kmsbif.cli\n"
+            "assert kmsbif.cli.main(['verify', '--n-max', '6']) == 0\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

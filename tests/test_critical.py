@@ -32,6 +32,15 @@ def test_critical_t_values_type1_n3_is_empty():
         all_critical_points(2)
 
 
+def test_catalog_rejects_n_above_oracle_range_before_root_finding(monkeypatch):
+    def no_roots(n, eig_type):
+        raise AssertionError(f"root finding ran at n = {n}")
+
+    monkeypatch.setattr(critical, "critical_t_values", no_roots)
+    with pytest.raises(SizeError, match=r"^oracle needs 3 <= n <= 512, got 513$"):
+        all_critical_points(513)
+
+
 def test_q_polynomial_divides_exactly():
     # the deflated trivial roots really are roots of U_{n-1}(t) -/+ n
     from kmsbif.chebyshev import cheb_u
