@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .chebyshev import cheb_t, cheb_u
-from .errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
-from .kms import EigType, type_sign
+from .errors import DegenerateArgument, DomainError, RootFindingFailure
+from .kms import EigType, check_order, type_sign
 from .oracle import _check_order, kms_spectrum
 
 _MERGE_DIST = 1e-8
@@ -60,11 +60,11 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
     the trivial roots t = +/-1, sorted by (real, imag).  That leaves n - 2
     roots for even n and n - 3 (type 1) or n - 1 (type 2) for odd n, so type 1
     at n = 3 gives [] (K_3's type-1 eigenvalue 1 - rho^2 never bifurcates).
-    Raises SizeError for n < 3 and RootFindingFailure when a trivial root is
-    missing, a polished residual exceeds 1e-9 n or two polished roots coincide.
+    Raises SizeError unless n is an integer >= 3, and RootFindingFailure when
+    a trivial root is missing, a polished residual exceeds 1e-9 n or two
+    polished roots coincide.
     """
-    if n < 3:
-        raise SizeError(f"need n >= 3, got {n}")
+    check_order(n)
     s = type_sign(eig_type)
     size = n - 1
     colleague = np.zeros((size, size))
@@ -103,11 +103,15 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
     Odd n: U_{(n-1)/2}/U_{(n-3)/2} (type 1) or T_{(n+1)/2}/T_{(n-1)/2} (type 2).
     Even n needs the half-integer degrees (n +/- 1)/2, evaluated in place from
     mu = Arccos t_c; the ratio is even in mu, so the branch does not matter.
-    Raises DegenerateArgument at t_c = +/-1 for even n and wherever the
-    denominator vanishes, and DomainError when a Chebyshev value overflows
-    double precision.
+    Raises SizeError unless n is an integer >= 3, DomainError for a t_c that
+    is not finite or where a Chebyshev value overflows double precision, and
+    DegenerateArgument at t_c = +/-1 for even n and wherever the denominator
+    vanishes.
     """
+    check_order(n)
     t_c = complex(t_c)
+    if not cmath.isfinite(t_c):
+        raise DomainError(f"t_c must be finite, got {t_c}")
     if n % 2 == 1:
         if eig_type is EigType.Type1:
             num = cheb_u((n - 1) // 2, t_c)
@@ -162,9 +166,8 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
     Each point is checked against the dense eigensolver: the spectrum of
     K_n(rho_c) must contain exactly two eigenvalues within 1e-5 n of -n, so
     the catalog covers the oracle's range 3 <= n <= 512.  Points are ordered
-    by (type, arg rho_c).  Raises SizeError outside that range, before any
-    root finding.
+    by (type, arg rho_c).  Raises SizeError unless n is an integer in that
+    range, before any root finding.
     """
-    if n >= 3:  # below 3, critical_t_values names the lower bound alone
-        _check_order(n)
+    _check_order(n)
     return list(_catalog(n))

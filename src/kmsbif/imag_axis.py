@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 from .chebyshev import _log_cosh, _log_sinh
 from .critical import rho_c_of_t
-from .errors import (DegenerateArgument, DomainError, HypothesisViolation, RootFindingFailure,
-                     SizeError)
+from .errors import DegenerateArgument, DomainError, HypothesisViolation, RootFindingFailure
 from .geometry import _EPS_CAP, CurveSamples
-from .kms import EigType
+from .kms import EigType, check_order
 from .puiseux import PuiseuxParams
 
 THETA_A_IMAG = 3.0 * math.pi / 4.0
@@ -38,8 +37,7 @@ class ImagAxisParams:
 
 
 def _require_odd(n: int) -> None:
-    if n < 3:
-        raise SizeError(f"need n >= 3, got {n}")
+    check_order(n)
     if n % 2 == 0:
         raise DomainError(f"the imaginary-axis family exists for odd n only, got {n}")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,18 @@ def _guard(num: complex, den: complex, what: str) -> None:
         raise DegenerateArgument(f"denominator of {what} below floor: |{den}|")
 
 
+def check_order(n) -> None:
+    """The one check of a matrix order: SizeError unless n is an integer >= 3.
+
+    numpy integers pass; floats such as 8.0 and strings do not.
+    """
+    if not isinstance(n, numbers.Integral) or n < 3:
+        raise SizeError(f"need an integer n >= 3, got {n!r}")
+
+
 def build_matrix(n: int, rho: complex) -> KmsMatrix:
     """Build K_n(rho) with entries rho^|j-k| by repeated multiplication."""
-    if n < 3:
-        raise SizeError(f"need n >= 3, got {n}")
+    check_order(n)
     powers = np.empty(n, dtype=complex)
     powers[0] = 1.0
     for k in range(1, n):

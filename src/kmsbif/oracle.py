@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 import warnings
 from typing import Optional
@@ -25,14 +26,15 @@ import numpy as np
 
 from .errors import DomainError, RootFindingFailure, SizeError
 from .geometry import CurveSamples
-from .kms import EigType, KmsMatrix, build_matrix
+from .kms import EigType, KmsMatrix, build_matrix, check_order
 
 _MAX_N = 512
 _LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_order(n: int) -> None:
-    if not 3 <= n <= _MAX_N:
+    check_order(n)
+    if n > _MAX_N:
         raise SizeError(f"oracle needs 3 <= n <= {_MAX_N}, got {n}")
 
 
@@ -128,16 +130,27 @@ def closed_form_eigenvalues_n3(rho: complex):
 
 
 def _grid_values(n, res, bounds, eig_type):
-    # one eigvals call per grid row and type keeps memory at one row of blocks
+    # one eigvals call per grid row and type keeps memory at one row of blocks.
+    # K_n(conj rho) = conj K_n(rho), and K_n(-rho) = D K_n(rho) D with
+    # D = diag((-1)^j).  So mirror nodes across the real axis share each
+    # type's |lambda|.  Across the imaginary axis they do so only for odd n:
+    # for even n, D maps symmetric vectors to skew-symmetric ones and swaps
+    # the types, and only the maximum over both types (eig_type None) is
+    # shared.  On a box symmetric about such an axis only the rows (columns)
+    # from res // 2 on are solved; the rest copy their mirror index res - 1 - i.
     re0, re1, im0, im1 = bounds
     xs = np.linspace(re0, re1, res)
     ys = np.linspace(im0, im1, res)
     types = list(EigType) if eig_type is None else [eig_type]
+    row0 = res // 2 if im0 == -im1 else 0
+    col0 = res // 2 if re0 == -re1 and (n % 2 or eig_type is None) else 0
     f = np.empty((res, res))
-    for j, y in enumerate(ys):
-        mags = [np.abs(_eigvals(type_blocks(n, xs + 1j * y, t))).max(axis=-1)
+    for j in range(row0, res):
+        mags = [np.abs(_eigvals(type_blocks(n, xs[col0:] + 1j * ys[j], t))).max(axis=-1)
                 for t in types]
-        f[j] = np.max(mags, axis=0) - n
+        f[j, col0:] = np.max(mags, axis=0) - n
+    f[row0:, :col0] = f[row0:, ::-1][:, :col0]
+    f[:row0] = f[::-1][:row0]
     return xs, ys, f
 
 
@@ -215,18 +228,26 @@ def numeric_borderline(n: int, bounds, resolution: int = 64,
 
     bounds is (re_min, re_max, im_min, im_max).  The contour function at a
     node is max |lambda| - n over the eigenvalues of type eig_type, taken
-    from its type block, or over both blocks when eig_type is None.  Returns
-    a list of CurveSamples with center 0, one per connected polyline.
-    Raises DomainError for resolution < 64, for a bound that is not finite
-    and for a box where an eigenvalue bound 2 n |rho|^(n-1) overflows;
-    SizeError unless 3 <= n <= 512; RootFindingFailure when the eigensolver
-    fails.
+    from its type block, or over both blocks when eig_type is None.  A box
+    symmetric about the real axis (im_min == -im_max), or about the
+    imaginary axis for odd n or eig_type None, is solved on half its grid
+    and the other half copied from the mirror nodes.  Returns a list of
+    CurveSamples with center 0, one per connected polyline.
+    Raises DomainError for a resolution that is not an integer >= 64, for a
+    bound that is not finite, for a box without re_min < re_max and
+    im_min < im_max, and for a box where an eigenvalue bound
+    2 n |rho|^(n-1) overflows; SizeError unless n is an integer with
+    3 <= n <= 512; RootFindingFailure when the eigensolver fails.
     """
-    if resolution < 64:
-        raise DomainError(f"grid resolution must be >= 64, got {resolution}")
+    if not isinstance(resolution, numbers.Integral) or resolution < 64:
+        raise DomainError(f"grid resolution must be an integer >= 64, got {resolution!r}")
     _check_order(n)
     # |rho| is largest at a corner of the box
     _check_rho(n, [complex(re, im) for re in bounds[:2] for im in bounds[2:]])
+    re0, re1, im0, im1 = bounds
+    if not (re0 < re1 and im0 < im1):
+        raise DomainError(f"borderline box needs re_min < re_max and im_min < im_max, "
+                          f"got {tuple(bounds)}")
     xs, ys, f = _grid_values(n, resolution, bounds, eig_type)
     out = []
     inside_unit = 0

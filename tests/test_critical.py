@@ -8,7 +8,7 @@ import pytest
 
 from kmsbif import critical
 from kmsbif.critical import all_critical_points, critical_t_values, rho_c_of_t
-from kmsbif.errors import DegenerateArgument, RootFindingFailure, SizeError
+from kmsbif.errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
 from kmsbif.kms import EigType, MuPoint, lambda_of_mu, rho_of_mu, rho_prime_of_mu
 from kmsbif.oracle import kms_spectrum
 
@@ -26,9 +26,9 @@ def test_critical_t_values_type1_n3_is_empty():
     assert critical_t_values(3, EigType.Type1) == []
     # critical_t_values validates n, also for the catalog
     for et in EigType:
-        with pytest.raises(SizeError, match="need n >= 3, got 2"):
+        with pytest.raises(SizeError, match="need an integer n >= 3, got 2"):
             critical_t_values(2, et)
-    with pytest.raises(SizeError, match="need n >= 3, got 2"):
+    with pytest.raises(SizeError, match="need an integer n >= 3, got 2"):
         all_critical_points(2)
 
 
@@ -39,6 +39,14 @@ def test_catalog_rejects_n_above_oracle_range_before_root_finding(monkeypatch):
     monkeypatch.setattr(critical, "critical_t_values", no_roots)
     with pytest.raises(SizeError, match=r"^oracle needs 3 <= n <= 512, got 513$"):
         all_critical_points(513)
+
+
+def test_rho_c_rejects_a_t_c_that_is_not_finite():
+    # odd n reaches the Chebyshev recurrences, even n the trigonometric branch
+    for n in (7, 8):
+        for t_c in (math.nan, math.inf, complex(0.3, math.nan), complex(-math.inf, 1.0)):
+            with pytest.raises(DomainError, match="finite"):
+                rho_c_of_t(n, t_c, EigType.Type2)
 
 
 def test_q_polynomial_divides_exactly():

@@ -176,9 +176,11 @@ def test_borderline_rejects_sizes_before_grid_work(monkeypatch):
     for n in (2, 513):
         with pytest.raises(SizeError):
             numeric_borderline(n, (-2, 2, -2, 2), resolution=64)
-    # a NaN or infinite bound, and a box where |rho|^(n-1) overflows
+    # a NaN or infinite bound, a box where |rho|^(n-1) overflows, and a box
+    # of zero or negative width or height
     for bounds in ((float("nan"), 1, 0, 1), (0, float("inf"), 0, 1),
-                   (-1e200, 1e200, -1e200, 1e200)):
+                   (-1e200, 1e200, -1e200, 1e200), (0, 0, 0, 2), (0, 2, 1, 1),
+                   (1, -1, -1, 1), (-1, 1, 1, -1)):
         with pytest.raises(DomainError):
             numeric_borderline(3, bounds)
 
@@ -191,8 +193,9 @@ def test_count_extraordinary_steps_across_bifurcation():
 
 
 def test_borderline_resolution_floor():
-    with pytest.raises(DomainError):
-        numeric_borderline(3, (-2, 2, -2, 2), resolution=32)
+    for resolution in (32, 64.5, 96.0, "96"):
+        with pytest.raises(DomainError):
+            numeric_borderline(3, (-2, 2, -2, 2), resolution=resolution)
 
 
 def test_borderline_passes_through_n3_critical_points():
@@ -227,6 +230,51 @@ def test_borderline_sample_fields_consistent():
         for theta, mag, rho in piece.samples:
             assert mag == pytest.approx(abs(rho))
             assert theta == pytest.approx(cmath.phase(rho))
+
+
+def _grid_by_rows(n, res, bounds, eig_type):
+    # the grid without mirroring: every row solved, one eigvals call per row and type
+    xs, ys = np.linspace(*bounds[:2], res), np.linspace(*bounds[2:], res)
+    types = list(EigType) if eig_type is None else [eig_type]
+    return np.array([np.max([np.abs(np.linalg.eigvals(type_blocks(n, xs + 1j * y, t)))
+                             .max(axis=-1) for t in types], axis=0) - n for y in ys])
+
+
+@pytest.mark.parametrize("n, bounds, res, eig_type", [
+    (19, (-0.45, 0.45, 1.05, 1.55), 96, EigType.Type2),   # figure 8: columns mirrored
+    (3, (-3.2, 3.2, -3.2, 3.2), 96, EigType.Type1),       # figure 1: rows and columns
+    (3, (-3.2, 3.2, -3.2, 3.2), 96, EigType.Type2),
+    (8, (-1.5, 1.5, -1.5, 1.5), 64, EigType.Type1),       # even n, one type: rows only
+    (8, (-1.5, 1.5, -1.5, 1.5), 65, None),                # even n, both types: both
+])
+def test_mirrored_grid_matches_every_node_solved(n, bounds, res, eig_type):
+    _, _, f = oracle._grid_values(n, res, bounds, eig_type)
+    direct = _grid_by_rows(n, res, bounds, eig_type)
+    assert np.array_equal(np.sign(f), np.sign(direct))
+    assert np.max(np.abs(f - direct) / (direct + n)) <= 1e-12
+
+
+def test_asymmetric_box_grid_is_unchanged():
+    # figure 3's box has no mirror axis, so every node is solved as before
+    args = (8, 96, (0.2, 1.7, -2.0, -0.5), EigType.Type1)
+    assert np.array_equal(oracle._grid_values(*args)[2], _grid_by_rows(*args))
+
+
+@pytest.mark.parametrize("n, eig_type, solved", [
+    (5, EigType.Type1, 32 * 32), (5, EigType.Type2, 32 * 32), (5, None, 2 * 32 * 32),
+    (8, EigType.Type2, 32 * 64), (8, None, 2 * 32 * 32),
+])
+def test_symmetric_box_solves_one_node_per_mirror_pair(monkeypatch, n, eig_type, solved):
+    count = []
+    solve = oracle._eigvals
+
+    def counting(a):
+        count.append(a.size // a.shape[-1] ** 2)  # matrices in the stack
+        return solve(a)
+
+    monkeypatch.setattr(oracle, "_eigvals", counting)
+    oracle._grid_values(n, 64, (-2.0, 2.0, -1.0, 1.0), eig_type)
+    assert sum(count) == solved
 
 
 # ---------------------------------------------------------------------------
