@@ -25,8 +25,8 @@ import numpy as np
 
 from . import critical, geometry, imag_axis, oracle, puiseux
 from .errors import KmsBifError
-from .kms import EigType, MuPoint, eigenvector_of_mu, isotropy_defect, lambda_of_mu, \
-    rho_of_mu, rho_prime_of_mu
+from .kms import EigType, eigenvector_of_mu, isotropy_defect, lambda_of_mu, rho_of_mu, \
+    rho_prime_of_mu
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -459,9 +459,8 @@ def _verify_battery(n_max: int, scale: float) -> list:
             n = rng.randrange(3, n_max + 1)
             mu = complex(rng.uniform(0.2, 2.8), rng.uniform(-0.4, 0.4))
             for et in EigType:
-                p = MuPoint(n, mu, et)
-                lam = lambda_of_mu(p)
-                ev = oracle.kms_spectrum(n, rho_of_mu(p))
+                lam = lambda_of_mu(n, mu, et)
+                ev = oracle.kms_spectrum(n, rho_of_mu(n, mu, et))
                 worst = max(worst, float(np.min(np.abs(ev - lam))))
         return worst, 1e-8, "lambda(mu) sits in the oracle spectrum"
 
@@ -473,7 +472,7 @@ def _verify_battery(n_max: int, scale: float) -> list:
         return max(da, db)
 
     def isotropy_ratio(p) -> float:
-        v = eigenvector_of_mu(MuPoint(p.n, p.mu_c, p.eig_type))
+        v = eigenvector_of_mu(p.n, p.mu_c, p.eig_type)
         return abs(isotropy_defect(v)) / float(np.sum(np.abs(v) ** 2))
 
     def imag_family():
@@ -504,7 +503,7 @@ def _verify_battery(n_max: int, scale: float) -> list:
             lambda p: _oracle_gap(p) / p.n, 1e-5,
             "double eigenvalue -n at every catalog point")),
         ("rho-prime-vanishes", over_catalog(
-            lambda p: abs(rho_prime_of_mu(MuPoint(p.n, p.mu_c, p.eig_type))), 1e-8,
+            lambda p: abs(rho_prime_of_mu(p.n, p.mu_c, p.eig_type)), 1e-8,
             "rho'(mu_c) = 0")),
         ("route-equivalence", over_catalog(
             route_gap, 1e-9, "closed-form vs derivative-chain parameters")),

@@ -73,8 +73,8 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
     colleague[0, size - 1] -= s * n / 2.0
     raw = list(np.linalg.eigvals(colleague))
 
-    # U_{n-1}(1) = n and U_{n-1}(-1) = (-1)^(n-1) n, so the trivial roots test exactly
-    for r in [r for r in (1.0, -1.0) if cheb_u(n - 1, r) + s * n == 0]:
+    # U_{n-1}(+/-1) = (+/-1)^(n-1) n, so t = 1 is a root for s = -1 and t = -1 for s = (-1)^n
+    for r in [r for r, root_sign in ((1.0, -1), (-1.0, (-1) ** n)) if s == root_sign]:
         nearest = min(range(len(raw)), key=lambda i: abs(raw[i] - r))
         if abs(raw[nearest] - r) > 1e-6:
             raise RootFindingFailure(f"expected a root near t = {r}, none found")
@@ -109,11 +109,12 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
     vanishes.
     """
     check_order(n)
+    type1 = type_sign(eig_type) < 0
     t_c = complex(t_c)
     if not cmath.isfinite(t_c):
         raise DomainError(f"t_c must be finite, got {t_c}")
     if n % 2 == 1:
-        if eig_type is EigType.Type1:
+        if type1:
             num = cheb_u((n - 1) // 2, t_c)
             den = cheb_u((n - 3) // 2, t_c)
         else:
@@ -124,7 +125,7 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
             raise DegenerateArgument(f"critical-rho ratio undefined at t_c = {t_c}")
         mu = cmath.acos(t_c)
         try:
-            if eig_type is EigType.Type1:
+            if type1:
                 s = cmath.sin(mu)  # U_k = sin((k+1)mu)/sin(mu), k = (n-1)/2 and (n-3)/2
                 num = cmath.sin((n + 1) / 2 * mu) / s
                 den = cmath.sin((n - 1) / 2 * mu) / s

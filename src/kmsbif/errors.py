@@ -6,7 +6,7 @@ class KmsBifError(Exception):
 
 
 class SizeError(KmsBifError):
-    """Matrix order outside the supported range (n < 3, or too large for the oracle)."""
+    """Matrix order that is not an integer >= 3, or too large for the oracle."""
 
 
 class DomainError(KmsBifError):

@@ -9,6 +9,7 @@ cusp and is the direction of maximum bifurcation.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -54,16 +55,16 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     theta = pi - 2 theta_a) is always included exactly once; samples past a
     sign change of the denominator, or with |eps| above 0.5, are outside
     the validity region and are dropped (with a warning).  Raises DomainError
-    for count < 3 or a theta_window that is not finite and > 0, and
-    HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
+    for a count that is not an integer >= 3 or a theta_window that is not
+    finite and > 0, and HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
     """
     den_cusp = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
     if abs(den_cusp) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
     if not (math.isfinite(theta_window) and theta_window > 0):
         raise DomainError(f"theta_window must be finite and > 0, got {theta_window}")
-    if count < 3:
-        raise DomainError(f"need count >= 3 samples, got {count}")
+    if not isinstance(count, numbers.Integral) or count < 3:
+        raise DomainError(f"need an integer count >= 3 samples, got {count!r}")
     if count % 2 == 0:
         count += 1  # keep the cusp as the exact middle sample
     bis = cusp_bisector_angle(p)
@@ -98,7 +99,10 @@ def cardioid_approx(p: PuiseuxParams, theta: float) -> float:
     the cusp, bisector, and tangent directions.  (As an approximation of
     |eps|(theta) it carries the shape, not the absolute scale: the exact
     theta -> bisector limit of the level curve is |a|^2 times this value.)
+    Raises DomainError for a theta that is not finite.
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     den = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)
     if abs(den) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0")
@@ -112,9 +116,13 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
     d < 0 approaches the cusp along the bisector, d > 0 leaves along the
     opposite ray.  Pairs are (plus-branch, minus-branch) of the +/- sign in
     the series; all values are normalized by lambda_c.  Raises DomainError,
-    before any point is built, for a d that is NaN or infinite.
+    before any point is built, for a d that is not a real number (float()
+    rejects it) or is NaN or infinite.
     """
-    d_values = [float(d) for d in d_values]
+    try:
+        d_values = [float(d) for d in d_values]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"d must be a real number: {exc}") from None
     for d in d_values:
         if not math.isfinite(d):
             raise DomainError(f"d must be finite, got {d}")

@@ -42,10 +42,6 @@ def _require_odd(n: int) -> None:
         raise DomainError(f"the imaginary-axis family exists for odd n only, got {n}")
 
 
-def _imag_type(n: int) -> EigType:
-    return EigType.Type1 if n % 4 == 1 else EigType.Type2
-
-
 def solve_v_n(n: int) -> float:
     """Positive solution of cosh(n v) = n cosh(v).
 
@@ -78,13 +74,14 @@ def solve_v_n(n: int) -> float:
 def imag_axis_params(n: int) -> ImagAxisParams:
     """The full real-parameter bundle (v, x, y, a, b, c) for odd n."""
     _require_odd(n)
+    eig_type = EigType.Type1 if n % 4 == 1 else EigType.Type2
     v = solve_v_n(n)
     x = math.cosh(v)
     # the critical height, from the overflow-safe hyperbolic ratio
     y = math.exp(_log_cosh((n + 1) * v / 2.0) - _log_sinh((n - 1) * v / 2.0))
     if n <= 51:
         # cross-check against the Chebyshev-ratio route at t_c = i sinh(v)
-        other = rho_c_of_t(n, 1j * math.sinh(v), _imag_type(n)) / 1j
+        other = rho_c_of_t(n, 1j * math.sinh(v), eig_type) / 1j
         if abs(other - y) > 1e-9 * y:
             raise HypothesisViolation(f"y_{n} routes disagree: {y} vs {other}")
     t_big = math.cosh((n - 1) * v)             # T_{n-1}(x_n)
@@ -100,7 +97,7 @@ def imag_axis_params(n: int) -> ImagAxisParams:
     if a <= 0.0 or b <= 0.0:
         raise HypothesisViolation(f"a_{n} = {a}, b_{n} = {b} must be positive")
     return ImagAxisParams(n=n, v_n=v, x_n=x, y_n=y, a_n=a, b_n=b,
-                          c_n=0.5 * (a * a - 2.0 * b), eig_type=_imag_type(n))
+                          c_n=0.5 * (a * a - 2.0 * b), eig_type=eig_type)
 
 
 def imag_puiseux_params(params: ImagAxisParams) -> PuiseuxParams:
@@ -116,7 +113,12 @@ def imag_puiseux_params(params: ImagAxisParams) -> PuiseuxParams:
 
 
 def imag_level_eps(params: ImagAxisParams, theta: float) -> float:
-    """|eps|(theta) = 8 a^2 (1 + sin theta) / (a^2 + (4b - a^2) sin theta)^2."""
+    """|eps|(theta) = 8 a^2 (1 + sin theta) / (a^2 + (4b - a^2) sin theta)^2.
+
+    Raises DomainError for a theta that is not finite.
+    """
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     a2 = params.a_n ** 2
     s = math.sin(theta)
     den = a2 + (4.0 * params.b_n - a2) * s
@@ -168,13 +170,14 @@ def parabola_trajectory(params: ImagAxisParams, chi_values):
 
     chi, psi are the real and imaginary parts of lambda/lambda_c; the vertex
     (1, 0) is the collision point.  Returns (chi, (psi+, psi-)) pairs.
+    Raises DomainError for a chi that is not finite or exceeds 1.
     """
     coef = params.a_n ** 2 / params.b_n
     out = []
     for chi in chi_values:
         chi = float(chi)
-        if chi > 1.0:
-            raise DomainError(f"parabola needs chi <= 1, got {chi}")
+        if not (math.isfinite(chi) and chi <= 1.0):
+            raise DomainError(f"parabola needs a finite chi <= 1, got {chi}")
         psi = math.sqrt(coef * (1.0 - chi))
         out.append((chi, (psi, -psi)))
     return out

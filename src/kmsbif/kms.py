@@ -30,7 +30,9 @@ class EigType(enum.Enum):
 
 
 def type_sign(eig_type: EigType) -> int:
-    """Sign s used throughout: -1 for Type1, +1 for Type2."""
+    """Sign s used throughout: -1 for Type1, +1 for Type2; DomainError for anything else."""
+    if not isinstance(eig_type, EigType):
+        raise DomainError(f"eig_type must be an EigType, got {eig_type!r}")
     return -1 if eig_type is EigType.Type1 else 1
 
 
@@ -42,13 +44,6 @@ class KmsMatrix:
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class MuPoint:
-    n: int
-    mu: complex
-    eig_type: EigType
 
 
 def _guard(num: complex, den: complex, what: str) -> None:
@@ -76,51 +71,47 @@ def build_matrix(n: int, rho: complex) -> KmsMatrix:
     return KmsMatrix(n=n, rho=complex(rho), entries=powers[idx])
 
 
-def lambda_of_mu(p: MuPoint) -> complex:
-    s = cmath.sin(p.mu)
-    num = cmath.sin(p.n * p.mu)
+def lambda_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
+    s = cmath.sin(mu)
+    num = cmath.sin(n * mu)
     _guard(num, s, "lambda(mu)")
-    return type_sign(p.eig_type) * num / s
+    return type_sign(eig_type) * num / s
 
 
-def rho_of_mu(p: MuPoint) -> complex:
+def rho_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
     """rho(mu): sine half-angle ratio for type-1, cosine ratio for type-2."""
-    f = cmath.sin if p.eig_type is EigType.Type1 else cmath.cos
-    num = f((p.n + 1) * p.mu / 2)
-    den = f((p.n - 1) * p.mu / 2)
+    f = cmath.sin if type_sign(eig_type) < 0 else cmath.cos
+    num = f((n + 1) * mu / 2)
+    den = f((n - 1) * mu / 2)
     _guard(num, den, "rho(mu)")
     return num / den
 
 
-def rho_prime_of_mu(p: MuPoint) -> complex:
+def rho_prime_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
     """d rho / d mu = -(lambda(mu) + n) sin(mu) / (1 + s cos((n-1) mu))."""
-    lam = lambda_of_mu(p)
-    num = -(lam + p.n) * cmath.sin(p.mu)
-    den = 1.0 + type_sign(p.eig_type) * cmath.cos((p.n - 1) * p.mu)
+    lam = lambda_of_mu(n, mu, eig_type)
+    num = -(lam + n) * cmath.sin(mu)
+    den = 1.0 + type_sign(eig_type) * cmath.cos((n - 1) * mu)
     _guard(num, den, "rho'(mu)")
     return num / den
 
 
-def _check_rho_allowed(n: int, rho: complex) -> None:
-    bad = [1.0, -1.0, (n + 1) / (n - 1), -(n + 1) / (n - 1)]
-    for x in bad:
-        if abs(rho - x) < 1e-12 * (1.0 + abs(x)):
-            raise DomainError(f"rho = {rho} is an excluded parameter value")
-
-
-def eigenvector_of_mu(p: MuPoint) -> np.ndarray:
+def eigenvector_of_mu(n: int, mu: complex, eig_type: EigType) -> np.ndarray:
     """Unnormalized eigenvector of K_n(rho(mu)) for eigenvalue lambda(mu).
 
     Entries are sin(mu (j - (n-1)/2)) for type-1 and cos(...) for type-2,
     j = 0 .. n-1.  Raises DegenerateArgument when mu is a multiple of pi and
     DomainError when rho(mu) lands on {+/-1, +/-(n+1)/(n-1)}.
     """
-    if abs(cmath.sin(p.mu)) < _FLOOR * (1.0 + abs(p.mu)):
-        raise DegenerateArgument(f"mu = {p.mu} is a multiple of pi")
-    _check_rho_allowed(p.n, rho_of_mu(p))
-    j = np.arange(p.n)
-    arg = p.mu * (j - (p.n - 1) / 2.0)
-    return np.sin(arg) if p.eig_type is EigType.Type1 else np.cos(arg)
+    if abs(cmath.sin(mu)) < _FLOOR * (1.0 + abs(mu)):
+        raise DegenerateArgument(f"mu = {mu} is a multiple of pi")
+    rho = rho_of_mu(n, mu, eig_type)
+    for x in (1.0, -1.0, (n + 1) / (n - 1), -(n + 1) / (n - 1)):
+        if abs(rho - x) < 1e-12 * (1.0 + abs(x)):
+            raise DomainError(f"rho = {rho} is an excluded parameter value")
+    j = np.arange(n)
+    arg = mu * (j - (n - 1) / 2.0)
+    return np.sin(arg) if type_sign(eig_type) < 0 else np.cos(arg)
 
 
 def isotropy_defect(v) -> complex:

@@ -20,13 +20,12 @@ import math
 import numbers
 import sys
 import warnings
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, RootFindingFailure, SizeError
 from .geometry import CurveSamples
-from .kms import EigType, KmsMatrix, build_matrix, check_order
+from .kms import EigType, KmsMatrix, build_matrix, check_order, type_sign
 
 _MAX_N = 512
 _LOG_MAX = math.log(sys.float_info.max)
@@ -86,16 +85,17 @@ def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
     is finite and 2 n |rho|^(n-1) stays finite.
     """
     _check_order(n)
+    type1 = type_sign(eig_type) < 0
     rho = np.asarray(rho, dtype=complex)
     _check_rho(n, rho)
     # powers by repeated multiplication, as in build_matrix
     factors = np.ones(rho.shape + (n,), dtype=complex)
     factors[..., 1:] = rho[..., None]
     powers = np.cumprod(factors, axis=-1)
-    j = np.arange(n // 2 if eig_type is EigType.Type1 else (n + 1) // 2)
+    j = np.arange(n // 2 if type1 else (n + 1) // 2)
     near = powers[..., np.abs(j[:, None] - j[None, :])]
     far = powers[..., n - 1 - j[:, None] - j[None, :]]
-    if eig_type is EigType.Type1:
+    if type1:
         return near - far
     blocks = near + far
     if n % 2:
@@ -130,25 +130,22 @@ def closed_form_eigenvalues_n3(rho: complex):
 
 
 def _grid_values(n, res, bounds, eig_type):
-    # one eigvals call per grid row and type keeps memory at one row of blocks.
+    # one eigvals call per grid row keeps memory at one row of blocks.
     # K_n(conj rho) = conj K_n(rho), and K_n(-rho) = D K_n(rho) D with
     # D = diag((-1)^j).  So mirror nodes across the real axis share each
     # type's |lambda|.  Across the imaginary axis they do so only for odd n:
     # for even n, D maps symmetric vectors to skew-symmetric ones and swaps
-    # the types, and only the maximum over both types (eig_type None) is
-    # shared.  On a box symmetric about such an axis only the rows (columns)
+    # the types.  On a box symmetric about such an axis only the rows (columns)
     # from res // 2 on are solved; the rest copy their mirror index res - 1 - i.
     re0, re1, im0, im1 = bounds
     xs = np.linspace(re0, re1, res)
     ys = np.linspace(im0, im1, res)
-    types = list(EigType) if eig_type is None else [eig_type]
     row0 = res // 2 if im0 == -im1 else 0
-    col0 = res // 2 if re0 == -re1 and (n % 2 or eig_type is None) else 0
+    col0 = res // 2 if re0 == -re1 and n % 2 else 0
     f = np.empty((res, res))
     for j in range(row0, res):
-        mags = [np.abs(_eigvals(type_blocks(n, xs[col0:] + 1j * ys[j], t))).max(axis=-1)
-                for t in types]
-        f[j, col0:] = np.max(mags, axis=0) - n
+        blocks = type_blocks(n, xs[col0:] + 1j * ys[j], eig_type)
+        f[j, col0:] = np.abs(_eigvals(blocks)).max(axis=-1) - n
     f[row0:, :col0] = f[row0:, ::-1][:, :col0]
     f[:row0] = f[::-1][:row0]
     return xs, ys, f
@@ -222,22 +219,21 @@ def _march(xs, ys, f) -> list:
     return chains
 
 
-def numeric_borderline(n: int, bounds, resolution: int = 64,
-                       eig_type: Optional[EigType] = None) -> list:
-    """Trace the contour |lambda| = n over a rectangle of the rho plane.
+def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigType) -> list:
+    """Trace the contour |lambda| = n of one eigenvalue type over a box of the rho plane.
 
     bounds is (re_min, re_max, im_min, im_max).  The contour function at a
     node is max |lambda| - n over the eigenvalues of type eig_type, taken
-    from its type block, or over both blocks when eig_type is None.  A box
-    symmetric about the real axis (im_min == -im_max), or about the
-    imaginary axis for odd n or eig_type None, is solved on half its grid
-    and the other half copied from the mirror nodes.  Returns a list of
-    CurveSamples with center 0, one per connected polyline.
+    from its type block.  A box symmetric about the real axis
+    (im_min == -im_max), or about the imaginary axis for odd n, is solved on
+    half its grid and the other half copied from the mirror nodes.  Returns
+    a list of CurveSamples with center 0, one per connected polyline.
     Raises DomainError for a resolution that is not an integer >= 64, for a
     bound that is not finite, for a box without re_min < re_max and
-    im_min < im_max, and for a box where an eigenvalue bound
-    2 n |rho|^(n-1) overflows; SizeError unless n is an integer with
-    3 <= n <= 512; RootFindingFailure when the eigensolver fails.
+    im_min < im_max, for a box where an eigenvalue bound 2 n |rho|^(n-1)
+    overflows, and for an eig_type that is not an EigType; SizeError unless
+    n is an integer with 3 <= n <= 512; RootFindingFailure when the
+    eigensolver fails.
     """
     if not isinstance(resolution, numbers.Integral) or resolution < 64:
         raise DomainError(f"grid resolution must be an integer >= 64, got {resolution!r}")

@@ -15,7 +15,7 @@ from kmsbif.chebyshev import cheb_t, cheb_t_log, cheb_u
 from kmsbif.critical import all_critical_points
 from kmsbif.geometry import cusp_bisector_angle, local_level_curve
 from kmsbif.imag_axis import imag_axis_params, large_n_params
-from kmsbif.kms import MuPoint, eigenvector_of_mu, isotropy_defect
+from kmsbif.kms import eigenvector_of_mu, isotropy_defect
 from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
                            kms_spectrum)
 from kmsbif.puiseux import (derivatives_at_critical, eval_truncated_series,
@@ -195,7 +195,7 @@ def test_ac09_isotropy(capsys):
     worst, count = 0.0, 0
     for n in range(3, 26):
         for cp in all_critical_points(n):
-            v = eigenvector_of_mu(MuPoint(n=n, mu=cp.mu_c, eig_type=cp.eig_type))
+            v = eigenvector_of_mu(n, cp.mu_c, cp.eig_type)
             worst = max(worst, abs(isotropy_defect(v)) / float(np.sum(np.abs(v) ** 2)))
             count += 1
     _line(capsys, "AC09 isotropy", worst <= 1e-10,

@@ -9,7 +9,7 @@ import pytest
 from kmsbif import critical
 from kmsbif.critical import all_critical_points, critical_t_values, rho_c_of_t
 from kmsbif.errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
-from kmsbif.kms import EigType, MuPoint, lambda_of_mu, rho_of_mu, rho_prime_of_mu
+from kmsbif.kms import EigType, lambda_of_mu, rho_of_mu, rho_prime_of_mu
 from kmsbif.oracle import kms_spectrum
 
 SQRT8 = math.sqrt(8.0)
@@ -102,7 +102,7 @@ def test_rho_c_matches_mu_route():
     # place) equals rho(mu) of the mu-parameterization at mu = acos t_c
     for n in range(3, 41):
         for p in all_critical_points(n):
-            via_mu = rho_of_mu(MuPoint(n, cmath.acos(p.t_c), p.eig_type))
+            via_mu = rho_of_mu(n, cmath.acos(p.t_c), p.eig_type)
             assert abs(p.rho_c - via_mu) <= 1e-10 * abs(via_mu)
 
 
@@ -163,9 +163,8 @@ def test_conjugation_and_negation_closure_odd_n():
 def test_mu_parameterization_at_critical_points():
     for n in (4, 6, 9, 12):
         for p in all_critical_points(n):
-            mp = MuPoint(n=p.n, mu=p.mu_c, eig_type=p.eig_type)
-            assert abs(lambda_of_mu(mp) + n) < 1e-9 * n
-            assert abs(rho_prime_of_mu(mp)) < 1e-8
+            assert abs(lambda_of_mu(p.n, p.mu_c, p.eig_type) + n) < 1e-9 * n
+            assert abs(rho_prime_of_mu(p.n, p.mu_c, p.eig_type)) < 1e-8
 
 
 def test_oracle_sees_double_eigenvalue_n6():

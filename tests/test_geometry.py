@@ -126,7 +126,8 @@ def test_level_curve_condition_violated():
     for window in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             local_level_curve(good, 0j, theta_window=window)
-    for count in (0, 1, 2):  # too few samples to hold the cusp and both branches
+    # too few samples to hold the cusp and both branches, or not an integer
+    for count in (0, 1, 2, 4.0, 5.5, "7"):
         with pytest.raises(DomainError):
             local_level_curve(good, 0j, count=count)
 
@@ -139,6 +140,13 @@ def test_cardioid_approx():
     assert cardioid_approx(pp, bis + math.pi) == pytest.approx(4.0 / den ** 2)
     with pytest.raises(HypothesisViolation):
         cardioid_approx(_params_from_ab(complex(math.sqrt(2.0)), 1.0), 0.3)
+
+
+def test_cardioid_rejects_non_finite_theta():
+    pp = puiseux_ab_from_t(_point(4, EigType.Type2, 1 + 2j))
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            cardioid_approx(pp, theta)
 
 
 def test_cardioid_is_unit_amplitude_scaling_of_level_curve():
@@ -177,7 +185,8 @@ def test_trajectory_at_zero_and_slope():
 
 def test_trajectory_rejects_non_finite_d():
     pp = puiseux_ab_from_t(all_critical_points(4)[0])
-    for d in (math.nan, math.inf, -math.inf):
+    # non-finite, or not a real number at all
+    for d in (math.nan, math.inf, -math.inf, 1j, "x", None):
         with pytest.raises(DomainError):
             trajectory_along_bisector(pp, [0.0, d])
 

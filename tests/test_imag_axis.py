@@ -10,7 +10,7 @@ from kmsbif.geometry import _level_eps, cusp_bisector_angle, trajectory_along_bi
 from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, imag_axis_params,
                               imag_level_curve, imag_level_eps, imag_puiseux_params,
                               large_n_params, parabola_trajectory, solve_v_n)
-from kmsbif.kms import EigType, MuPoint, build_matrix, eigenvector_of_mu
+from kmsbif.kms import EigType, build_matrix, eigenvector_of_mu
 from kmsbif.oracle import count_extraordinary, kms_spectrum
 
 ODD = range(3, 51, 2)
@@ -19,7 +19,7 @@ ODD = range(3, 51, 2)
 def _critical_eigenvector(n):
     # mu_c = pi/2 - i v_n, so t_c = cos(mu_c) = i sinh(v_n)
     p = imag_axis_params(n)
-    return eigenvector_of_mu(MuPoint(n, complex(math.pi / 2.0, -p.v_n), p.eig_type))
+    return eigenvector_of_mu(n, complex(math.pi / 2.0, -p.v_n), p.eig_type)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,13 @@ def test_level_eps_cusp_and_peak():
     assert imag_level_eps(params, math.pi / 2.0) == pytest.approx(want, rel=1e-14)
 
 
+def test_level_eps_rejects_non_finite_theta():
+    params = imag_axis_params(3)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            imag_level_eps(params, theta)
+
+
 def test_level_curve_samples():
     params = imag_axis_params(19)
     curve = imag_level_curve(params)
@@ -287,8 +294,9 @@ def test_parabola_vertex_and_identity():
     for chi, (psi_p, psi_m) in rows[1:]:
         assert psi_m == -psi_p
         assert psi_p ** 2 == pytest.approx(coef * (1.0 - chi), rel=1e-14)
-    with pytest.raises(DomainError):
-        parabola_trajectory(params, [1.0 + 1e-9])
+    for chi in (1.0 + 1e-9, math.nan, math.inf, -math.inf):  # past the vertex, or not finite
+        with pytest.raises(DomainError):
+            parabola_trajectory(params, [0.9, chi])
 
 
 def test_parabola_shadows_oracle():

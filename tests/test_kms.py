@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kmsbif.errors import DegenerateArgument, DomainError, SizeError
-from kmsbif.kms import (EigType, MuPoint, build_matrix, eigenvector_of_mu,
+from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu,
                         isotropy_defect, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu, type_sign)
 from kmsbif.oracle import kms_spectrum
@@ -47,9 +47,8 @@ def test_lambda_of_mu_matches_oracle_spectrum():
         n = int(rng.integers(3, 21))
         mu = complex(rng.uniform(0.2, 2.9), rng.uniform(-0.5, 0.5))
         for et in EigType:
-            p = MuPoint(n=n, mu=mu, eig_type=et)
-            lam = lambda_of_mu(p)
-            ev = kms_spectrum(n, rho_of_mu(p))
+            lam = lambda_of_mu(n, mu, et)
+            ev = kms_spectrum(n, rho_of_mu(n, mu, et))
             worst = max(worst, float(np.min(np.abs(ev - lam))))
     assert worst < 1e-8
 
@@ -89,13 +88,12 @@ def test_eigenvector_residual():
         n = int(rng.integers(3, 15))
         mu = complex(rng.uniform(0.3, 2.8), rng.uniform(-0.4, 0.4))
         et = EigType.Type1 if rng.integers(2) else EigType.Type2
-        p = MuPoint(n=n, mu=mu, eig_type=et)
         try:
-            v = eigenvector_of_mu(p)
+            v = eigenvector_of_mu(n, mu, et)
         except DomainError:  # vanishing chance with random draws, but possible
             continue
-        rho = rho_of_mu(p)
-        lam = lambda_of_mu(p)
+        rho = rho_of_mu(n, mu, et)
+        lam = lambda_of_mu(n, mu, et)
         k = build_matrix(n, rho).entries
         resid = np.linalg.norm(k @ v - lam * v) / np.linalg.norm(v)
         assert resid < 1e-10 * n
@@ -108,18 +106,16 @@ def test_isotropy_identity():
         n = int(rng.integers(3, 20))
         mu = complex(rng.uniform(0.3, 2.8), rng.uniform(-0.4, 0.4))
         et = EigType.Type1 if rng.integers(2) else EigType.Type2
-        p = MuPoint(n=n, mu=mu, eig_type=et)
-        defect = isotropy_defect(eigenvector_of_mu(p))
-        expected = (n + lambda_of_mu(p)) / 2
+        defect = isotropy_defect(eigenvector_of_mu(n, mu, et))
+        expected = (n + lambda_of_mu(n, mu, et)) / 2
         assert abs(defect - expected) < 1e-10 * (1 + abs(expected))
 
 
 def test_degenerate_mu_rejected():
-    p = MuPoint(n=5, mu=0.0 + 0j, eig_type=EigType.Type2)
     with pytest.raises(DegenerateArgument):
-        lambda_of_mu(p)
+        lambda_of_mu(5, 0.0 + 0j, EigType.Type2)
     with pytest.raises(DegenerateArgument):
-        eigenvector_of_mu(MuPoint(n=5, mu=complex(np.pi), eig_type=EigType.Type1))
+        eigenvector_of_mu(5, complex(np.pi), EigType.Type1)
 
 
 def test_excluded_rho_rejected_for_eigenvectors():
@@ -140,9 +136,9 @@ def test_excluded_rho_rejected_for_eigenvectors():
         else:
             lo = mid
     mu = complex(0.5 * (lo + hi))
-    assert abs(rho_of_mu(MuPoint(n=n, mu=mu, eig_type=EigType.Type2)) - target) < 1e-10
+    assert abs(rho_of_mu(n, mu, EigType.Type2) - target) < 1e-10
     with pytest.raises(DomainError):
-        eigenvector_of_mu(MuPoint(n=n, mu=mu, eig_type=EigType.Type2))
+        eigenvector_of_mu(n, mu, EigType.Type2)
 
 
 def test_rho_prime_finite_difference():
@@ -153,8 +149,8 @@ def test_rho_prime_finite_difference():
         mu = complex(rng.uniform(0.4, 2.6), rng.uniform(-0.3, 0.3))
         et = EigType.Type1 if rng.integers(2) else EigType.Type2
         try:
-            fd = (rho_of_mu(MuPoint(n, mu + h, et)) - rho_of_mu(MuPoint(n, mu - h, et))) / (2 * h)
-            val = rho_prime_of_mu(MuPoint(n, mu, et))
+            fd = (rho_of_mu(n, mu + h, et) - rho_of_mu(n, mu - h, et)) / (2 * h)
+            val = rho_prime_of_mu(n, mu, et)
         except DomainError:
             continue
         assert abs(fd - val) < 1e-5 * (1 + abs(val))

@@ -84,7 +84,7 @@ def test_solver_failure_is_a_typed_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     for route in (lambda: kms_spectrum(3, 0.5),
-                  lambda: numeric_borderline(3, (-2, 2, -2, 2))):
+                  lambda: numeric_borderline(3, (-2, 2, -2, 2), eig_type=EigType.Type1)):
         with pytest.raises(RootFindingFailure) as exc:
             route()
         assert isinstance(exc.value, KmsBifError)
@@ -175,14 +175,14 @@ def test_borderline_rejects_sizes_before_grid_work(monkeypatch):
     monkeypatch.setattr(oracle, "_grid_values", no_grid)
     for n in (2, 513):
         with pytest.raises(SizeError):
-            numeric_borderline(n, (-2, 2, -2, 2), resolution=64)
+            numeric_borderline(n, (-2, 2, -2, 2), resolution=64, eig_type=EigType.Type1)
     # a NaN or infinite bound, a box where |rho|^(n-1) overflows, and a box
     # of zero or negative width or height
     for bounds in ((float("nan"), 1, 0, 1), (0, float("inf"), 0, 1),
                    (-1e200, 1e200, -1e200, 1e200), (0, 0, 0, 2), (0, 2, 1, 1),
                    (1, -1, -1, 1), (-1, 1, 1, -1)):
         with pytest.raises(DomainError):
-            numeric_borderline(3, bounds)
+            numeric_borderline(3, bounds, eig_type=EigType.Type1)
 
 
 def test_count_extraordinary_steps_across_bifurcation():
@@ -195,7 +195,8 @@ def test_count_extraordinary_steps_across_bifurcation():
 def test_borderline_resolution_floor():
     for resolution in (32, 64.5, 96.0, "96"):
         with pytest.raises(DomainError):
-            numeric_borderline(3, (-2, 2, -2, 2), resolution=resolution)
+            numeric_borderline(3, (-2, 2, -2, 2), resolution=resolution,
+                               eig_type=EigType.Type1)
 
 
 def test_borderline_passes_through_n3_critical_points():
@@ -224,7 +225,9 @@ def test_borderline_type1_is_cassini_oval():
 def test_borderline_sample_fields_consistent():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pieces = numeric_borderline(3, (0.5, 3.0, 0.5, 3.0), resolution=64)
+        pieces = numeric_borderline(3, (0.5, 3.0, 0.5, 3.0), resolution=64,
+                                    eig_type=EigType.Type2)
+    assert pieces
     for piece in pieces:
         assert piece.center == 0j
         for theta, mag, rho in piece.samples:
@@ -233,19 +236,18 @@ def test_borderline_sample_fields_consistent():
 
 
 def _grid_by_rows(n, res, bounds, eig_type):
-    # the grid without mirroring: every row solved, one eigvals call per row and type
+    # the grid without mirroring: every row solved, one eigvals call per row
     xs, ys = np.linspace(*bounds[:2], res), np.linspace(*bounds[2:], res)
-    types = list(EigType) if eig_type is None else [eig_type]
-    return np.array([np.max([np.abs(np.linalg.eigvals(type_blocks(n, xs + 1j * y, t)))
-                             .max(axis=-1) for t in types], axis=0) - n for y in ys])
+    return np.array([np.abs(np.linalg.eigvals(type_blocks(n, xs + 1j * y, eig_type)))
+                     .max(axis=-1) - n for y in ys])
 
 
 @pytest.mark.parametrize("n, bounds, res, eig_type", [
     (19, (-0.45, 0.45, 1.05, 1.55), 96, EigType.Type2),   # figure 8: columns mirrored
     (3, (-3.2, 3.2, -3.2, 3.2), 96, EigType.Type1),       # figure 1: rows and columns
     (3, (-3.2, 3.2, -3.2, 3.2), 96, EigType.Type2),
-    (8, (-1.5, 1.5, -1.5, 1.5), 64, EigType.Type1),       # even n, one type: rows only
-    (8, (-1.5, 1.5, -1.5, 1.5), 65, None),                # even n, both types: both
+    (8, (-1.5, 1.5, -1.5, 1.5), 64, EigType.Type1),       # even n: rows only
+    (8, (-1.5, 1.5, -1.5, 1.5), 65, EigType.Type2),       # odd resolution: middle row solved
 ])
 def test_mirrored_grid_matches_every_node_solved(n, bounds, res, eig_type):
     _, _, f = oracle._grid_values(n, res, bounds, eig_type)
@@ -261,8 +263,8 @@ def test_asymmetric_box_grid_is_unchanged():
 
 
 @pytest.mark.parametrize("n, eig_type, solved", [
-    (5, EigType.Type1, 32 * 32), (5, EigType.Type2, 32 * 32), (5, None, 2 * 32 * 32),
-    (8, EigType.Type2, 32 * 64), (8, None, 2 * 32 * 32),
+    (5, EigType.Type1, 32 * 32), (5, EigType.Type2, 32 * 32),
+    (8, EigType.Type1, 32 * 64), (8, EigType.Type2, 32 * 64),
 ])
 def test_symmetric_box_solves_one_node_per_mirror_pair(monkeypatch, n, eig_type, solved):
     count = []

@@ -8,7 +8,7 @@ import pytest
 
 from kmsbif.critical import all_critical_points
 from kmsbif.errors import HypothesisViolation
-from kmsbif.kms import EigType, MuPoint, rho_of_mu
+from kmsbif.kms import EigType, rho_of_mu
 from kmsbif.oracle import kms_spectrum
 from kmsbif.puiseux import (DerivativeBundle, derivatives_at_critical,
                             eval_truncated_series, puiseux_ab_from_t,
@@ -52,10 +52,8 @@ def test_derivatives_against_finite_differences():
         p = _points(n, et)[0]
         d = derivatives_at_critical(p)
         h = 1e-4 * (1 + abs(p.mu_c))
-        lam1, lam2, _ = fd_all(
-            lambda mu: lambda_of_mu(MuPoint(n, mu, p.eig_type)), p.mu_c, h)
-        _, rho2, rho3 = fd_all(
-            lambda mu: rho_of_mu(MuPoint(n, mu, p.eig_type)), p.mu_c, h)
+        lam1, lam2, _ = fd_all(lambda mu: lambda_of_mu(n, mu, p.eig_type), p.mu_c, h)
+        _, rho2, rho3 = fd_all(lambda mu: rho_of_mu(n, mu, p.eig_type), p.mu_c, h)
         assert abs(lam1 - d.lambda_c_p) < 2e-6 * (1 + abs(d.lambda_c_p))
         assert abs(lam2 - d.lambda_c_pp) < 1e-5 * (1 + abs(d.lambda_c_pp))
         assert abs(rho2 - d.rho_c_pp) < 1e-5 * (1 + abs(d.rho_c_pp))
