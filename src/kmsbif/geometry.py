@@ -34,6 +34,18 @@ class TrajectoryPoint:
     mag_pair: tuple[float, float]
 
 
+def _finite_real(value, name: str) -> float:
+    """float(value); DomainError when float() rejects it (a string, None, a
+    complex) or when it is NaN or infinite."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a real number: {exc}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
 def cusp_bisector_angle(p: PuiseuxParams) -> float:
     """Direction theta = pi - 2 theta_a of the cusp bisector, in (-pi, pi]."""
     return wrap_angle(math.pi - 2.0 * p.theta_a)
@@ -55,14 +67,15 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     theta = pi - 2 theta_a) is always included exactly once; samples past a
     sign change of the denominator, or with |eps| above 0.5, are outside
     the validity region and are dropped (with a warning).  Raises DomainError
-    for a count that is not an integer >= 3 or a theta_window that is not
-    finite and > 0, and HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
+    for a count that is not an integer >= 3 or a theta_window that is not a
+    finite real > 0, and HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
     """
     den_cusp = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
     if abs(den_cusp) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
-    if not (math.isfinite(theta_window) and theta_window > 0):
-        raise DomainError(f"theta_window must be finite and > 0, got {theta_window}")
+    theta_window = _finite_real(theta_window, "theta_window")
+    if theta_window <= 0:
+        raise DomainError(f"theta_window must be > 0, got {theta_window}")
     if not isinstance(count, numbers.Integral) or count < 3:
         raise DomainError(f"need an integer count >= 3 samples, got {count!r}")
     if count % 2 == 0:
@@ -99,10 +112,9 @@ def cardioid_approx(p: PuiseuxParams, theta: float) -> float:
     the cusp, bisector, and tangent directions.  (As an approximation of
     |eps|(theta) it carries the shape, not the absolute scale: the exact
     theta -> bisector limit of the level curve is |a|^2 times this value.)
-    Raises DomainError for a theta that is not finite.
+    Raises DomainError for a theta that is not a finite real.
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
+    theta = _finite_real(theta, "theta")
     den = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)
     if abs(den) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0")
@@ -119,13 +131,7 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
     before any point is built, for a d that is not a real number (float()
     rejects it) or is NaN or infinite.
     """
-    try:
-        d_values = [float(d) for d in d_values]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"d must be a real number: {exc}") from None
-    for d in d_values:
-        if not math.isfinite(d):
-            raise DomainError(f"d must be finite, got {d}")
+    d_values = [_finite_real(d, "d") for d in d_values]
     mag_a, mag_b = abs(p.a), abs(p.b)
     cos_t, sin_t = math.cos(p.Theta), math.sin(p.Theta)
     out = []

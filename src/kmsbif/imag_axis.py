@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .chebyshev import _log_cosh, _log_sinh
 from .critical import rho_c_of_t
 from .errors import DegenerateArgument, DomainError, HypothesisViolation, RootFindingFailure
-from .geometry import _EPS_CAP, CurveSamples
+from .geometry import _EPS_CAP, CurveSamples, _finite_real
 from .kms import EigType, check_order
 from .puiseux import PuiseuxParams
 
@@ -115,10 +115,9 @@ def imag_puiseux_params(params: ImagAxisParams) -> PuiseuxParams:
 def imag_level_eps(params: ImagAxisParams, theta: float) -> float:
     """|eps|(theta) = 8 a^2 (1 + sin theta) / (a^2 + (4b - a^2) sin theta)^2.
 
-    Raises DomainError for a theta that is not finite.
+    Raises DomainError for a theta that is not a finite real.
     """
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta}")
+    theta = _finite_real(theta, "theta")
     a2 = params.a_n ** 2
     s = math.sin(theta)
     den = a2 + (4.0 * params.b_n - a2) * s
@@ -170,14 +169,14 @@ def parabola_trajectory(params: ImagAxisParams, chi_values):
 
     chi, psi are the real and imaginary parts of lambda/lambda_c; the vertex
     (1, 0) is the collision point.  Returns (chi, (psi+, psi-)) pairs.
-    Raises DomainError for a chi that is not finite or exceeds 1.
+    Raises DomainError for a chi that is not a finite real or exceeds 1.
     """
     coef = params.a_n ** 2 / params.b_n
     out = []
     for chi in chi_values:
-        chi = float(chi)
-        if not (math.isfinite(chi) and chi <= 1.0):
-            raise DomainError(f"parabola needs a finite chi <= 1, got {chi}")
+        chi = _finite_real(chi, "chi")
+        if chi > 1.0:
+            raise DomainError(f"parabola needs chi <= 1, got {chi}")
         psi = math.sqrt(coef * (1.0 - chi))
         out.append((chi, (psi, -psi)))
     return out

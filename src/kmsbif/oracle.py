@@ -4,6 +4,11 @@ Everything here deliberately avoids the closed forms under test: eigenvalues
 come from a dense general-complex eigensolver (LAPACK zgeev: balancing,
 Hessenberg reduction, shifted QR with deflation), and the |lambda| = n
 borderline is traced by marching squares over a grid of oracle spectra.
+The grid solves the nodes at the ends of the grid edges the contour
+crosses, the only nodes whose value marching squares reads, and the few
+nodes the bounds below leave open.  Every other node gets just the sign
+of max |lambda| - n, certified by trace and Frobenius-norm bounds on the
+spectral radius of powers of its type block.
 
 K_n(rho) is symmetric and centrosymmetric, so in the orthonormal basis of
 symmetric and skew-symmetric vectors it splits into two half-size blocks
@@ -129,25 +134,105 @@ def closed_form_eigenvalues_n3(rho: complex):
 # marching-squares borderline tracer
 
 
+_U = np.finfo(float).eps / 2  # unit roundoff
+# the k-th root, the product with s and the comparison with n in
+# _grid_values, and zgeev's own |lambda| - n, each round by at most a few u
+_DELTA = 8 * _U
+# block entries per step of the grid sweep, which bounds its working set:
+# one row of figure 8's half grid (48 blocks of 10 x 10)
+_STEP_ENTRIES = 4800
+
+
+def _radius_bounds(blocks):
+    """Bounds lower <= max |lambda| <= upper on the spectrum zgeev returns for each block."""
+    # With s = max |B_ij| and C = B / s, so that 1 <= F = ||C||_F <= m and no
+    # power of C can overflow, every k has |tr C^k| / m <= rho(C)^k <= ||C^k||_F;
+    # the upper bound tends to rho(C) as k grows (Gelfand).  The powers
+    # k = 1, 2, 4, 8 come from repeated squaring.  Three errors, each a
+    # multiple of u F^k, separate the computed q_k = ||P_k||_F and
+    # t_k = |tr P_k| from the spectrum zgeev returns:
+    #  - zgeev's spectrum is exactly that of C + E with ||E||_F <= 8 m u F (the
+    #    backward error of LAPACK Users' Guide sec. 4.8, with the constant 8
+    #    the oracle tests hold the solver to), and
+    #    ||(C + E)^k - C^k||_F <= (F + ||E||_F)^k - F^k <= 16 k m u F^k;
+    #  - a squaring adds at most gamma_m ||P||_F^2 (|fl(XY) - XY| <= gamma_m |X||Y|),
+    #    so ||P_k - C^k||_F <= 2 (k - 1) m u F^k;
+    #  - the sums in ||.||_F and tr add at most 2 m^2 u F^k.
+    # So sigma_k = (18 k + 2 m) m u F^k covers all three, and |tr X| <= sqrt(m) ||X||_F
+    # carries it to the trace.  The slack is per block: it scales with F^k,
+    # which exceeds rho(C)^k by as much as C is far from normal.
+    m = blocks.shape[-1]
+    s = np.abs(blocks).max(axis=(-2, -1))
+    s = np.where(s > 0, s, 1.0)  # a zero block (type 1 at rho = 1, say): C = 0
+    power = np.ascontiguousarray(blocks / s[..., None, None])
+    lower, upper = 0.0, np.inf
+    for k in (1, 2, 4, 8):
+        if k > 1:
+            power = power @ power
+        parts = power.view(float).reshape(s.shape + (-1,))
+        norm = np.sqrt(np.einsum("...i,...i->...", parts, parts))
+        if k == 1:
+            frob = norm
+        sigma = (18 * k + 2 * m) * m * _U * frob ** k
+        upper = np.minimum(upper, (norm + sigma) ** (1 / k))
+        trace = np.abs(power.trace(axis1=-2, axis2=-1)) - math.sqrt(m) * sigma
+        lower = np.maximum(lower, (np.maximum(trace, 0.0) / m) ** (1 / k))
+    return lower * s, upper * s
+
+
 def _grid_values(n, res, bounds, eig_type):
-    # one eigvals call per grid row keeps memory at one row of blocks.
-    # K_n(conj rho) = conj K_n(rho), and K_n(-rho) = D K_n(rho) D with
-    # D = diag((-1)^j).  So mirror nodes across the real axis share each
-    # type's |lambda|.  Across the imaginary axis they do so only for odd n:
-    # for even n, D maps symmetric vectors to skew-symmetric ones and swaps
-    # the types.  On a box symmetric about such an axis only the rows (columns)
-    # from res // 2 on are solved; the rest copy their mirror index res - 1 - i.
+    # f = max |lambda| - n, solved at every node _march reads and wherever the
+    # radius bounds leave its sign open, and -inf or +inf at the other nodes,
+    # whose sign the bounds certify.  K_n(conj rho) = conj K_n(rho), and
+    # K_n(-rho) = D K_n(rho) D with D = diag((-1)^j).  So mirror nodes across
+    # the real axis share each type's |lambda|.  Across the imaginary axis they
+    # do so only for odd n: for even n, D maps symmetric vectors to
+    # skew-symmetric ones and swaps the types.  On a box symmetric about such
+    # an axis only the rows (columns) from res // 2 on are solved; the rest
+    # copy their mirror index res - 1 - i.
     re0, re1, im0, im1 = bounds
     xs = np.linspace(re0, re1, res)
     ys = np.linspace(im0, im1, res)
     row0 = res // 2 if im0 == -im1 else 0
     col0 = res // 2 if re0 == -re1 and n % 2 else 0
     f = np.empty((res, res))
-    for j in range(row0, res):
-        blocks = type_blocks(n, xs[col0:] + 1j * ys[j], eig_type)
-        f[j, col0:] = np.abs(_eigvals(blocks)).max(axis=-1) - n
-    f[row0:, :col0] = f[row0:, ::-1][:, :col0]
-    f[:row0] = f[::-1][:row0]
+
+    def mirror():
+        f[row0:, :col0] = f[row0:, ::-1][:, :col0]
+        f[:row0] = f[::-1][:row0]
+
+    # pass 1, a few rows of blocks at a time: the radius bounds certify the
+    # sign of f at most nodes, and the rest are solved
+    step = max(1, _STEP_ENTRIES // ((res - col0) * ((n + 1) // 2) ** 2))
+    for j in range(row0, res, step):
+        blocks = type_blocks(n, xs[col0:] + 1j * ys[j:j + step, None], eig_type)
+        lower, upper = _radius_bounds(blocks)
+        below = upper < n * (1 - _DELTA)
+        part = np.where(below, -np.inf, np.inf)
+        open_ = ~below & (lower <= n * (1 + _DELTA))
+        if open_.any():
+            part[open_] = np.abs(_eigvals(blocks[open_])).max(axis=-1) - n
+        f[j:j + step, col0:] = part
+    mirror()
+    # pass 2: _march reads f only at the two ends of a grid edge whose ends
+    # differ in sign (a saddle cell's four corners are all such ends), so the
+    # certified nodes among those ends are solved too.  A certified sign is
+    # the solved sign, so this adds no new sign change.
+    inside = f < 0
+    vertical = inside[1:] != inside[:-1]
+    horizontal = inside[:, 1:] != inside[:, :-1]
+    ends = np.zeros_like(inside)
+    ends[1:] |= vertical
+    ends[:-1] |= vertical
+    ends[:, 1:] |= horizontal
+    ends[:, :-1] |= horizontal
+    ends &= np.isinf(f)
+    ends[:row0] = ends[:, :col0] = False
+    rows, cols = np.nonzero(ends)
+    if rows.size:
+        blocks = type_blocks(n, xs[cols] + 1j * ys[rows], eig_type)
+        f[rows, cols] = np.abs(_eigvals(blocks)).max(axis=-1) - n
+        mirror()
     return xs, ys, f
 
 
@@ -224,7 +309,12 @@ def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigTyp
 
     bounds is (re_min, re_max, im_min, im_max).  The contour function at a
     node is max |lambda| - n over the eigenvalues of type eig_type, taken
-    from its type block.  A box symmetric about the real axis
+    from its type block.  The eigensolver runs only at the two ends of each
+    grid edge whose ends differ in sign, and where the bounds
+    |tr C^k / m|^(1/k) <= rho(C) <= ||C^k||_F^(1/k) (k = 1, 2, 4, 8, C the
+    block scaled to unit largest entry), widened by the solver's backward
+    error and their own rounding, leave the sign open; elsewhere the bounds
+    certify the sign.  A box symmetric about the real axis
     (im_min == -im_max), or about the imaginary axis for odd n, is solved on
     half its grid and the other half copied from the mirror nodes.  Returns
     a list of CurveSamples with center 0, one per connected polyline.

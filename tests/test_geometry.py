@@ -123,7 +123,7 @@ def test_level_curve_condition_violated():
     with pytest.raises(HypothesisViolation):
         local_level_curve(bad, 0j)
     good = puiseux_ab_from_t(all_critical_points(3)[0])
-    for window in (0.0, math.nan, math.inf):
+    for window in (0.0, math.nan, math.inf, "x", None, 1j):
         with pytest.raises(DomainError):
             local_level_curve(good, 0j, theta_window=window)
     # too few samples to hold the cusp and both branches, or not an integer
@@ -144,7 +144,8 @@ def test_cardioid_approx():
 
 def test_cardioid_rejects_non_finite_theta():
     pp = puiseux_ab_from_t(_point(4, EigType.Type2, 1 + 2j))
-    for theta in (math.nan, math.inf, -math.inf):
+    # non-finite, or not a real number at all
+    for theta in (math.nan, math.inf, -math.inf, "x", None, 1j):
         with pytest.raises(DomainError):
             cardioid_approx(pp, theta)
 

@@ -224,7 +224,8 @@ def test_level_eps_cusp_and_peak():
 
 def test_level_eps_rejects_non_finite_theta():
     params = imag_axis_params(3)
-    for theta in (math.nan, math.inf, -math.inf):
+    # non-finite, or not a real number at all
+    for theta in (math.nan, math.inf, -math.inf, "x", None, 1j):
         with pytest.raises(DomainError):
             imag_level_eps(params, theta)
 
@@ -294,7 +295,8 @@ def test_parabola_vertex_and_identity():
     for chi, (psi_p, psi_m) in rows[1:]:
         assert psi_m == -psi_p
         assert psi_p ** 2 == pytest.approx(coef * (1.0 - chi), rel=1e-14)
-    for chi in (1.0 + 1e-9, math.nan, math.inf, -math.inf):  # past the vertex, or not finite
+    # past the vertex, not finite, or not a real number at all
+    for chi in (1.0 + 1e-9, math.nan, math.inf, -math.inf, "x", 1j, None):
         with pytest.raises(DomainError):
             parabola_trajectory(params, [0.9, chi])
 

@@ -236,10 +236,81 @@ def test_borderline_sample_fields_consistent():
 
 
 def _grid_by_rows(n, res, bounds, eig_type):
-    # the grid without mirroring: every row solved, one eigvals call per row
+    # the grid without mirroring or certified signs: every node solved, one
+    # eigvals call per row
     xs, ys = np.linspace(*bounds[:2], res), np.linspace(*bounds[2:], res)
     return np.array([np.abs(np.linalg.eigvals(type_blocks(n, xs + 1j * y, eig_type)))
                      .max(axis=-1) - n for y in ys])
+
+
+def _mirrored_grid(n, res, bounds, eig_type):
+    # the grid before certified signs: on a box symmetric about the real axis,
+    # or about the imaginary axis for odd n, the nodes below index res // 2
+    # take the solved value of their mirror node
+    row0 = res // 2 if bounds[2] == -bounds[3] else 0
+    col0 = res // 2 if bounds[0] == -bounds[1] and n % 2 else 0
+    xs, ys = np.linspace(*bounds[:2], res), np.linspace(*bounds[2:], res)
+    f = np.empty((res, res))
+    for j in range(row0, res):
+        blocks = type_blocks(n, xs[col0:] + 1j * ys[j], eig_type)
+        f[j, col0:] = np.abs(np.linalg.eigvals(blocks)).max(axis=-1) - n
+    f[row0:, :col0] = f[row0:, ::-1][:, :col0]
+    f[:row0] = f[::-1][:row0]
+    return f
+
+
+def _edge_ends(f):
+    # the nodes _march reads f at: both ends of each grid edge whose ends
+    # differ in sign
+    inside = f < 0
+    ends = np.zeros_like(inside)
+    for change, lo, hi in ((inside[1:] != inside[:-1], np.s_[:-1], np.s_[1:]),
+                           (inside[:, 1:] != inside[:, :-1], np.s_[:, :-1], np.s_[:, 1:])):
+        ends[lo] |= change
+        ends[hi] |= change
+    return ends
+
+
+def _box_battery(seed, count):
+    # boxes that cut n's borderline, at |rho| ~ (2n)^(1/(n-1)): symmetric about
+    # both axes, about the real axis only, or about neither.  n is log-uniform
+    # on 3..n_max, with n_max falling as the resolution rises (64 at 64, 24 at
+    # 128), which keeps the reference solves affordable
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        res, n_max = ((64, 64), (65, 40), (96, 32), (128, 24))[i % 4]
+        n = int(round(math.exp(rng.uniform(math.log(3), math.log(n_max + 0.4)))))
+        eig_type = (EigType.Type1, EigType.Type2)[i // 4 % 2]
+        r = (2.0 * n) ** (1.0 / (n - 1))
+        kind = i % 3
+        if kind == 0:
+            width, height = r * rng.uniform(0.8, 1.3), r * rng.uniform(0.4, 1.3)
+            bounds = (-width, width, -height, height)
+        elif kind == 1:
+            height = r * rng.uniform(0.3, 1.2)
+            bounds = (r * rng.uniform(-1.2, 0.0), r * rng.uniform(0.2, 1.2), -height, height)
+        else:
+            centre = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            w = r * rng.uniform(0.05, 0.4)
+            bounds = (centre.real - w, centre.real + w, centre.imag - w, centre.imag + w)
+        yield n, res, tuple(float(b) for b in bounds), eig_type
+
+
+def _check_grid(n, res, bounds, eig_type):
+    # certified nodes hold -inf or +inf: the sign is the solved sign at every
+    # node, and every value _march reads is bit-equal to the solved one (on a
+    # symmetric box, to the solved value of its mirror node), so the marched
+    # pieces are equal too
+    xs, ys, f = oracle._grid_values(n, res, bounds, eig_type)
+    direct = _grid_by_rows(n, res, bounds, eig_type)
+    assert np.array_equal(np.sign(f), np.sign(direct))
+    mirrored = _mirrored_grid(n, res, bounds, eig_type)
+    assert np.max(np.abs(mirrored - direct) / (direct + n)) <= 1e-12
+    read = _edge_ends(direct)
+    assert read.any()
+    assert np.array_equal(f[read], mirrored[read])
+    assert np.isinf(f[~read]).mean() > 0.5
+    assert oracle._march(xs, ys, f) == oracle._march(xs, ys, mirrored)
 
 
 @pytest.mark.parametrize("n, bounds, res, eig_type", [
@@ -250,23 +321,70 @@ def _grid_by_rows(n, res, bounds, eig_type):
     (8, (-1.5, 1.5, -1.5, 1.5), 65, EigType.Type2),       # odd resolution: middle row solved
 ])
 def test_mirrored_grid_matches_every_node_solved(n, bounds, res, eig_type):
-    _, _, f = oracle._grid_values(n, res, bounds, eig_type)
-    direct = _grid_by_rows(n, res, bounds, eig_type)
-    assert np.array_equal(np.sign(f), np.sign(direct))
-    assert np.max(np.abs(f - direct) / (direct + n)) <= 1e-12
+    _check_grid(n, res, bounds, eig_type)
 
 
 def test_asymmetric_box_grid_is_unchanged():
-    # figure 3's box has no mirror axis, so every node is solved as before
-    args = (8, 96, (0.2, 1.7, -2.0, -0.5), EigType.Type1)
-    assert np.array_equal(oracle._grid_values(*args)[2], _grid_by_rows(*args))
+    # figures 2 and 3 have no mirror axis
+    for n, bounds, eig_type in ((4, (0.2, 1.8, 1.2, 2.8), EigType.Type2),
+                                (8, (0.2, 1.7, -2.0, -0.5), EigType.Type1)):
+        _check_grid(n, 96, bounds, eig_type)
 
 
-@pytest.mark.parametrize("n, eig_type, solved", [
+def test_borderline_battery_matches_every_node_solved(monkeypatch):
+    # numeric_borderline's pieces equal those marched from the grid with every
+    # node solved (and mirror nodes copied, as before certified signs), on
+    # seeded boxes with n in 3..64, both types, resolutions 64, 65, 96 and
+    # 128, with and without mirror axes
+    boxes = list(_box_battery(501, 60))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # samples inside the unit circle
+        fast = [numeric_borderline(n, b, res, eig_type=t) for n, res, b, t in boxes]
+        monkeypatch.setattr(oracle, "_grid_values", lambda n, res, bounds, eig_type: (
+            np.linspace(*bounds[:2], res), np.linspace(*bounds[2:], res),
+            _mirrored_grid(n, res, bounds, eig_type)))
+        full = [numeric_borderline(n, b, res, eig_type=t) for n, res, b, t in boxes]
+    assert sum(bool(pieces) for pieces in full) >= 50
+    for box, got, want in zip(boxes, fast, full):
+        assert got == want, box
+
+
+def _solved_nodes(monkeypatch, n, res, bounds, eig_type):
+    # the (row, column) of every block handed to the eigensolver, found by the
+    # block's bytes among the blocks of the whole grid
+    xs, ys = np.linspace(*bounds[:2], res), np.linspace(*bounds[2:], res)
+    grid = type_blocks(n, xs[None, :] + 1j * ys[:, None], eig_type)
+    where = {grid[j, i].tobytes(): (j, i) for j in range(res) for i in range(res)}
+    solved = []
+    solve = oracle._eigvals
+
+    def recording(a):
+        solved.extend(where[np.ascontiguousarray(b).tobytes()] for b in a)
+        return solve(a)
+
+    monkeypatch.setattr(oracle, "_eigvals", recording)
+    oracle._grid_values(n, res, bounds, eig_type)
+    return solved
+
+
+@pytest.mark.parametrize("n, eig_type, half", [
     (5, EigType.Type1, 32 * 32), (5, EigType.Type2, 32 * 32),
     (8, EigType.Type1, 32 * 64), (8, EigType.Type2, 32 * 64),
 ])
-def test_symmetric_box_solves_one_node_per_mirror_pair(monkeypatch, n, eig_type, solved):
+def test_symmetric_box_solves_one_node_per_mirror_pair(monkeypatch, n, eig_type, half):
+    # every solve lies in the half grid of `half` nodes that is solved: rows
+    # from res // 2 on, and columns likewise for odd n; no node is solved twice
+    solved = _solved_nodes(monkeypatch, n, 64, (-2.0, 2.0, -1.0, 1.0), eig_type)
+    assert solved and len(set(solved)) == len(solved) < half
+    assert min(j for j, _ in solved) >= 32
+    assert min(i for _, i in solved) >= (32 if n % 2 else 0)
+
+
+@pytest.mark.parametrize("n, bounds, eig_type, nodes, share", [
+    (19, (-0.45, 0.45, 1.05, 1.55), EigType.Type2, 96 * 48, 0.15),  # figure 8, half grid
+    (8, (0.2, 1.7, -2.0, -0.5), EigType.Type1, 96 * 96, 0.10),      # figure 3
+])
+def test_figure_grids_solve_few_nodes(monkeypatch, n, bounds, eig_type, nodes, share):
     count = []
     solve = oracle._eigvals
 
@@ -275,8 +393,55 @@ def test_symmetric_box_solves_one_node_per_mirror_pair(monkeypatch, n, eig_type,
         return solve(a)
 
     monkeypatch.setattr(oracle, "_eigvals", counting)
-    oracle._grid_values(n, 64, (-2.0, 2.0, -1.0, 1.0), eig_type)
-    assert sum(count) == solved
+    oracle._grid_values(n, 96, bounds, eig_type)
+    assert 0 < sum(count) <= share * nodes
+
+
+def test_box_without_contour_solves_nothing(monkeypatch):
+    # |1 - rho^2| <= 1.5 < 3 on the whole box: every node is certified inside
+    monkeypatch.setattr(oracle, "_eigvals", _no_build)
+    assert numeric_borderline(3, (-0.5, 0.5, -0.5, 0.5), eig_type=EigType.Type1) == []
+
+
+def _bound_draws(seed):
+    rng = np.random.default_rng(seed)
+    for n in list(range(3, 65)) + [512]:
+        radii = np.concatenate([[0.0, 1.0, 1.0, 3.0], rng.uniform(0.0, 3.0, 4)])
+        phases = np.concatenate([[0.0, 0.0, math.pi, rng.uniform(-math.pi, math.pi)],
+                                 rng.uniform(-math.pi, math.pi, 4)])
+        yield n, radii * np.exp(1j * phases)
+
+
+def test_radius_bounds_enclose_the_solved_spectral_radius():
+    # lower <= max |lambda| <= upper for the spectrum zgeev returns, with |rho|
+    # up to 3 and rho = 0, +1, -1 among the draws; the bounds already carry
+    # the solver's error, so the only slack is the final rounding _DELTA
+    for n, rhos in _bound_draws(601):
+        for eig_type in EigType:
+            blocks = type_blocks(n, rhos, eig_type)
+            lower, upper = oracle._radius_bounds(blocks)
+            radius = np.abs(np.linalg.eigvals(blocks)).max(axis=-1)
+            assert np.all(lower <= radius * (1 + oracle._DELTA)), (n, eig_type)
+            assert np.all(radius <= upper * (1 + oracle._DELTA)), (n, eig_type)
+
+
+def test_radius_bounds_raise_no_warning_at_extreme_entries():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the type-1 block of K_3 is [1 - rho^2], zero at rho = +/-1
+        lower, upper = oracle._radius_bounds(type_blocks(3, np.array([1.0, -1.0]),
+                                                         EigType.Type1))
+        assert np.array_equal(lower, [0, 0]) and np.array_equal(upper, [0, 0])
+        assert numeric_borderline(3, (-2, 2, -1, 1), 65, eig_type=EigType.Type1)
+        # entries near 1e300
+        for n, r in ((3, 1e150), (20, 1e15)):
+            for eig_type in EigType:
+                blocks = type_blocks(n, r * np.exp(1j * np.array([0.3, 2.0])), eig_type)
+                assert np.abs(blocks).max() > 1e280
+                lower, upper = oracle._radius_bounds(blocks)
+                radius = np.abs(np.linalg.eigvals(blocks)).max(axis=-1)
+                assert np.all((0 < lower) & (lower <= radius * (1 + oracle._DELTA)))
+                assert np.all(radius <= upper * (1 + oracle._DELTA))
 
 
 # ---------------------------------------------------------------------------
