@@ -16,8 +16,8 @@ import numpy as np
 
 from .chebyshev import cheb_t, cheb_u
 from .errors import DegenerateArgument, DomainError, RootFindingFailure
-from .kms import EigType, check_order, type_sign
-from .oracle import _check_order, kms_spectrum
+from .kms import EigType, _finite_complex, check_order, type_sign
+from .oracle import _check_order, eigenvalues, kms_split
 
 _MERGE_DIST = 1e-8
 _ORACLE_GAP = 1e-5  # scaled by n; QR loses half its digits at a defective eigenvalue
@@ -104,15 +104,13 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
     Even n needs the half-integer degrees (n +/- 1)/2, evaluated in place from
     mu = Arccos t_c; the ratio is even in mu, so the branch does not matter.
     Raises SizeError unless n is an integer >= 3, DomainError for a t_c that
-    is not finite or where a Chebyshev value overflows double precision, and
-    DegenerateArgument at t_c = +/-1 for even n and wherever the denominator
-    vanishes.
+    is not a finite complex number or where a Chebyshev value overflows
+    double precision, and DegenerateArgument at t_c = +/-1 for even n and
+    wherever the denominator vanishes.
     """
     check_order(n)
     type1 = type_sign(eig_type) < 0
-    t_c = complex(t_c)
-    if not cmath.isfinite(t_c):
-        raise DomainError(f"t_c must be finite, got {t_c}")
+    t_c = _finite_complex(t_c, "t_c")
     if n % 2 == 1:
         if type1:
             num = cheb_u((n - 1) // 2, t_c)
@@ -145,7 +143,7 @@ def _catalog(n: int) -> tuple:
     for eig_type in (EigType.Type1, EigType.Type2):
         for t_c in critical_t_values(n, eig_type):
             rho_c = rho_c_of_t(n, t_c, eig_type)
-            gaps = np.sort(np.abs(kms_spectrum(n, rho_c) + n))
+            gaps = np.sort(np.abs(eigenvalues(kms_split(n, rho_c)) + n))
             if gaps[1] > _ORACLE_GAP * n:
                 raise RootFindingFailure(
                     f"oracle found no double eigenvalue -{n} at rho_c = {rho_c} "
@@ -164,10 +162,12 @@ def _catalog(n: int) -> tuple:
 def all_critical_points(n: int) -> list[CriticalPoint]:
     """Every critical point of K_n, both types, oracle-verified.
 
-    Each point is checked against the dense eigensolver: the spectrum of
+    Each point is checked against the eigensolver: the spectrum of
     K_n(rho_c) must contain exactly two eigenvalues within 1e-5 n of -n, so
-    the catalog covers the oracle's range 3 <= n <= 512.  Points are ordered
-    by (type, arg rho_c).  Raises SizeError unless n is an integer in that
+    the catalog covers the oracle's range 3 <= n <= 512.  That spectrum is
+    solved as the union of the two half-size type blocks (oracle.kms_split),
+    so the gate still counts -n across both types.  Points are ordered by
+    (type, arg rho_c).  Raises SizeError unless n is an integer in that
     range, before any root finding.
     """
     _check_order(n)

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, HypothesisViolation
+from .kms import _finite_complex, _finite_real
 from .puiseux import PuiseuxParams, wrap_angle
 
 # level-curve samples with a larger |eps| lie outside the series' validity region
@@ -32,18 +33,6 @@ class TrajectoryPoint:
     re_pair: tuple[float, float]
     im_pair: tuple[float, float]
     mag_pair: tuple[float, float]
-
-
-def _finite_real(value, name: str) -> float:
-    """float(value); DomainError when float() rejects it (a string, None, a
-    complex) or when it is NaN or infinite."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number: {exc}") from None
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
-    return value
 
 
 def cusp_bisector_angle(p: PuiseuxParams) -> float:
@@ -68,8 +57,10 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     sign change of the denominator, or with |eps| above 0.5, are outside
     the validity region and are dropped (with a warning).  Raises DomainError
     for a count that is not an integer >= 3 or a theta_window that is not a
-    finite real > 0, and HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
+    finite real > 0, or a rho_c that is not a finite complex number, and
+    HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
     """
+    rho_c = _finite_complex(rho_c, "rho_c")
     den_cusp = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
     if abs(den_cusp) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")

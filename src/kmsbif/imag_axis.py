@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .chebyshev import _log_cosh, _log_sinh
 from .critical import rho_c_of_t
 from .errors import DegenerateArgument, DomainError, HypothesisViolation, RootFindingFailure
-from .geometry import _EPS_CAP, CurveSamples, _finite_real
-from .kms import EigType, check_order
+from .geometry import _EPS_CAP, CurveSamples
+from .kms import EigType, _finite_real, check_order
 from .puiseux import PuiseuxParams
 
 THETA_A_IMAG = 3.0 * math.pi / 4.0
@@ -155,13 +155,20 @@ def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
 
 
 def large_n_params(n: int) -> tuple[float, float, float, float]:
-    """Asymptotic (v, y, a, b): ln(2n)/n, (2n)^{1/n}, and the sqrt/linear laws."""
+    """Asymptotic (v, y, a, b): ln(2n)/n, (2n)^{1/n}, and the sqrt/linear laws.
+
+    Raises SizeError unless n is an integer >= 3, and DomainError for an
+    even n or one where 2n does not fit in double precision.
+    """
     _require_odd(n)
-    log2n = math.log(2 * n)
-    root2n = math.sqrt(2 * n)
-    return (log2n / n, (2 * n) ** (1.0 / n),
-            root2n - (log2n + 1.0) / root2n,
-            4.0 / 3.0 * n - 4.0 / 3.0 * (log2n + 1.0))
+    try:
+        log2n = math.log(2 * n)
+        root2n = math.sqrt(2 * n)
+        return (log2n / n, (2 * n) ** (1.0 / n),
+                root2n - (log2n + 1.0) / root2n,
+                4.0 / 3.0 * n - 4.0 / 3.0 * (log2n + 1.0))
+    except OverflowError:
+        raise DomainError("large-n laws need 2n below the largest double") from None
 
 
 def parabola_trajectory(params: ImagAxisParams, chi_values):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -51,6 +53,47 @@ def _guard(num: complex, den: complex, what: str) -> None:
         raise DegenerateArgument(f"denominator of {what} below floor: |{den}|")
 
 
+def _finite_real(value, name: str) -> float:
+    """float(value); DomainError when float() rejects it (a string, None, a
+    complex) or when it is NaN or infinite."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a real number: {exc}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _finite_complex(value, name: str) -> complex:
+    """complex(value), the complex twin of _finite_real; DomainError when
+    complex() rejects it (a string that is not a number, None) or when it is
+    NaN or infinite."""
+    try:
+        value = complex(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a complex number: {exc}") from None
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _mu_entry(func):
+    """Run func(n, mu, eig_type) on mu made a finite complex; DomainError
+    where its trigonometry overflows or its result is not finite."""
+    @functools.wraps(func)
+    def checked(n, mu, eig_type):
+        mu = _finite_complex(mu, "mu")
+        try:
+            out = func(n, mu, eig_type)
+            if np.isfinite(out).all():
+                return out
+        except OverflowError:
+            pass
+        raise DomainError(f"{func.__name__} overflows double precision at mu = {mu}")
+    return checked
+
+
 def check_order(n) -> None:
     """The one check of a matrix order: SizeError unless n is an integer >= 3.
 
@@ -71,6 +114,7 @@ def build_matrix(n: int, rho: complex) -> KmsMatrix:
     return KmsMatrix(n=n, rho=complex(rho), entries=powers[idx])
 
 
+@_mu_entry
 def lambda_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
     s = cmath.sin(mu)
     num = cmath.sin(n * mu)
@@ -78,6 +122,7 @@ def lambda_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
     return type_sign(eig_type) * num / s
 
 
+@_mu_entry
 def rho_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
     """rho(mu): sine half-angle ratio for type-1, cosine ratio for type-2."""
     f = cmath.sin if type_sign(eig_type) < 0 else cmath.cos
@@ -87,6 +132,7 @@ def rho_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
     return num / den
 
 
+@_mu_entry
 def rho_prime_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
     """d rho / d mu = -(lambda(mu) + n) sin(mu) / (1 + s cos((n-1) mu))."""
     lam = lambda_of_mu(n, mu, eig_type)
@@ -96,6 +142,7 @@ def rho_prime_of_mu(n: int, mu: complex, eig_type: EigType) -> complex:
     return num / den
 
 
+@_mu_entry
 def eigenvector_of_mu(n: int, mu: complex, eig_type: EigType) -> np.ndarray:
     """Unnormalized eigenvector of K_n(rho(mu)) for eigenvalue lambda(mu).
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .chebyshev import cheb_t
-from .errors import DegenerateArgument, HypothesisViolation
-from .kms import type_sign
+from .errors import DegenerateArgument, DomainError, HypothesisViolation
+from .kms import _finite_complex, type_sign
 
 if TYPE_CHECKING:  # pragma: no cover
     from .critical import CriticalPoint
@@ -56,28 +56,40 @@ def derivatives_at_critical(cp: "CriticalPoint") -> DerivativeBundle:
 
     Evaluated in order, each using the previous: the chain comes from
     differentiating the mu-parameterization at the point where rho'(mu_c) = 0
-    and lambda(mu_c) = -n.
+    and lambda(mu_c) = -n.  Raises DomainError for a mu_c that is not a
+    finite complex number and wherever a sine, a cosine or a derivative
+    overflows double precision.
     """
-    n, mu = cp.n, cp.mu_c
+    n = cp.n
+    mu = _finite_complex(cp.mu_c, "mu_c")
     s = type_sign(cp.eig_type)
-    sin_mu, cos_mu = cmath.sin(mu), cmath.cos(mu)
-    sin_nmu, cos_nmu = cmath.sin(n * mu), cmath.cos(n * mu)
+    try:
+        sin_mu, cos_mu = cmath.sin(mu), cmath.cos(mu)
+        sin_nmu, cos_nmu = cmath.sin(n * mu), cmath.cos(n * mu)
+        sin_m1, cos_m1 = cmath.sin((n - 1) * mu), cmath.cos((n - 1) * mu)
+    except OverflowError:
+        raise DomainError(f"sin and cos overflow at mu_c = {mu}") from None
     if abs(sin_mu) < 1e-12 * (1.0 + abs(mu)):
         raise DegenerateArgument(f"sin(mu_c) ~ 0 at mu_c = {mu}")
-    den = 1.0 + s * cmath.cos((n - 1) * mu)
+    den = 1.0 + s * cos_m1
     if abs(den) < 1e-12:
         raise DegenerateArgument(f"1 + s cos((n-1) mu_c) ~ 0 at mu_c = {mu}")
     lam_p = n * (cos_mu + s * cos_nmu) / sin_mu
     lam_pp = (-n * sin_mu - 2.0 * lam_p * cos_mu - s * n * n * sin_nmu) / sin_mu
     rho_pp = -lam_p * sin_mu / den
-    rho_ppp = (s * 2.0 * (n - 1) * rho_pp * cmath.sin((n - 1) * mu)
+    rho_ppp = (s * 2.0 * (n - 1) * rho_pp * sin_m1
                - lam_pp * sin_mu - 2.0 * lam_p * cos_mu) / den
+    bundle = DerivativeBundle(lam_p, lam_pp, rho_pp, rho_ppp)
+    if not all(map(cmath.isfinite, vars(bundle).values())):
+        raise DomainError(f"derivatives overflow at mu_c = {mu}: {bundle}")
     if abs(rho_pp) < 1e-10:
         raise HypothesisViolation(f"rho''(mu_c) ~ 0 at mu_c = {mu}")
-    return DerivativeBundle(lam_p, lam_pp, rho_pp, rho_ppp)
+    return bundle
 
 
 def _params_from_ab(lambda_c: complex, a: complex, b: complex) -> PuiseuxParams:
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise DomainError(f"series parameters overflow: a = {a}, b = {b}")
     theta_a = cmath.phase(a)
     theta_b = cmath.phase(b)
     big_theta = wrap_angle(theta_b - 2.0 * theta_a)
@@ -91,14 +103,17 @@ def puiseux_from_derivatives(lambda_c: complex, d: DerivativeBundle) -> PuiseuxP
 
     alpha = lambda' sqrt(2/rho'') on the principal branch (the square-root
     choice is a global sign convention on a), beta from the second-order term.
+    Raises DomainError when lambda_c or a field of d is not a finite complex
+    number, or when alpha or beta overflows.
     """
+    lambda_c = _finite_complex(lambda_c, "lambda_c")
+    lam_p, lam_pp, rho_pp, rho_ppp = (_finite_complex(v, name) for name, v in vars(d).items())
     if lambda_c == 0:
         raise HypothesisViolation("lambda_c = 0")
-    if abs(d.lambda_c_p) < 1e-12 or abs(d.rho_c_pp) < 1e-12:
+    if abs(lam_p) < 1e-12 or abs(rho_pp) < 1e-12:
         raise HypothesisViolation("need lambda'_c != 0 and rho''_c != 0")
-    alpha = d.lambda_c_p * cmath.sqrt(2.0 / d.rho_c_pp)
-    beta = (3.0 * d.lambda_c_pp * d.rho_c_pp - d.lambda_c_p * d.rho_c_ppp) \
-        / (3.0 * d.rho_c_pp ** 2)
+    alpha = lam_p * cmath.sqrt(2.0 / rho_pp)
+    beta = (3.0 * lam_pp * rho_pp - lam_p * rho_ppp) / (3.0 * rho_pp ** 2)
     return _params_from_ab(lambda_c, alpha / lambda_c, beta / lambda_c)
 
 

@@ -1,12 +1,14 @@
 """Tests for the double-eigenvalue (bifurcation point) catalog."""
 
 import cmath
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from kmsbif import critical
+from kmsbif import critical, kms, oracle
 from kmsbif.critical import all_critical_points, critical_t_values, rho_c_of_t
 from kmsbif.errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
 from kmsbif.kms import EigType, lambda_of_mu, rho_of_mu, rho_prime_of_mu
@@ -178,3 +180,53 @@ def test_catalog_ordering_deterministic():
     pts = all_critical_points(8)
     keys = [(p.eig_type.value, cmath.phase(p.rho_c)) for p in pts]
     assert keys == sorted(keys)
+
+
+def _no_build(*args):
+    raise AssertionError("dense matrix built")
+
+
+def test_catalog_gate_solves_each_point_once_from_its_type_blocks(monkeypatch):
+    # one oracle solve per point, keyed on the point's (n, rho_c), and no
+    # dense K_n anywhere on the catalog's path
+    solved = []
+
+    def recording(m):
+        solved.append((m.n, m.rho))
+        return oracle.eigenvalues(m)
+
+    monkeypatch.setattr(critical, "eigenvalues", recording)
+    monkeypatch.setattr(kms, "build_matrix", _no_build)
+    monkeypatch.setattr(oracle, "build_matrix", _no_build)
+    for n in range(3, 21):
+        critical._catalog.cache_clear()
+        solved.clear()
+        points = all_critical_points(n)
+        assert Counter(solved) == Counter((p.n, p.rho_c) for p in points)
+    critical._catalog.cache_clear()
+
+
+@pytest.mark.parametrize("eig_type", list(EigType))
+def test_catalog_gate_reads_both_type_blocks(monkeypatch, eig_type):
+    # at n = 6 every point of eig_type has its pair at -6 in its own block;
+    # the gate counts -n over both blocks
+    n = 6
+    own, other = ("type1", "type2") if eig_type is EigType.Type1 else ("type2", "type1")
+    roots = critical.critical_t_values
+    monkeypatch.setattr(critical, "critical_t_values",
+                        lambda n, t: roots(n, t) if t is eig_type else [])
+
+    def third_minus_n(block):
+        return np.diag(np.r_[-n, np.ones(len(block) - 1)]).astype(complex)
+
+    for field, change, message in ((other, third_minus_n, "multiplicity > 2"),
+                                   (own, np.zeros_like, "no double eigenvalue")):
+        def altered(n, rho):
+            split = oracle.kms_split(n, rho)
+            return dataclasses.replace(split, **{field: change(getattr(split, field))})
+
+        monkeypatch.setattr(critical, "kms_split", altered)
+        critical._catalog.cache_clear()
+        with pytest.raises(RootFindingFailure, match=message):
+            all_critical_points(n)
+    critical._catalog.cache_clear()

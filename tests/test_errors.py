@@ -1,9 +1,11 @@
 """The error taxonomy: every class in kmsbif.errors is exported, and nothing else is;
-every entry point that takes a matrix order rejects one that is not an integer, and
-every entry point that takes an eigenvalue type rejects one that is not an EigType."""
+every entry point that takes a matrix order rejects one that is not an integer,
+every entry point that takes an eigenvalue type rejects one that is not an EigType,
+and a number argument that is not a number, not finite or overflows raises DomainError."""
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ import kmsbif
 from kmsbif import errors
 from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu)
+from kmsbif.oracle import kms_split
+from kmsbif.puiseux import DerivativeBundle
 
 
 def test_error_classes_are_exactly_the_exported_error_names():
@@ -77,3 +81,53 @@ def test_eig_type_must_be_an_eig_type(name):
         with pytest.raises(errors.DomainError, match=r"^eig_type must be an EigType, got "):
             call(eig_type)
     call(EigType.Type2)
+
+
+def _series_of_k4():
+    return kmsbif.puiseux_ab_from_t(_point_of_type(EigType.Type2))
+
+
+def _point_with_mu(mu_c):
+    return dataclasses.replace(_point_of_type(EigType.Type2), mu_c=mu_c)
+
+
+_BOX = {"eig_type": EigType.Type1}
+_NAN = complex("nan")
+
+# each call passes a number argument that complex() or float() rejects, that
+# is NaN or infinite, or at which the entry point's arithmetic overflows
+_BAD_NUMBERS = {
+    "kms_spectrum: rho 'x'": lambda: kmsbif.kms_spectrum(4, "x"),
+    "kms_spectrum: rho None": lambda: kmsbif.kms_spectrum(4, None),
+    "kms_split: rho None": lambda: kms_split(4, None),
+    "type_blocks: rho 'x'": lambda: kmsbif.type_blocks(4, "x", EigType.Type1),
+    "type_blocks: rho [1, None]": lambda: kmsbif.type_blocks(4, [1, None], EigType.Type1),
+    "rho_c_of_t: t_c 'x'": lambda: kmsbif.rho_c_of_t(8, "x", EigType.Type1),
+    "rho_c_of_t: t_c None": lambda: kmsbif.rho_c_of_t(8, None, EigType.Type1),
+    "numeric_borderline: bound 'a'": lambda: kmsbif.numeric_borderline(3, ("a", 1, -1, 1), **_BOX),
+    "numeric_borderline: bound -1j": lambda: kmsbif.numeric_borderline(3, (-1j, 1, -1, 1), **_BOX),
+    "numeric_borderline: three bounds": lambda: kmsbif.numeric_borderline(3, (-1, 1, -1), **_BOX),
+    "numeric_borderline: box None": lambda: kmsbif.numeric_borderline(3, None, **_BOX),
+    "local_level_curve: rho_c 'x'": lambda: kmsbif.local_level_curve(_series_of_k4(), "x"),
+    "local_level_curve: rho_c nan": lambda: kmsbif.local_level_curve(_series_of_k4(), _NAN),
+    "lambda_of_mu: mu 1e3j": lambda: lambda_of_mu(8, 1e3j, EigType.Type1),
+    "rho_of_mu: mu nan": lambda: rho_of_mu(8, _NAN, EigType.Type1),
+    "rho_of_mu: mu 1e3j": lambda: rho_of_mu(8, 1e3j, EigType.Type1),
+    "rho_prime_of_mu: mu 1e3j": lambda: rho_prime_of_mu(8, 1e3j, EigType.Type1),
+    "eigenvector_of_mu: mu 1e3j": lambda: eigenvector_of_mu(8, 1e3j, EigType.Type1),
+    "derivatives_at_critical: mu_c 1e3j": lambda: kmsbif.derivatives_at_critical(
+        _point_with_mu(1e3j)),
+    "derivatives_at_critical: mu_c inf": lambda: kmsbif.derivatives_at_critical(
+        _point_with_mu(complex("inf"))),
+    "puiseux_from_derivatives: nan": lambda: kmsbif.puiseux_from_derivatives(
+        -8, DerivativeBundle(math.nan, 1, 1, 1)),
+    "puiseux_from_derivatives: beta overflows": lambda: kmsbif.puiseux_from_derivatives(
+        -8, DerivativeBundle(1e300, 1, 1e-10, 1e300)),
+    "large_n_params: 2n above the largest double": lambda: kmsbif.large_n_params(10 ** 400 + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
+def test_bad_number_raises_domain_error(case):
+    with pytest.raises(errors.DomainError):
+        _BAD_NUMBERS[case]()

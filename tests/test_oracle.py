@@ -157,6 +157,45 @@ def test_split_spectra_match_full_spectrum():
         assert gap <= _SPECTRUM_C * scale, (n, rho, gap / scale)
 
 
+def _within(a, b, bound):
+    """Whether a and b match as multisets: a one-to-one pairing with every
+    |a_i - b_j| <= bound (augmenting paths, Kuhn's algorithm)."""
+    close = np.abs(a[:, None] - b[None, :]) <= bound
+    owner = [-1] * len(b)
+
+    def augment(i, seen):
+        for j in np.flatnonzero(close[i] & ~seen):
+            seen[j] = True
+            if owner[j] < 0 or augment(owner[j], seen):
+                owner[j] = i
+                return True
+        return False
+
+    return len(a) == len(b) and all(augment(i, np.zeros(len(b), bool)) for i in range(len(a)))
+
+
+def test_split_eigenvalues_equal_dense_spectrum_as_multisets():
+    # the gate's route: eigenvalues(kms_split(n, rho)) is kms_spectrum(n, rho)
+    # up to the two solves' backward errors (the bound above), odd and even n
+    rng = np.random.default_rng(403)
+    u = np.finfo(float).eps / 2
+    for n in list(range(3, 65)) * 2:
+        rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        bound = _SPECTRUM_C * n * u * np.linalg.norm(build_matrix(n, rho).entries)
+        split = eigenvalues(oracle.kms_split(n, rho))
+        assert _within(kms_spectrum(n, rho), split, bound), (n, rho)
+
+
+def test_split_rejects_bad_input_before_building_a_block(monkeypatch):
+    monkeypatch.setattr(oracle, "_powers", _no_build)
+    monkeypatch.setattr(oracle, "_block", _no_build)
+    with pytest.raises(SizeError):
+        oracle.kms_split(513, 0.5)
+    for rho in (math.nan, complex(0, math.inf), "x", None, 1e200):
+        with pytest.raises(DomainError):
+            oracle.kms_split(8, rho)
+
+
 def test_block_eigenvectors_lift_to_typed_eigenvectors():
     for n, rho, k, scale in _random_draws(402, 300):
         for eig_type in EigType:
