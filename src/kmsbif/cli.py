@@ -615,6 +615,9 @@ def main(argv=None) -> int:
     except KmsBifError as exc:
         print(f"kmsbif: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an --out that cannot be written is a usage error
+        print(f"kmsbif: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -64,7 +64,7 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
     a trivial root is missing, a polished residual exceeds 1e-9 n or two
     polished roots coincide.
     """
-    check_order(n)
+    n = check_order(n)
     s = type_sign(eig_type)
     size = n - 1
     colleague = np.zeros((size, size))
@@ -108,7 +108,7 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
     double precision, and DegenerateArgument at t_c = +/-1 for even n and
     wherever the denominator vanishes.
     """
-    check_order(n)
+    n = check_order(n)
     type1 = type_sign(eig_type) < 0
     t_c = _finite_complex(t_c, "t_c")
     if n % 2 == 1:
@@ -163,12 +163,15 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
     """Every critical point of K_n, both types, oracle-verified.
 
     Each point is checked against the eigensolver: the spectrum of
-    K_n(rho_c) must contain exactly two eigenvalues within 1e-5 n of -n, so
-    the catalog covers the oracle's range 3 <= n <= 512.  That spectrum is
-    solved as the union of the two half-size type blocks (oracle.kms_split),
-    so the gate still counts -n across both types.  Points are ordered by
-    (type, arg rho_c).  Raises SizeError unless n is an integer in that
-    range, before any root finding.
+    K_n(rho_c), solved as its two half-size type blocks (oracle.kms_split),
+    must contain exactly two eigenvalues within 1e-5 n of -n, counted across
+    both types.  That fixed gate does not scale with the norm of K_n(rho_c):
+    at n = 512 it rejects a true point (second gap 5.26e-3 against 5.12e-3)
+    and raises RootFindingFailure.  The catalog has been built at every
+    n <= 30 and at n = 48, 64, 96, 128, 256 and 384; scale-aware gates are
+    ROADMAP item 2.  Points are ordered by (type, arg rho_c).  Raises
+    SizeError unless n is an integer with 3 <= n <= 512, the oracle's range,
+    before any root finding.
     """
-    _check_order(n)
+    n = _check_order(n)
     return list(_catalog(n))

@@ -36,10 +36,11 @@ class ImagAxisParams:
     eig_type: EigType
 
 
-def _require_odd(n: int) -> None:
-    check_order(n)
+def _require_odd(n) -> int:
+    n = check_order(n)
     if n % 2 == 0:
         raise DomainError(f"the imaginary-axis family exists for odd n only, got {n}")
+    return n
 
 
 def solve_v_n(n: int) -> float:
@@ -48,7 +49,7 @@ def solve_v_n(n: int) -> float:
     Safeguarded Newton seeded at ln(2n)/n, bracketed by [ln(2n)/(2n),
     2 ln(2n)/n] with bisection fallback.
     """
-    _require_odd(n)
+    n = _require_odd(n)
     lo, hi = math.log(2 * n) / (2 * n), 2.0 * math.log(2 * n) / n
 
     def g(v: float) -> float:
@@ -73,7 +74,7 @@ def solve_v_n(n: int) -> float:
 
 def imag_axis_params(n: int) -> ImagAxisParams:
     """The full real-parameter bundle (v, x, y, a, b, c) for odd n."""
-    _require_odd(n)
+    n = _require_odd(n)
     eig_type = EigType.Type1 if n % 4 == 1 else EigType.Type2
     v = solve_v_n(n)
     x = math.cosh(v)
@@ -160,7 +161,7 @@ def large_n_params(n: int) -> tuple[float, float, float, float]:
     Raises SizeError unless n is an integer >= 3, and DomainError for an
     even n or one where 2n does not fit in double precision.
     """
-    _require_odd(n)
+    n = _require_odd(n)
     try:
         log2n = math.log(2 * n)
         root2n = math.sqrt(2 * n)

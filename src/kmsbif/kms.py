@@ -40,12 +40,16 @@ def type_sign(eig_type: EigType) -> int:
 
 @dataclass(frozen=True, eq=False)
 class KmsMatrix:
+    """K_n(rho) as read-only blocks whose spectra, joined in block order, are its
+    n eigenvalues: the whole matrix (build_matrix) or its two type blocks
+    (oracle.kms_split)."""
     n: int
     rho: complex
-    entries: np.ndarray
+    blocks: tuple
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        for block in self.blocks:
+            block.setflags(write=False)
 
 
 def _guard(num: complex, den: complex, what: str) -> None:
@@ -94,24 +98,30 @@ def _mu_entry(func):
     return checked
 
 
-def check_order(n) -> None:
+def check_order(n) -> int:
     """The one check of a matrix order: SizeError unless n is an integer >= 3.
 
-    numpy integers pass; floats such as 8.0 and strings do not.
+    Returns it as an int: numpy integers pass; floats such as 8.0 and strings do not.
     """
     if not isinstance(n, numbers.Integral) or n < 3:
         raise SizeError(f"need an integer n >= 3, got {n!r}")
+    return int(n)
+
+
+def _powers(n: int, rho) -> np.ndarray:
+    """rho^0 .. rho^(n-1), for a scalar or an array rho, along a new last axis."""
+    rho = np.asarray(rho)
+    factors = np.ones(rho.shape + (n,), dtype=complex)
+    factors[..., 1:] = rho[..., None]
+    return np.cumprod(factors, axis=-1)
 
 
 def build_matrix(n: int, rho: complex) -> KmsMatrix:
-    """Build K_n(rho) with entries rho^|j-k| by repeated multiplication."""
-    check_order(n)
-    powers = np.empty(n, dtype=complex)
-    powers[0] = 1.0
-    for k in range(1, n):
-        powers[k] = powers[k - 1] * rho
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    return KmsMatrix(n=n, rho=complex(rho), entries=powers[idx])
+    """K_n(rho), with entries rho^|j-k|, as one block."""
+    n = check_order(n)
+    j = np.arange(n)
+    entries = _powers(n, rho)[np.abs(j[:, None] - j[None, :])]
+    return KmsMatrix(n=n, rho=complex(rho), blocks=(entries,))
 
 
 @_mu_entry

@@ -15,11 +15,11 @@ symmetric and skew-symmetric vectors it splits into two half-size blocks
 (Cantoni & Butler, LAA 13 (1976) 275-288).  The type-1 block acts on the
 skew-symmetric vectors and the type-2 block on the symmetric ones, so each
 block's spectrum is exactly one eigenvalue type.  The split uses only the
-matrix's symmetry, never the mu-parameterization.  The catalog gate solves
-K_n(rho_c) as its two blocks (kms_split): the union of their spectra is the
-spectrum of K_n, found by two half-size solves instead of one n x n solve.
-kms_spectrum, and every number the command line reports from the oracle,
-keep the dense solve of the whole matrix.
+matrix's symmetry, never the mu-parameterization.  Every solve takes one
+record, a KmsMatrix of one or two blocks, and solves each block on its own:
+the catalog gate the two type blocks of K_n(rho_c) (kms_split), two
+half-size solves instead of one n x n solve; kms_spectrum, and every number
+the command line reports from the oracle, the whole matrix as one block.
 """
 
 from __future__ import annotations
@@ -28,24 +28,23 @@ import cmath
 import math
 import numbers
 import sys
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RootFindingFailure, SizeError
 from .geometry import CurveSamples
-from .kms import (EigType, KmsMatrix, _finite_complex, _finite_real, build_matrix, check_order,
-                  type_sign)
+from .kms import (EigType, KmsMatrix, _finite_complex, _finite_real, _powers, build_matrix,
+                  check_order, type_sign)
 
 _MAX_N = 512
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _check_order(n: int) -> None:
-    check_order(n)
+def _check_order(n) -> int:
+    n = check_order(n)
     if n > _MAX_N:
         raise SizeError(f"oracle needs 3 <= n <= {_MAX_N}, got {n}")
+    return n
 
 
 def _check_rho(n: int, rho) -> np.ndarray:
@@ -74,58 +73,36 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
         raise RootFindingFailure(str(exc)) from exc
 
 
-@dataclass(frozen=True, eq=False)
-class KmsSplit:
-    """K_n(rho) as its type-1 and type-2 blocks (see type_blocks)."""
-    n: int
-    rho: complex
-    type1: np.ndarray
-    type2: np.ndarray
-
-    def __post_init__(self):
-        self.type1.setflags(write=False)
-        self.type2.setflags(write=False)
-
-
-def eigenvalues(m: KmsMatrix | KmsSplit) -> np.ndarray:
-    """The n eigenvalues of K_n(rho), given as a KmsMatrix or a KmsSplit.
-
-    A KmsMatrix is solved whole; a KmsSplit as its two blocks, one solve
-    each, type-1 eigenvalues first.  SizeError unless 3 <= n <= 512.
+def eigenvalues(m: KmsMatrix) -> np.ndarray:
+    """The n eigenvalues of K_n(rho): each block of m solved on its own, one
+    eigensolver call per block, and the spectra joined in block order (type-1
+    first for kms_split).  SizeError unless 3 <= n <= 512.
     """
     _check_order(m.n)
-    if isinstance(m, KmsSplit):
-        return np.concatenate([_eigvals(m.type1), _eigvals(m.type2)])
-    return _eigvals(m.entries)
+    return np.concatenate([_eigvals(block) for block in m.blocks])
 
 
-# The dense route stays for every oracle number that is printed: kms_spectrum,
-# critical-points' oracle_gap column and verify's sampled checks.  The gap of
-# a defective pair is rounding, and the benchmark's reference pins oracle_gap
-# to the rounding of the dense solve; the split solve moves it in the second
-# digit.  Retire the dense route once that column is compared by value, with
-# a bound from the sensitivity of the Jordan pair.
+# kms_spectrum, and with it every printed oracle number (critical-points'
+# oracle_gap column, verify's sampled checks), solves the whole matrix as one
+# block.  The gap of a defective pair is rounding, and the benchmark's
+# reference pins oracle_gap to the rounding of the dense solve; the split
+# moves it in the second digit.  Once that column is compared by value, with
+# a bound from the Jordan pair's sensitivity, build_matrix below becomes kms_split.
 def kms_spectrum(n: int, rho: complex) -> np.ndarray:
     """The n eigenvalues of K_n(rho), from one dense solve.  Before building the
     matrix, raises SizeError unless 3 <= n <= 512 and DomainError for a rho that
     is not a finite complex number or whose powers overflow."""
-    _check_order(n)
+    n = _check_order(n)
     _check_rho(n, _finite_complex(rho, "rho"))
     return eigenvalues(build_matrix(n, rho))
 
 
-def kms_split(n: int, rho: complex) -> KmsSplit:
-    """K_n(rho) as its two type blocks, whose spectra together are K_n's.
-
-    Before building a block, raises SizeError unless 3 <= n <= 512 and
-    DomainError for a rho that is not a finite complex number or whose
-    powers overflow.
-    """
-    _check_order(n)
-    rho = _finite_complex(rho, "rho")
-    powers = _powers(n, _check_rho(n, rho))
-    return KmsSplit(n=n, rho=rho, type1=_block(n, powers, True),
-                    type2=_block(n, powers, False))
+def kms_split(n: int, rho: complex) -> KmsMatrix:
+    """K_n(rho) as a KmsMatrix of two blocks, type_blocks(n, rho, t) for t in
+    EigType, whose spectra together are K_n's.  type_blocks checks n and rho
+    (SizeError, DomainError) before it builds a block."""
+    blocks = tuple(type_blocks(n, rho, t) for t in EigType)
+    return KmsMatrix(n=int(n), rho=complex(rho), blocks=blocks)
 
 
 def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
@@ -139,17 +116,9 @@ def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
     Raises SizeError unless 3 <= n <= 512, and DomainError unless every rho
     is a finite complex number and 2 n |rho|^(n-1) stays finite.
     """
-    _check_order(n)
+    n = _check_order(n)
     type1 = type_sign(eig_type) < 0
     return _block(n, _powers(n, _check_rho(n, rho)), type1)
-
-
-def _powers(n: int, rho: np.ndarray) -> np.ndarray:
-    # rho^0 .. rho^(n-1) along a new last axis, by repeated multiplication as
-    # in build_matrix
-    factors = np.ones(rho.shape + (n,), dtype=complex)
-    factors[..., 1:] = rho[..., None]
-    return np.cumprod(factors, axis=-1)
 
 
 def _block(n: int, powers: np.ndarray, type1: bool) -> np.ndarray:
@@ -383,7 +352,7 @@ def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigTyp
     """
     if not isinstance(resolution, numbers.Integral) or resolution < 64:
         raise DomainError(f"grid resolution must be an integer >= 64, got {resolution!r}")
-    _check_order(n)
+    n = _check_order(n)
     try:
         re0, re1, im0, im1 = (_finite_real(b, "borderline box bound") for b in bounds)
     except (TypeError, ValueError):
@@ -397,18 +366,10 @@ def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigTyp
                           f"got {bounds}")
     xs, ys, f = _grid_values(n, resolution, bounds, eig_type)
     out = []
-    inside_unit = 0
     for chain in _march(xs, ys, f):
         samples = []
         for (x, y) in chain:
             rho = complex(x, y)
-            if abs(rho) <= 1.0:
-                inside_unit += 1
             samples.append((cmath.phase(rho), abs(rho), rho))
         out.append(CurveSamples(center=0j, samples=samples))
-    if inside_unit:
-        # soft check only: every traced borderline is expected to stay
-        # outside the unit circle, but nothing downstream relies on it
-        warnings.warn(f"{inside_unit} borderline samples fall inside the unit "
-                      "circle", stacklevel=2)
     return out

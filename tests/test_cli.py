@@ -83,6 +83,19 @@ def test_computation_errors_return_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["critical-points", "--n", "4", "--out", "{missing}/x.csv"],
+    ["figure", "6", "--n-max", "5", "--out", "{file}"],  # --out names a file, not a directory
+])
+def test_unwritable_out_returns_one(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(missing=tmp_path / "missing", file=tmp_path / "file") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("kmsbif: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     # an empty catalog has no point to pick: type 1 at n = 3
     ["level-curve", "--n", "3", "--type", "1"],
     ["trajectory", "--n", "3", "--type", "1"],

@@ -211,7 +211,7 @@ def test_catalog_gate_reads_both_type_blocks(monkeypatch, eig_type):
     # at n = 6 every point of eig_type has its pair at -6 in its own block;
     # the gate counts -n over both blocks
     n = 6
-    own, other = ("type1", "type2") if eig_type is EigType.Type1 else ("type2", "type1")
+    own = list(EigType).index(eig_type)  # kms_split's blocks are in EigType order
     roots = critical.critical_t_values
     monkeypatch.setattr(critical, "critical_t_values",
                         lambda n, t: roots(n, t) if t is eig_type else [])
@@ -219,11 +219,13 @@ def test_catalog_gate_reads_both_type_blocks(monkeypatch, eig_type):
     def third_minus_n(block):
         return np.diag(np.r_[-n, np.ones(len(block) - 1)]).astype(complex)
 
-    for field, change, message in ((other, third_minus_n, "multiplicity > 2"),
+    for index, change, message in ((1 - own, third_minus_n, "multiplicity > 2"),
                                    (own, np.zeros_like, "no double eigenvalue")):
         def altered(n, rho):
             split = oracle.kms_split(n, rho)
-            return dataclasses.replace(split, **{field: change(getattr(split, field))})
+            blocks = list(split.blocks)
+            blocks[index] = change(blocks[index])
+            return dataclasses.replace(split, blocks=tuple(blocks))
 
         monkeypatch.setattr(critical, "kms_split", altered)
         critical._catalog.cache_clear()

@@ -82,6 +82,8 @@ def test_n3_closed_forms():
 
 def test_n19_frozen_values():
     p = imag_axis_params(19)
+    wide = imag_axis_params(np.int64(19))
+    assert wide == p and type(wide.n) is int
     assert p.v_n == pytest.approx(0.19238478377044257, abs=1e-13)
     assert p.x_n == pytest.approx(1.018563101358817, abs=1e-13)
     assert p.y_n == pytest.approx(1.2780414700042164, abs=1e-12)
@@ -171,7 +173,7 @@ def test_critical_eigenvector():
     for n in (3, 7, 11, 19, 5, 9, 13, 21):
         v = _critical_eigenvector(n)
         k = build_matrix(n, 1j * imag_axis_params(n).y_n)
-        resid = np.linalg.norm(k.entries @ v + n * v) / np.linalg.norm(v)
+        resid = np.linalg.norm(k.blocks[0] @ v + n * v) / np.linalg.norm(v)
         assert resid <= 1e-9 * n
         # isotropy: the collision eigenvector is a null vector of the bilinear form
         assert abs(np.sum(v * v)) <= 1e-10 * np.linalg.norm(v) ** 2

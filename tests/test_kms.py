@@ -9,19 +9,33 @@ from kmsbif.errors import DegenerateArgument, DomainError, SizeError
 from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu,
                         isotropy_defect, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu, type_sign)
-from kmsbif.oracle import kms_spectrum
+from kmsbif.oracle import kms_spectrum, kms_split
 
 
 def test_build_matrix_entries():
     rho = 0.4 + 0.3j
     m = build_matrix(4, rho)
     assert m.n == 4
-    a = m.entries
+    (a,) = m.blocks
     for j in range(4):
         for k in range(4):
             assert a[j, k] == pytest.approx(rho ** abs(j - k), rel=1e-15)
     assert np.array_equal(a, a.T)
     assert complex(np.trace(a)) == pytest.approx(4.0)
+    # the one block holds, byte for byte (signed zeros included), rho^|j-k| by
+    # sequential multiplication; that pins the rounding of every dense solve
+    rng = np.random.default_rng(207)
+    for n in [3, 4, 512] + [int(k) for k in rng.integers(5, 513, 12)]:
+        r, phase = rng.uniform(0.0, 1.5), rng.uniform(-np.pi, np.pi)
+        for rho in (r, -r, 1j * r, -1j * r, int(rng.integers(-3, 4)), np.float64(-r),
+                    np.complex128(r * np.exp(1j * phase)), complex(r * np.exp(1j * phase))):
+            powers = np.empty(n, dtype=complex)
+            powers[0] = 1.0
+            for k in range(1, n):
+                powers[k] = powers[k - 1] * rho
+            j = np.arange(n)
+            want = powers[np.abs(j[:, None] - j[None, :])]
+            assert build_matrix(n, rho).blocks[0].tobytes() == want.tobytes(), (n, rho)
 
 
 def test_build_matrix_rejects_small_n():
@@ -30,9 +44,10 @@ def test_build_matrix_rejects_small_n():
 
 
 def test_entries_read_only():
-    m = build_matrix(3, 0.2 + 0.1j)
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 0.0
+    for m in (build_matrix(3, 0.2 + 0.1j), kms_split(3, 0.2 + 0.1j)):
+        for block in m.blocks:
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
 
 
 def test_type_sign():
@@ -94,7 +109,7 @@ def test_eigenvector_residual():
             continue
         rho = rho_of_mu(n, mu, et)
         lam = lambda_of_mu(n, mu, et)
-        k = build_matrix(n, rho).entries
+        k = build_matrix(n, rho).blocks[0]
         resid = np.linalg.norm(k @ v - lam * v) / np.linalg.norm(v)
         assert resid < 1e-10 * n
 

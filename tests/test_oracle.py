@@ -45,7 +45,7 @@ def test_trace_and_determinant_invariants():
         m = build_matrix(n, rho)
         ev = eigenvalues(m)
         assert abs(complex(np.sum(ev)) - n) < 1e-8 * n
-        det = complex(np.linalg.det(m.entries))
+        det = complex(np.linalg.det(m.blocks[0]))
         prod = complex(np.prod(ev))
         assert abs(prod - det) < 1e-6 * max(abs(det), 1e-30)
 
@@ -107,7 +107,7 @@ def _random_draws(seed, count):
     for _ in range(count):
         n = int(rng.integers(3, 41))
         rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        k = build_matrix(n, rho).entries
+        k = build_matrix(n, rho).blocks[0]
         yield n, rho, k, n * np.finfo(float).eps / 2 * np.linalg.norm(k)
 
 
@@ -176,14 +176,17 @@ def _within(a, b, bound):
 
 def test_split_eigenvalues_equal_dense_spectrum_as_multisets():
     # the gate's route: eigenvalues(kms_split(n, rho)) is kms_spectrum(n, rho)
-    # up to the two solves' backward errors (the bound above), odd and even n
+    # up to the two solves' backward errors (the bound above), odd and even n;
+    # and it is, bit for bit, the two type blocks solved in EigType order
     rng = np.random.default_rng(403)
     u = np.finfo(float).eps / 2
     for n in list(range(3, 65)) * 2:
         rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        bound = _SPECTRUM_C * n * u * np.linalg.norm(build_matrix(n, rho).entries)
+        bound = _SPECTRUM_C * n * u * np.linalg.norm(build_matrix(n, rho).blocks[0])
         split = eigenvalues(oracle.kms_split(n, rho))
         assert _within(kms_spectrum(n, rho), split, bound), (n, rho)
+        by_type = np.concatenate([np.linalg.eigvals(type_blocks(n, rho, t)) for t in EigType])
+        assert split.tobytes() == by_type.tobytes(), (n, rho)
 
 
 def test_split_rejects_bad_input_before_building_a_block(monkeypatch):
@@ -262,10 +265,8 @@ def test_borderline_type1_is_cassini_oval():
 
 
 def test_borderline_sample_fields_consistent():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pieces = numeric_borderline(3, (0.5, 3.0, 0.5, 3.0), resolution=64,
-                                    eig_type=EigType.Type2)
+    pieces = numeric_borderline(3, (0.5, 3.0, 0.5, 3.0), resolution=64,
+                                eig_type=EigType.Type2)
     assert pieces
     for piece in pieces:
         assert piece.center == 0j
@@ -377,7 +378,7 @@ def test_borderline_battery_matches_every_node_solved(monkeypatch):
     # 128, with and without mirror axes
     boxes = list(_box_battery(501, 60))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # samples inside the unit circle
+        warnings.simplefilter("error")
         fast = [numeric_borderline(n, b, res, eig_type=t) for n, res, b, t in boxes]
         monkeypatch.setattr(oracle, "_grid_values", lambda n, res, bounds, eig_type: (
             np.linspace(*bounds[:2], res), np.linspace(*bounds[2:], res),
@@ -386,6 +387,19 @@ def test_borderline_battery_matches_every_node_solved(monkeypatch):
     assert sum(bool(pieces) for pieces in full) >= 50
     for box, got, want in zip(boxes, fast, full):
         assert got == want, box
+
+
+def test_grid_is_inside_within_the_unit_circle():
+    # the borderline meets |rho| = 1 only at rho = +/-1, where K_n(rho) has rank
+    # one and eigenvalue n, and marching-squares chords near there dip inside
+    # the circle; the grid itself reads max |lambda| < n at every node inside
+    for centre in (1.0, -1.0):
+        bounds = (centre - 0.3, centre + 0.3, -0.3, 0.3)
+        for n in (3, 4, 7, 8, 19, 20, 64):
+            for eig_type in EigType:
+                xs, ys, f = oracle._grid_values(n, 96, bounds, eig_type)
+                inside = np.abs(xs[None, :] + 1j * ys[:, None]) < 1
+                assert inside.sum() > 4000 and np.all(f[inside] < 0), (centre, n, eig_type)
 
 
 def _solved_nodes(monkeypatch, n, res, bounds, eig_type):

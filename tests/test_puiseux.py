@@ -68,6 +68,15 @@ def test_route_equivalence():
             da = min(abs(by_t.a - by_mu.a), abs(by_t.a + by_mu.a)) / abs(by_t.a)
             db = abs(by_t.b - by_mu.b) / abs(by_t.b)
             assert da < 1e-9 and db < 1e-9
+    # a numpy integer order gives the same points, bit for bit, holding an int
+    # n, and so the same series from both routes
+    for n in (9, 16, 64):
+        points, wide = all_critical_points(n), all_critical_points(np.int64(n))
+        assert wide == points and all(type(p.n) is int for p in wide)
+        for p, q in zip(points, wide):
+            assert puiseux_ab_from_t(q) == puiseux_ab_from_t(p)
+            assert (puiseux_from_derivatives(q.lambda_c, derivatives_at_critical(q))
+                    == puiseux_from_derivatives(p.lambda_c, derivatives_at_critical(p)))
 
 
 def test_n4_reference_values():
