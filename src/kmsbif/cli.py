@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import errno
 import io
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -407,8 +409,7 @@ _FIGURES = {
 def cmd_figure(args) -> None:
     fig = args.fig_id
     curves = _FIGURES[fig](args)
-    out_dir = Path(args.output_path if args.output_path != "-" else ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.output_path if args.output_path != "-" else ".")  # made by _check_out
     for c in curves:
         _write_text(out_dir / f"fig{fig}_{c.name}.csv", _render_csv(c.meta, c.columns, c.rows))
     if args.output_format == "svg":
@@ -608,9 +609,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_out(args) -> None:
+    """Raise the OSError that writing --out would raise, before any computation.
+
+    A figure's output directory is made here and must be writable.  An output
+    file is opened for appending, which changes no byte of an existing file,
+    and one that did not exist is removed again, so no file is left behind.
+    """
+    if args.handler is cmd_figure:
+        out_dir = Path(args.output_path if args.output_path != "-" else ".")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if not os.access(out_dir, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(out_dir))
+    elif args.output_path != "-":
+        target = Path(args.output_path)
+        existed = target.exists()
+        with open(target, "a"):
+            pass
+        if not existed:
+            target.unlink()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args)
         args.handler(args)
     except KmsBifError as exc:
         print(f"kmsbif: {exc}", file=sys.stderr)

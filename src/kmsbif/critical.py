@@ -16,8 +16,8 @@ import numpy as np
 
 from .chebyshev import cheb_t, cheb_u
 from .errors import DegenerateArgument, DomainError, RootFindingFailure
-from .kms import EigType, _finite_complex, check_order, type_sign
-from .oracle import _check_order, eigenvalues, kms_split
+from .kms import EigType, KmsMatrix, _finite_complex, check_order, type_sign
+from .oracle import _check_order, _excludes, eigenvalues, type_blocks
 
 _MERGE_DIST = 1e-8
 _ORACLE_GAP = 1e-5  # scaled by n; QR loses half its digits at a defective eigenvalue
@@ -139,18 +139,26 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
 
 @lru_cache(maxsize=None)
 def _catalog(n: int) -> tuple:
+    gate = _ORACLE_GAP * n
     points = []
-    for eig_type in (EigType.Type1, EigType.Type2):
+    for eig_type, other in ((EigType.Type1, EigType.Type2), (EigType.Type2, EigType.Type1)):
         for t_c in critical_t_values(n, eig_type):
             rho_c = rho_c_of_t(n, t_c, eig_type)
-            gaps = np.sort(np.abs(eigenvalues(kms_split(n, rho_c)) + n))
-            if gaps[1] > _ORACLE_GAP * n:
+            # the pair at -n is of the point's own type: solve that block, and
+            # certify the other type's block free of -n without an eigensolve
+            own = type_blocks(n, rho_c, eig_type)
+            gaps = np.sort(np.abs(eigenvalues(KmsMatrix(n, rho_c, (own,))) + n))
+            if gaps[1] > gate:
                 raise RootFindingFailure(
                     f"oracle found no double eigenvalue -{n} at rho_c = {rho_c} "
                     f"(gaps {gaps[:3]})")
-            if gaps[2] <= _ORACLE_GAP * n:
+            if gaps.size > 2 and gaps[2] <= gate:
                 raise RootFindingFailure(
                     f"unexpected eigenvalue multiplicity > 2 at rho_c = {rho_c}")
+            if not _excludes(type_blocks(n, rho_c, other), -n, gate):
+                raise RootFindingFailure(
+                    f"oracle cannot certify the type-{other.value} block free of "
+                    f"-{n} at rho_c = {rho_c}")
             points.append(CriticalPoint(
                 n=n, eig_type=eig_type, t_c=t_c, mu_c=cmath.acos(t_c),
                 rho_c=rho_c, lambda_c=complex(-n)))
@@ -162,16 +170,19 @@ def _catalog(n: int) -> tuple:
 def all_critical_points(n: int) -> list[CriticalPoint]:
     """Every critical point of K_n, both types, oracle-verified.
 
-    Each point is checked against the eigensolver: the spectrum of
-    K_n(rho_c), solved as its two half-size type blocks (oracle.kms_split),
-    must contain exactly two eigenvalues within 1e-5 n of -n, counted across
-    both types.  That fixed gate does not scale with the norm of K_n(rho_c):
-    at n = 512 it rejects a true point (second gap 5.26e-3 against 5.12e-3)
-    and raises RootFindingFailure.  The catalog has been built at every
-    n <= 30 and at n = 48, 64, 96, 128, 256 and 384; scale-aware gates are
-    ROADMAP item 2.  Points are ordered by (type, arg rho_c).  Raises
-    SizeError unless n is an integer with 3 <= n <= 512, the oracle's range,
-    before any root finding.
+    Each point is checked against the matrix at rho_c.  The eigensolver runs
+    on the half-size block of the point's own type (oracle.type_blocks),
+    which must hold exactly two eigenvalues within 1e-5 n of -n.  The other
+    type's block gets no eigensolve: its smallest singular value after the
+    shift by n, less a backward-error bound, must exceed 1e-5 n, which
+    certifies that it has no eigenvalue that close to -n.  That fixed gate
+    does not scale with the norm of K_n(rho_c): at n = 512 it rejects a true
+    point (second gap 5.26e-3 against 5.12e-3) and raises
+    RootFindingFailure.  The catalog has been built at every n <= 30 and at
+    n = 48, 64, 96, 128, 256 and 384; scale-aware gates are ROADMAP item 2.
+    Points are ordered by (type, arg rho_c).  Raises SizeError unless n is
+    an integer with 3 <= n <= 512, the oracle's range, before any root
+    finding.
     """
     n = _check_order(n)
     return list(_catalog(n))

@@ -40,9 +40,9 @@ def type_sign(eig_type: EigType) -> int:
 
 @dataclass(frozen=True, eq=False)
 class KmsMatrix:
-    """K_n(rho) as read-only blocks whose spectra, joined in block order, are its
-    n eigenvalues: the whole matrix (build_matrix) or its two type blocks
-    (oracle.kms_split)."""
+    """Read-only blocks of K_n(rho) whose spectra, joined in block order, are
+    either all n of its eigenvalues (build_matrix: the whole matrix as one
+    block) or one type's (the catalog gate: that type's oracle.type_blocks)."""
     n: int
     rho: complex
     blocks: tuple

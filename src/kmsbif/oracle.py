@@ -16,10 +16,12 @@ symmetric and skew-symmetric vectors it splits into two half-size blocks
 skew-symmetric vectors and the type-2 block on the symmetric ones, so each
 block's spectrum is exactly one eigenvalue type.  The split uses only the
 matrix's symmetry, never the mu-parameterization.  Every solve takes one
-record, a KmsMatrix of one or two blocks, and solves each block on its own:
-the catalog gate the two type blocks of K_n(rho_c) (kms_split), two
-half-size solves instead of one n x n solve; kms_spectrum, and every number
-the command line reports from the oracle, the whole matrix as one block.
+record, a KmsMatrix, and solves each of its blocks on its own.  The catalog
+gate solves one half-size block, the type block of the point's own type at
+rho_c, and certifies the other type's block free of -n from its smallest
+singular value (_excludes), with no eigensolve.  kms_spectrum, and every
+number the command line reports from the oracle, solve the whole matrix as
+one block.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .kms import (EigType, KmsMatrix, _finite_complex, _finite_real, _powers, bu
 
 _MAX_N = 512
 _LOG_MAX = math.log(sys.float_info.max)
+_U = np.finfo(float).eps / 2  # unit roundoff
 
 
 def _check_order(n) -> int:
@@ -74,9 +77,11 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(m: KmsMatrix) -> np.ndarray:
-    """The n eigenvalues of K_n(rho): each block of m solved on its own, one
-    eigensolver call per block, and the spectra joined in block order (type-1
-    first for kms_split).  SizeError unless 3 <= n <= 512.
+    """The eigenvalues that m's blocks hold: each block solved on its own, one
+    eigensolver call per block, and the spectra joined in block order.  That is
+    all n eigenvalues of K_n(rho) for build_matrix's one block, and one type's
+    for a record of one type block (the catalog gate).  SizeError unless
+    3 <= n <= 512.
     """
     _check_order(m.n)
     return np.concatenate([_eigvals(block) for block in m.blocks])
@@ -85,9 +90,10 @@ def eigenvalues(m: KmsMatrix) -> np.ndarray:
 # kms_spectrum, and with it every printed oracle number (critical-points'
 # oracle_gap column, verify's sampled checks), solves the whole matrix as one
 # block.  The gap of a defective pair is rounding, and the benchmark's
-# reference pins oracle_gap to the rounding of the dense solve; the split
-# moves it in the second digit.  Once that column is compared by value, with
-# a bound from the Jordan pair's sensitivity, build_matrix below becomes kms_split.
+# reference pins oracle_gap to the rounding of the dense solve; a solve of the
+# type blocks moves it in the second digit.  Once that column is compared by
+# value, with a bound from the Jordan pair's sensitivity, kms_spectrum can
+# solve the two type blocks instead.
 def kms_spectrum(n: int, rho: complex) -> np.ndarray:
     """The n eigenvalues of K_n(rho), from one dense solve.  Before building the
     matrix, raises SizeError unless 3 <= n <= 512 and DomainError for a rho that
@@ -95,14 +101,6 @@ def kms_spectrum(n: int, rho: complex) -> np.ndarray:
     n = _check_order(n)
     _check_rho(n, _finite_complex(rho, "rho"))
     return eigenvalues(build_matrix(n, rho))
-
-
-def kms_split(n: int, rho: complex) -> KmsMatrix:
-    """K_n(rho) as a KmsMatrix of two blocks, type_blocks(n, rho, t) for t in
-    EigType, whose spectra together are K_n's.  type_blocks checks n and rho
-    (SizeError, DomainError) before it builds a block."""
-    blocks = tuple(type_blocks(n, rho, t) for t in EigType)
-    return KmsMatrix(n=int(n), rho=complex(rho), blocks=blocks)
 
 
 def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
@@ -136,6 +134,23 @@ def _block(n: int, powers: np.ndarray, type1: bool) -> np.ndarray:
     return blocks
 
 
+def _excludes(block: np.ndarray, z: complex, r: float) -> bool:
+    """Whether every eigenvalue of block is certified to lie farther than r from z."""
+    # With A = block - z I, |lambda - z| >= sigma_min(A) for every eigenvalue
+    # lambda of block.  The computed smallest singular value lies within
+    # p(m) u ||A||_2 of the exact one (LAPACK Users' Guide sec. 4.9, by Weyl's
+    # inequality), and forming A rounds each diagonal entry by at most
+    # u |A_jj|; 8 m u ||A||_F covers both, the constant _radius_bounds holds
+    # zgeev's backward error to.
+    m = block.shape[-1]
+    a = block - z * np.eye(m)
+    try:
+        sigma = np.linalg.svd(a, compute_uv=False)[-1]
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingFailure(str(exc)) from exc
+    return bool(sigma - 8 * m * _U * np.linalg.norm(a) > r)
+
+
 def count_extraordinary(n: int, eigenvalues: np.ndarray) -> int:
     """Number of eigenvalues with |lambda| > n (strictly, with 1e-12 slack)."""
     return int(np.sum(np.abs(eigenvalues) > n * (1.0 + 1e-12)))
@@ -159,7 +174,6 @@ def closed_form_eigenvalues_n3(rho: complex):
 # marching-squares borderline tracer
 
 
-_U = np.finfo(float).eps / 2  # unit roundoff
 # the k-th root, the product with s and the comparison with n in
 # _grid_values, and zgeev's own |lambda| - n, each round by at most a few u
 _DELTA = 8 * _U

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from kmsbif import critical
 from kmsbif.cli import _render_svg, main
+from kmsbif.errors import RootFindingFailure
 from kmsbif.imag_axis import imag_axis_params
 
 
@@ -93,6 +95,54 @@ def test_unwritable_out_returns_one(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("kmsbif: cannot write output: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _no_catalog(n):
+    raise AssertionError("catalog computed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical-points", "--n", "128", "--out", "{missing}/x.csv"],
+    ["critical-points", "--n", "128", "--out", "{dir}"],  # a directory, not a file
+    ["puiseux", "--n", "128", "--out", "{file}/x.csv"],  # a file as the parent directory
+    ["figure", "1", "--out", "{file}"],
+    ["figure", "1", "--out", "{file}/sub"],
+])
+def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(critical, "all_critical_points", _no_catalog)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    names = dict(missing=tmp_path / "missing", dir=tmp_path / "dir", file=tmp_path / "file")
+    code, out, err = run(capsys, *[a.format(**names) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("kmsbif: cannot write output: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
+    assert os.listdir(tmp_path / "dir") == []
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_unwritable_figure_directory_fails_before_computing(tmp_path, capsys, monkeypatch):
+    # os.access stands in for a directory without write permission, which a
+    # test run as root cannot make
+    monkeypatch.setattr(critical, "all_critical_points", _no_catalog)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    code, out, err = run(capsys, "figure", "1", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"kmsbif: cannot write output: [Errno 13] Permission denied: '{tmp_path}'\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_checked_out_leaves_no_file_when_the_computation_fails(tmp_path, capsys, monkeypatch):
+    def failing(n):
+        raise RootFindingFailure("planted")
+
+    monkeypatch.setattr(critical, "all_critical_points", failing)
+    code, _, err = run(capsys, "critical-points", "--n", "8", "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and err == "kmsbif: planted\n"
+    assert os.listdir(tmp_path) == []
+    code, _, err = run(capsys, "figure", "1", "--out", str(tmp_path / "a" / "b"))
+    assert code == 2 and err == "kmsbif: planted\n"
+    assert os.listdir(tmp_path / "a" / "b") == []  # the directory is made first
 
 
 @pytest.mark.parametrize("argv", [

@@ -208,10 +208,10 @@ def test_catalog_gate_solves_each_point_once_from_its_type_blocks(monkeypatch):
 
 @pytest.mark.parametrize("eig_type", list(EigType))
 def test_catalog_gate_reads_both_type_blocks(monkeypatch, eig_type):
-    # at n = 6 every point of eig_type has its pair at -6 in its own block;
-    # the gate counts -n over both blocks
+    # at n = 6 every point of eig_type has its pair at -6 in its own block; the
+    # gate solves that block and certifies the other one free of -n
     n = 6
-    own = list(EigType).index(eig_type)  # kms_split's blocks are in EigType order
+    other = EigType.Type2 if eig_type is EigType.Type1 else EigType.Type1
     roots = critical.critical_t_values
     monkeypatch.setattr(critical, "critical_t_values",
                         lambda n, t: roots(n, t) if t is eig_type else [])
@@ -219,16 +219,37 @@ def test_catalog_gate_reads_both_type_blocks(monkeypatch, eig_type):
     def third_minus_n(block):
         return np.diag(np.r_[-n, np.ones(len(block) - 1)]).astype(complex)
 
-    for index, change, message in ((1 - own, third_minus_n, "multiplicity > 2"),
-                                   (own, np.zeros_like, "no double eigenvalue")):
-        def altered(n, rho):
-            split = oracle.kms_split(n, rho)
-            blocks = list(split.blocks)
-            blocks[index] = change(blocks[index])
-            return dataclasses.replace(split, blocks=tuple(blocks))
+    def all_minus_n(block):
+        return -n * np.eye(len(block), dtype=complex)
 
-        monkeypatch.setattr(critical, "kms_split", altered)
+    for target, change, message in ((other, third_minus_n, "cannot certify"),
+                                    (eig_type, np.zeros_like, "no double eigenvalue"),
+                                    (eig_type, all_minus_n, "multiplicity > 2")):
+        def altered(n, rho, t):
+            block = oracle.type_blocks(n, rho, t)
+            return change(block) if t is target else block
+
+        monkeypatch.setattr(critical, "type_blocks", altered)
         critical._catalog.cache_clear()
         with pytest.raises(RootFindingFailure, match=message):
             all_critical_points(n)
     critical._catalog.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_catalog_gate_at_blocks_of_at_most_two_eigenvalues(n):
+    # K_3's type-2 block, K_4's blocks and K_5's type-1 block are 2 x 2: the
+    # own block is the pair at -n and nothing else, so there is no third
+    # eigenvalue to check; the other block (1 x 1 for K_3's type 1) is
+    # certified free of -n, and its eigenvalues do lie away from it
+    gate = critical._ORACLE_GAP * n
+    pairs_only = 0
+    for p in all_critical_points(n):
+        other = EigType.Type2 if p.eig_type is EigType.Type1 else EigType.Type1
+        own = oracle.type_blocks(n, p.rho_c, p.eig_type)
+        pairs_only += own.shape[-1] == 2
+        assert np.sort(np.abs(np.linalg.eigvals(own) + n))[1] <= gate
+        block = oracle.type_blocks(n, p.rho_c, other)
+        assert oracle._excludes(block, -n, gate)
+        assert np.abs(np.linalg.eigvals(block) + n).min() > gate
+    assert pairs_only > 0

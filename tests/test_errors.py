@@ -14,7 +14,6 @@ import kmsbif
 from kmsbif import errors
 from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu)
-from kmsbif.oracle import kms_split
 from kmsbif.puiseux import DerivativeBundle
 
 
@@ -99,7 +98,7 @@ _NAN = complex("nan")
 _BAD_NUMBERS = {
     "kms_spectrum: rho 'x'": lambda: kmsbif.kms_spectrum(4, "x"),
     "kms_spectrum: rho None": lambda: kmsbif.kms_spectrum(4, None),
-    "kms_split: rho None": lambda: kms_split(4, None),
+    "type_blocks: rho None": lambda: kmsbif.type_blocks(4, None, EigType.Type2),
     "type_blocks: rho 'x'": lambda: kmsbif.type_blocks(4, "x", EigType.Type1),
     "type_blocks: rho [1, None]": lambda: kmsbif.type_blocks(4, [1, None], EigType.Type1),
     "rho_c_of_t: t_c 'x'": lambda: kmsbif.rho_c_of_t(8, "x", EigType.Type1),

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from kmsbif.errors import DegenerateArgument, DomainError, SizeError
-from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu,
+from kmsbif.kms import (EigType, KmsMatrix, build_matrix, eigenvector_of_mu,
                         isotropy_defect, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu, type_sign)
-from kmsbif.oracle import kms_spectrum, kms_split
+from kmsbif.oracle import kms_spectrum, type_blocks
 
 
 def test_build_matrix_entries():
@@ -44,7 +44,9 @@ def test_build_matrix_rejects_small_n():
 
 
 def test_entries_read_only():
-    for m in (build_matrix(3, 0.2 + 0.1j), kms_split(3, 0.2 + 0.1j)):
+    rho = 0.2 + 0.1j
+    split = KmsMatrix(3, rho, tuple(type_blocks(3, rho, t) for t in EigType))
+    for m in (build_matrix(3, rho), split):
         for block in m.blocks:
             with pytest.raises(ValueError):
                 block[0, 0] = 0.0

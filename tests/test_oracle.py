@@ -9,7 +9,7 @@ import pytest
 
 from kmsbif import oracle
 from kmsbif.errors import DomainError, KmsBifError, RootFindingFailure, SizeError
-from kmsbif.kms import EigType, build_matrix
+from kmsbif.kms import EigType, KmsMatrix, build_matrix
 from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
                            eigenvalues, kms_spectrum, numeric_borderline,
                            type_blocks)
@@ -175,15 +175,15 @@ def _within(a, b, bound):
 
 
 def test_split_eigenvalues_equal_dense_spectrum_as_multisets():
-    # the gate's route: eigenvalues(kms_split(n, rho)) is kms_spectrum(n, rho)
+    # a KmsMatrix of the two type blocks: its eigenvalues are kms_spectrum(n, rho)
     # up to the two solves' backward errors (the bound above), odd and even n;
-    # and it is, bit for bit, the two type blocks solved in EigType order
+    # and they are, bit for bit, the two type blocks solved in block order
     rng = np.random.default_rng(403)
     u = np.finfo(float).eps / 2
     for n in list(range(3, 65)) * 2:
         rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         bound = _SPECTRUM_C * n * u * np.linalg.norm(build_matrix(n, rho).blocks[0])
-        split = eigenvalues(oracle.kms_split(n, rho))
+        split = eigenvalues(KmsMatrix(n, rho, tuple(type_blocks(n, rho, t) for t in EigType)))
         assert _within(kms_spectrum(n, rho), split, bound), (n, rho)
         by_type = np.concatenate([np.linalg.eigvals(type_blocks(n, rho, t)) for t in EigType])
         assert split.tobytes() == by_type.tobytes(), (n, rho)
@@ -192,11 +192,62 @@ def test_split_eigenvalues_equal_dense_spectrum_as_multisets():
 def test_split_rejects_bad_input_before_building_a_block(monkeypatch):
     monkeypatch.setattr(oracle, "_powers", _no_build)
     monkeypatch.setattr(oracle, "_block", _no_build)
-    with pytest.raises(SizeError):
-        oracle.kms_split(513, 0.5)
-    for rho in (math.nan, complex(0, math.inf), "x", None, 1e200):
-        with pytest.raises(DomainError):
-            oracle.kms_split(8, rho)
+    for eig_type in EigType:
+        with pytest.raises(SizeError):
+            type_blocks(513, 0.5, eig_type)
+        for rho in (math.nan, complex(0, math.inf), "x", None, 1e200):
+            with pytest.raises(DomainError):
+                type_blocks(8, rho, eig_type)
+
+
+def test_excludes_rejects_a_planted_eigenvalue():
+    # an eigenvalue at z + r/2, hidden by a random unitary similarity of a
+    # triangular matrix, is never excluded, since sigma_min(A - z I) <= r/2;
+    # moved out to z + 2r, with the rest of a normal block far away, it is
+    rng = np.random.default_rng(404)
+    for m in (1, 2, 3, 8, 32, 64):
+        for _ in range(5):
+            z = complex(rng.uniform(-64, 64), rng.uniform(-64, 64))
+            r = 10.0 ** rng.uniform(-6, 1)
+            phase = np.exp(2j * np.pi * rng.uniform())
+            angles = np.exp(2j * np.pi * rng.uniform(size=m - 1))
+            rest = z + 10 * r * (1 + rng.uniform(size=m - 1)) * angles
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            upper = np.triu(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), 1)
+            near = np.diag(np.r_[z + r / 2 * phase, rest]) + r * upper
+            assert not oracle._excludes(q @ near @ q.conj().T, z, r), (m, z, r)
+            far = np.diag(np.r_[z + 2 * r * phase, rest])
+            assert oracle._excludes(q @ far @ q.conj().T, z, r), (m, z, r)
+
+
+def test_excludes_never_certifies_an_eigenvalue_within_r():
+    # seeded type blocks, n = 3..64 and both types, at the gate's z = -n and
+    # next to one of their own eigenvalues, with r from half to twice the
+    # distance d to the nearest eigenvalue: wherever the certificate holds,
+    # d > r; and it holds somewhere and fails somewhere
+    rng = np.random.default_rng(405)
+    answers = []
+    for n in range(3, 65):
+        rho = 1.2 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+        for eig_type in EigType:
+            block = type_blocks(n, rho, eig_type)
+            lam = np.linalg.eigvals(block)
+            for z in (complex(-n), lam[0] + 0.1 * rng.uniform() * abs(lam[0])):
+                d = np.abs(lam - z).min()
+                for r in d * np.array([0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0]):
+                    certified = oracle._excludes(block, z, r)
+                    answers.append(certified)
+                    assert not certified or d > r, (n, rho, eig_type, z, r / d)
+    assert any(answers) and not all(answers)
+
+
+def test_excludes_fails_on_a_solver_error(monkeypatch):
+    def failing(a, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    with pytest.raises(RootFindingFailure, match="did not converge"):
+        oracle._excludes(type_blocks(8, 0.5, EigType.Type1), -8.0, 1e-4)
 
 
 def test_block_eigenvectors_lift_to_typed_eigenvectors():
