@@ -17,7 +17,7 @@ import numpy as np
 from .chebyshev import cheb_t, cheb_u
 from .errors import DegenerateArgument, DomainError, RootFindingFailure
 from .kms import EigType, KmsMatrix, _finite_complex, check_order, type_sign
-from .oracle import _check_order, _excludes, eigenvalues, type_blocks
+from .oracle import _blocks_by_type, _check_order, _excludes, eigenvalues
 
 _MERGE_DIST = 1e-8
 _ORACLE_GAP = 1e-5  # scaled by n; QR loses half its digits at a defective eigenvalue
@@ -146,8 +146,8 @@ def _catalog(n: int) -> tuple:
             rho_c = rho_c_of_t(n, t_c, eig_type)
             # the pair at -n is of the point's own type: solve that block, and
             # certify the other type's block free of -n without an eigensolve
-            own = type_blocks(n, rho_c, eig_type)
-            gaps = np.sort(np.abs(eigenvalues(KmsMatrix(n, rho_c, (own,))) + n))
+            blocks = _blocks_by_type(n, rho_c)
+            gaps = np.sort(np.abs(eigenvalues(KmsMatrix(n, rho_c, (blocks[eig_type],))) + n))
             if gaps[1] > gate:
                 raise RootFindingFailure(
                     f"oracle found no double eigenvalue -{n} at rho_c = {rho_c} "
@@ -155,7 +155,7 @@ def _catalog(n: int) -> tuple:
             if gaps.size > 2 and gaps[2] <= gate:
                 raise RootFindingFailure(
                     f"unexpected eigenvalue multiplicity > 2 at rho_c = {rho_c}")
-            if not _excludes(type_blocks(n, rho_c, other), -n, gate):
+            if not _excludes(blocks[other], -n, gate):
                 raise RootFindingFailure(
                     f"oracle cannot certify the type-{other.value} block free of "
                     f"-{n} at rho_c = {rho_c}")
@@ -170,14 +170,16 @@ def _catalog(n: int) -> tuple:
 def all_critical_points(n: int) -> list[CriticalPoint]:
     """Every critical point of K_n, both types, oracle-verified.
 
-    Each point is checked against the matrix at rho_c.  The eigensolver runs
-    on the half-size block of the point's own type (oracle.type_blocks),
-    which must hold exactly two eigenvalues within 1e-5 n of -n.  The other
-    type's block gets no eigensolve: its smallest singular value after the
-    shift by n, less a backward-error bound, must exceed 1e-5 n, which
-    certifies that it has no eigenvalue that close to -n.  That fixed gate
-    does not scale with the norm of K_n(rho_c): at n = 512 it rejects a true
-    point (second gap 5.26e-3 against 5.12e-3) and raises
+    Each point is checked against the matrix at rho_c, whose two half-size
+    type blocks (oracle.type_blocks) are built from one table of powers of
+    rho_c.  The eigensolver runs on the block of the point's own type, which
+    must hold exactly two eigenvalues within 1e-5 n of -n.  The other type's
+    block B gets no eigensolve: a Cholesky factorization of the Gram matrix
+    of B + n I, shifted down by (1e-5 n)^2 plus a bound on its rounding
+    errors, must run to completion.  That proves the smallest singular value
+    of B + n I above 1e-5 n, so B has no eigenvalue that close to -n.  That
+    fixed gate does not scale with the norm of K_n(rho_c): at n = 512 it
+    rejects a true point (second gap 5.26e-3 against 5.12e-3) and raises
     RootFindingFailure.  The catalog has been built at every n <= 30 and at
     n = 48, 64, 96, 128, 256 and 384; scale-aware gates are ROADMAP item 2.
     Points are ordered by (type, arg rho_c).  Raises SizeError unless n is

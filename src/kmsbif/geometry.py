@@ -73,22 +73,29 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
         count += 1  # keep the cusp as the exact middle sample
     bis = cusp_bisector_angle(p)
     sgn = 1.0 if den_cusp > 0 else -1.0
+    # the loop evaluates _level_eps inline, in its order of operations, with
+    # the factors that do not depend on theta taken out of it
+    cos, sin = math.cos, math.sin
+    theta_a, theta_b = p.theta_a, p.theta_b
+    two_a, a_sq, two_b = 2.0 * abs(p.a), abs(p.a) ** 2, 2.0 * abs(p.b)
+    cusp = (count - 1) // 2
     samples = []
     dropped = 0
     for i in range(count):
         theta = bis + theta_window * (2.0 * i / (count - 1) - 1.0)
-        num, den = _level_eps(p, theta)
-        if i == (count - 1) // 2:
+        if i == cusp:
             samples.append((theta, 0.0, rho_c))  # the cusp itself
             continue
+        half = 0.5 * theta + theta_a
+        den = a_sq * sin(half) ** 2 + two_b * cos(theta + theta_b)
         if den * sgn <= 0.0:
             dropped += 1
             continue
-        eps = (num / den) ** 2
+        eps = (two_a * cos(half) / den) ** 2
         if eps > _EPS_CAP:
             dropped += 1
             continue
-        rho = rho_c + eps * complex(math.cos(theta), math.sin(theta))
+        rho = rho_c + eps * complex(cos(theta), sin(theta))
         samples.append((theta, eps, rho))
     if dropped:
         warnings.warn(f"{dropped} level-curve samples outside validity region dropped",
@@ -123,25 +130,26 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
     rejects it) or is NaN or infinite.
     """
     d_values = [_finite_real(d, "d") for d in d_values]
+    sqrt = math.sqrt
     mag_a, mag_b = abs(p.a), abs(p.b)
     cos_t, sin_t = math.cos(p.Theta), math.sin(p.Theta)
+    # only d <= 0 reads mag_a ** 2, which overflows for |a| past 1.3e154
+    half_gap = mag_a ** 2 - 2.0 * mag_b * cos_t if min(d_values, default=1.0) <= 0.0 else None
     out = []
     for d in d_values:
         if d <= 0.0:
             ad = abs(d)
-            root = mag_a * math.sqrt(ad)
-            re = 1.0 - ad * mag_b * cos_t
-            mag = 1.0 + ad * 0.5 * (mag_a ** 2 - 2.0 * mag_b * cos_t)
-            point = TrajectoryPoint(
-                d=d, re_pair=(re, re),
-                im_pair=(root - ad * mag_b * sin_t, -root - ad * mag_b * sin_t),
-                mag_pair=(mag, mag))
+            root = mag_a * sqrt(ad)
+            shift = ad * mag_b
+            re = 1.0 - shift * cos_t
+            mag = 1.0 + ad * 0.5 * half_gap
+            out.append(TrajectoryPoint(d, (re, re), (root - shift * sin_t, -root - shift * sin_t),
+                                       (mag, mag)))
         else:
-            root = mag_a * math.sqrt(d)
-            base = 1.0 + d * mag_b * cos_t
-            point = TrajectoryPoint(
-                d=d, re_pair=(base + root, base - root),
-                im_pair=(d * mag_b * sin_t, d * mag_b * sin_t),
-                mag_pair=(base + root, base - root))
-        out.append(point)
+            root = mag_a * sqrt(d)
+            shift = d * mag_b
+            base = 1.0 + shift * cos_t
+            im = shift * sin_t
+            pair = (base + root, base - root)
+            out.append(TrajectoryPoint(d, pair, (im, im), pair))
     return out

@@ -17,9 +17,11 @@ skew-symmetric vectors and the type-2 block on the symmetric ones, so each
 block's spectrum is exactly one eigenvalue type.  The split uses only the
 matrix's symmetry, never the mu-parameterization.  Every solve takes one
 record, a KmsMatrix, and solves each of its blocks on its own.  The catalog
-gate solves one half-size block, the type block of the point's own type at
-rho_c, and certifies the other type's block free of -n from its smallest
-singular value (_excludes), with no eigensolve.  kms_spectrum, and every
+gate builds both type blocks at rho_c from one power table, solves the
+block of the point's own type, and certifies the other type's block free of
+-n with no eigensolve: a Cholesky factorization of its shifted Gram matrix
+that runs to completion proves its smallest singular value after the shift
+by n large enough (_excludes).  kms_spectrum, and every
 number the command line reports from the oracle, solve the whole matrix as
 one block.
 """
@@ -30,6 +32,7 @@ import cmath
 import math
 import numbers
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,10 +122,27 @@ def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
     return _block(n, _powers(n, _check_rho(n, rho)), type1)
 
 
-def _block(n: int, powers: np.ndarray, type1: bool) -> np.ndarray:
+def _blocks_by_type(n: int, rho) -> dict:
+    """Both type blocks of K_n(rho), keyed by EigType, from one check of rho and
+    one power table: the catalog gate's two blocks at rho_c."""
+    powers = _powers(n, _check_rho(n, rho))
+    return {eig_type: _block(n, powers, eig_type is EigType.Type1) for eig_type in EigType}
+
+
+@lru_cache(maxsize=8)
+def _block_index(n: int, type1: bool) -> tuple:
+    """Which power of rho each entry of a type block starts from: |j-k| and n-1-j-k."""
     j = np.arange(n // 2 if type1 else (n + 1) // 2)
-    near = powers[..., np.abs(j[:, None] - j[None, :])]
-    far = powers[..., n - 1 - j[:, None] - j[None, :]]
+    near, far = np.abs(j[:, None] - j[None, :]), n - 1 - j[:, None] - j[None, :]
+    near.setflags(write=False)
+    far.setflags(write=False)
+    return near, far
+
+
+def _block(n: int, powers: np.ndarray, type1: bool) -> np.ndarray:
+    near_index, far_index = _block_index(n, type1)
+    near = powers[..., near_index]
+    far = powers[..., far_index]
     if type1:
         return near - far
     blocks = near + far
@@ -137,18 +157,41 @@ def _block(n: int, powers: np.ndarray, type1: bool) -> np.ndarray:
 def _excludes(block: np.ndarray, z: complex, r: float) -> bool:
     """Whether every eigenvalue of block is certified to lie farther than r from z."""
     # With A = block - z I, |lambda - z| >= sigma_min(A) for every eigenvalue
-    # lambda of block.  The computed smallest singular value lies within
-    # p(m) u ||A||_2 of the exact one (LAPACK Users' Guide sec. 4.9, by Weyl's
-    # inequality), and forming A rounds each diagonal entry by at most
-    # u |A_jj|; 8 m u ||A||_F covers both, the constant _radius_bounds holds
-    # zgeev's backward error to.
+    # lambda of block, and sigma_min(A) > r when A^H A - r^2 I is positive
+    # definite.  A floating-point Cholesky factorization that runs to
+    # completion proves positive definiteness up to its own backward error
+    # (Rump, BIT 46 (2006) 433-452), so it runs on H = fl(G - c I), with
+    # G = fl(A^H A) and c above r^2 by every error in between.  With A the
+    # computed shifted block, m its order and F = ||A||_F, four errors
+    # separate H from A^H A - r^2 I, each a multiple of u F^2:
+    #  - forming A rounds each diagonal entry by at most u |A_jj| <= u F, so
+    #    the exact shifted block has sigma_min >= sigma_min(A) - u F, which
+    #    exceeds r when lambda_min(A^H A) > (r + u F)^2, at most
+    #    r^2 + u r^2 + 2 u F^2;
+    #  - each entry of G is a complex inner product of length m, within
+    #    gamma_{m+2} |a_j|^T |a_k| of the exact one (Higham, Accuracy and
+    #    Stability of Numerical Algorithms, Lemma 3.5), so
+    #    ||G - A^H A||_2 <= gamma_{m+2} F^2;
+    #  - the shift rounds each diagonal entry by at most u G_jj <= 2 u F^2,
+    #    since a factorization that completes has 0 < c < G_jj;
+    #  - a factorization that completes gives R with R^H R = H + E and
+    #    |E_jk| <= g (H_jj H_kk)^(1/2) (Demmel's bound, with
+    #    g = gamma_{m+3} / (1 - gamma_{m+3}) for complex inner products), so
+    #    ||E||_2 <= g tr H <= 2 g F^2.
+    # R^H R is positive semidefinite, so lambda_min(A^H A) >= c - (3m + 10) u F^2
+    # to first order, and u r^2 < u c < 2 u F^2.  c = r^2 + 8 (m + 2) u F^2
+    # covers all four with (5m + 2) u F^2 to spare for the rounding of c and F
+    # themselves.  A Gram matrix that overflows holds inf or NaN and fails the
+    # factorization; every failure reads as not certified.
     m = block.shape[-1]
     a = block - z * np.eye(m)
+    gram = a.conj().T @ a
+    gram.flat[::m + 1] -= r * r + 8 * (m + 2) * _U * np.linalg.norm(a) ** 2
     try:
-        sigma = np.linalg.svd(a, compute_uv=False)[-1]
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingFailure(str(exc)) from exc
-    return bool(sigma - 8 * m * _U * np.linalg.norm(a) > r)
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def count_extraordinary(n: int, eigenvalues: np.ndarray) -> int:

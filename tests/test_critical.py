@@ -225,11 +225,11 @@ def test_catalog_gate_reads_both_type_blocks(monkeypatch, eig_type):
     for target, change, message in ((other, third_minus_n, "cannot certify"),
                                     (eig_type, np.zeros_like, "no double eigenvalue"),
                                     (eig_type, all_minus_n, "multiplicity > 2")):
-        def altered(n, rho, t):
-            block = oracle.type_blocks(n, rho, t)
-            return change(block) if t is target else block
+        def altered(n, rho):
+            return {t: change(block) if t is target else block
+                    for t, block in oracle._blocks_by_type(n, rho).items()}
 
-        monkeypatch.setattr(critical, "type_blocks", altered)
+        monkeypatch.setattr(critical, "_blocks_by_type", altered)
         critical._catalog.cache_clear()
         with pytest.raises(RootFindingFailure, match=message):
             all_critical_points(n)

@@ -228,3 +228,92 @@ def test_bifurcation_strength_examples():
     pp = puiseux_ab_from_t(_point(4, EigType.Type2, 1 + 2j))
     assert pp.c == pytest.approx(-0.55, abs=1e-9)
     assert _params_from_ab(2.0, 1e-300).c == pytest.approx(2.0)
+
+
+def _reference_level_curve(p, rho_c, theta_window, count):
+    # the per-sample loop local_level_curve ran before its loop invariants
+    # were taken out: the samples it keeps and the number it drops
+    bis = cusp_bisector_angle(p)
+    sgn = 1.0 if abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta) > 0 else -1.0
+    samples, dropped = [], 0
+    for i in range(count):
+        theta = bis + theta_window * (2.0 * i / (count - 1) - 1.0)
+        half = 0.5 * theta + p.theta_a
+        num = 2.0 * abs(p.a) * math.cos(half)
+        den = abs(p.a) ** 2 * math.sin(half) ** 2 + 2.0 * abs(p.b) * math.cos(theta + p.theta_b)
+        if i == (count - 1) // 2:
+            samples.append((theta, 0.0, rho_c))
+            continue
+        if den * sgn <= 0.0:
+            dropped += 1
+            continue
+        eps = (num / den) ** 2
+        if eps > 0.5:
+            dropped += 1
+            continue
+        samples.append((theta, eps, rho_c + eps * complex(math.cos(theta), math.sin(theta))))
+    return samples, dropped
+
+
+def _reference_trajectory(p, d_values):
+    # the per-point loop trajectory_along_bisector ran before its loop
+    # invariants were taken out, as (d, re_pair, im_pair, mag_pair)
+    mag_a, mag_b = abs(p.a), abs(p.b)
+    cos_t, sin_t = math.cos(p.Theta), math.sin(p.Theta)
+    out = []
+    for d in d_values:
+        if d <= 0.0:
+            ad = abs(d)
+            root = mag_a * math.sqrt(ad)
+            re = 1.0 - ad * mag_b * cos_t
+            mag = 1.0 + ad * 0.5 * (mag_a ** 2 - 2.0 * mag_b * cos_t)
+            out.append((d, (re, re), (root - ad * mag_b * sin_t, -root - ad * mag_b * sin_t),
+                        (mag, mag)))
+        else:
+            root = mag_a * math.sqrt(d)
+            base = 1.0 + d * mag_b * cos_t
+            out.append((d, (base + root, base - root), (d * mag_b * sin_t, d * mag_b * sin_t),
+                        (base + root, base - root)))
+    return out
+
+
+def _as_tuples(points):
+    return [(tp.d, tp.re_pair, tp.im_pair, tp.mag_pair) for tp in points]
+
+
+def test_geometry_loops_are_bit_identical_to_the_per_sample_loop():
+    # every float, compared by repr (so -0.0 differs from 0.0), at every
+    # catalog point of n = 4, 8, 19 and 64, for the default window and a wide
+    # one that drops samples, and along d values that include both zeros and
+    # the smallest magnitudes
+    d_values = [0.02 * (2.0 * i / 80 - 1.0) for i in range(81)]
+    d_values += [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 0.5, -0.5]
+    for n in (4, 8, 19, 64):
+        for point in all_critical_points(n):
+            pp = puiseux_ab_from_t(point)
+            for window, count in ((0.8, 161), (2.5, 64)):
+                want, dropped = _reference_level_curve(pp, point.rho_c, window, count + 1 - count % 2)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = local_level_curve(pp, point.rho_c, theta_window=window, count=count)
+                assert repr(got.samples) == repr(want), (n, point.rho_c, window)
+                assert [str(w.message) for w in caught] == (
+                    [f"{dropped} level-curve samples outside validity region dropped"]
+                    if dropped else []), (n, point.rho_c, window)
+            got = _as_tuples(trajectory_along_bisector(pp, d_values))
+            assert repr(got) == repr(_reference_trajectory(pp, d_values)), (n, point.rho_c)
+
+
+def test_trajectory_takes_a_squared_only_where_some_d_reads_it():
+    # |a|^2 overflows for |a| = 1e200: a trajectory that only leaves the cusp
+    # never forms it, and one that approaches it raises as it always did
+    huge = PuiseuxParams(lambda_c=-4.0, a=1e200, b=1.0, theta_a=0.0, theta_b=0.0,
+                         Theta=0.0, c=0.0)
+    leaving = [1e-3, 0.5]
+    assert repr(_as_tuples(trajectory_along_bisector(huge, leaving))) == repr(
+        _reference_trajectory(huge, leaving))
+    for approaching in ([-1e-3], [1e-3, -0.0]):
+        with pytest.raises(OverflowError):
+            _reference_trajectory(huge, approaching)
+        with pytest.raises(OverflowError):
+            trajectory_along_bisector(huge, approaching)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kmsbif import oracle
+from kmsbif import all_critical_points, critical, oracle
 from kmsbif.errors import DomainError, KmsBifError, RootFindingFailure, SizeError
 from kmsbif.kms import EigType, KmsMatrix, build_matrix
 from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
@@ -242,12 +242,33 @@ def test_excludes_never_certifies_an_eigenvalue_within_r():
 
 
 def test_excludes_fails_on_a_solver_error(monkeypatch):
-    def failing(a, compute_uv=True):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    # a LinAlgError from the factorization, its answer to a matrix that is
+    # not positive definite, reads as not certified, and the catalog gate
+    # then refuses the point
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "svd", failing)
-    with pytest.raises(RootFindingFailure, match="did not converge"):
-        oracle._excludes(type_blocks(8, 0.5, EigType.Type1), -8.0, 1e-4)
+    block = type_blocks(8, 0.5, EigType.Type1)
+    assert oracle._excludes(block, -8.0, 1e-4)
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    assert not oracle._excludes(block, -8.0, 1e-4)
+    critical._catalog.cache_clear()
+    with pytest.raises(RootFindingFailure, match="cannot certify"):
+        all_critical_points(8)
+    critical._catalog.cache_clear()
+
+
+def test_excludes_is_sharp_at_every_catalog_point():
+    # at every catalog point with n <= 64, the certificate on the other type's
+    # block holds at r = 0.99 sigma and fails at r = 1.01 sigma, with sigma the
+    # smallest singular value of that block shifted by n
+    for n in range(3, 65):
+        for p in all_critical_points(n):
+            other = EigType.Type2 if p.eig_type is EigType.Type1 else EigType.Type1
+            block = type_blocks(n, p.rho_c, other)
+            sigma = np.linalg.svd(block + n * np.eye(len(block)), compute_uv=False)[-1]
+            assert oracle._excludes(block, -n, 0.99 * sigma), (n, p.rho_c)
+            assert not oracle._excludes(block, -n, 1.01 * sigma), (n, p.rho_c)
 
 
 def test_block_eigenvectors_lift_to_typed_eigenvectors():
