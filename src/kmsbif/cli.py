@@ -501,7 +501,7 @@ def _verify_battery(n_max: int, scale: float) -> list:
         ("chebyshev-identities", chebyshev_identities),
         ("mu-parameterization", mu_consistency),
         ("critical-double-eigenvalue", over_catalog(
-            lambda p: _oracle_gap(p) / p.n, 1e-5,
+            lambda p: _oracle_gap(p) / p.n, oracle.GATE_RADIUS,
             "double eigenvalue -n at every catalog point")),
         ("rho-prime-vanishes", over_catalog(
             lambda p: abs(rho_prime_of_mu(p.n, p.mu_c, p.eig_type)), 1e-8,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, HypothesisViolation
 from .kms import _finite_complex, _finite_real
-from .puiseux import PuiseuxParams, wrap_angle
+from .puiseux import PuiseuxParams, _abs_sq, wrap_angle
 
 # level-curve samples with a larger |eps| lie outside the series' validity region
 _EPS_CAP = 0.5
@@ -43,7 +43,7 @@ def cusp_bisector_angle(p: PuiseuxParams) -> float:
 def _level_eps(p: PuiseuxParams, theta: float) -> tuple[float, float]:
     half = 0.5 * theta + p.theta_a
     num = 2.0 * abs(p.a) * math.cos(half)
-    den = abs(p.a) ** 2 * math.sin(half) ** 2 + 2.0 * abs(p.b) * math.cos(theta + p.theta_b)
+    den = _abs_sq(p.a) * math.sin(half) ** 2 + 2.0 * abs(p.b) * math.cos(theta + p.theta_b)
     return num, den
 
 
@@ -57,11 +57,12 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     sign change of the denominator, or with |eps| above 0.5, are outside
     the validity region and are dropped (with a warning).  Raises DomainError
     for a count that is not an integer >= 3 or a theta_window that is not a
-    finite real > 0, or a rho_c that is not a finite complex number, and
-    HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
+    finite real > 0, a rho_c that is not a finite complex number, or an
+    |a|^2 that overflows, and HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
     """
     rho_c = _finite_complex(rho_c, "rho_c")
-    den_cusp = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
+    a_sq = _abs_sq(p.a)
+    den_cusp = a_sq - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
     if abs(den_cusp) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
     theta_window = _finite_real(theta_window, "theta_window")
@@ -77,7 +78,7 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     # the factors that do not depend on theta taken out of it
     cos, sin = math.cos, math.sin
     theta_a, theta_b = p.theta_a, p.theta_b
-    two_a, a_sq, two_b = 2.0 * abs(p.a), abs(p.a) ** 2, 2.0 * abs(p.b)
+    two_a, two_b = 2.0 * abs(p.a), 2.0 * abs(p.b)
     cusp = (count - 1) // 2
     samples = []
     dropped = 0
@@ -110,10 +111,11 @@ def cardioid_approx(p: PuiseuxParams, theta: float) -> float:
     the cusp, bisector, and tangent directions.  (As an approximation of
     |eps|(theta) it carries the shape, not the absolute scale: the exact
     theta -> bisector limit of the level curve is |a|^2 times this value.)
-    Raises DomainError for a theta that is not a finite real.
+    Raises DomainError for a theta that is not a finite real, or where
+    |a|^2 overflows.
     """
     theta = _finite_real(theta, "theta")
-    den = abs(p.a) ** 2 - 2.0 * abs(p.b) * math.cos(p.Theta)
+    den = _abs_sq(p.a) - 2.0 * abs(p.b) * math.cos(p.Theta)
     if abs(den) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0")
     bis = cusp_bisector_angle(p)
@@ -127,14 +129,15 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
     opposite ray.  Pairs are (plus-branch, minus-branch) of the +/- sign in
     the series; all values are normalized by lambda_c.  Raises DomainError,
     before any point is built, for a d that is not a real number (float()
-    rejects it) or is NaN or infinite.
+    rejects it) or is NaN or infinite, and, with any d <= 0, where |a|^2
+    overflows.
     """
     d_values = [_finite_real(d, "d") for d in d_values]
     sqrt = math.sqrt
     mag_a, mag_b = abs(p.a), abs(p.b)
     cos_t, sin_t = math.cos(p.Theta), math.sin(p.Theta)
-    # only d <= 0 reads mag_a ** 2, which overflows for |a| past 1.3e154
-    half_gap = mag_a ** 2 - 2.0 * mag_b * cos_t if min(d_values, default=1.0) <= 0.0 else None
+    # only d <= 0 reads |a|^2, which overflows for |a| past 1.3e154
+    half_gap = _abs_sq(p.a) - 2.0 * mag_b * cos_t if min(d_values, default=1.0) <= 0.0 else None
     out = []
     for d in d_values:
         if d <= 0.0:

@@ -40,16 +40,15 @@ def type_sign(eig_type: EigType) -> int:
 
 @dataclass(frozen=True, eq=False)
 class KmsMatrix:
-    """Read-only blocks of K_n(rho) whose spectra, joined in block order, are
-    either all n of its eigenvalues (build_matrix: the whole matrix as one
-    block) or one type's (the catalog gate: that type's oracle.type_blocks)."""
+    """One read-only matrix whose spectrum is either all n eigenvalues of
+    K_n(rho) (build_matrix: the whole matrix) or one type's (the catalog
+    gate: that type's oracle.type_blocks)."""
     n: int
     rho: complex
-    blocks: tuple
+    block: np.ndarray
 
     def __post_init__(self):
-        for block in self.blocks:
-            block.setflags(write=False)
+        self.block.setflags(write=False)
 
 
 def _guard(num: complex, den: complex, what: str) -> None:
@@ -117,11 +116,11 @@ def _powers(n: int, rho) -> np.ndarray:
 
 
 def build_matrix(n: int, rho: complex) -> KmsMatrix:
-    """K_n(rho), with entries rho^|j-k|, as one block."""
+    """K_n(rho), with entries rho^|j-k|."""
     n = check_order(n)
     j = np.arange(n)
     entries = _powers(n, rho)[np.abs(j[:, None] - j[None, :])]
-    return KmsMatrix(n=n, rho=complex(rho), blocks=(entries,))
+    return KmsMatrix(n=n, rho=complex(rho), block=entries)
 
 
 @_mu_entry

@@ -16,14 +16,9 @@ symmetric and skew-symmetric vectors it splits into two half-size blocks
 skew-symmetric vectors and the type-2 block on the symmetric ones, so each
 block's spectrum is exactly one eigenvalue type.  The split uses only the
 matrix's symmetry, never the mu-parameterization.  Every solve takes one
-record, a KmsMatrix, and solves each of its blocks on its own.  The catalog
-gate builds both type blocks at rho_c from one power table, solves the
-block of the point's own type, and certifies the other type's block free of
--n with no eigensolve: a Cholesky factorization of its shifted Gram matrix
-that runs to completion proves its smallest singular value after the shift
-by n large enough (_excludes).  kms_spectrum, and every
-number the command line reports from the oracle, solve the whole matrix as
-one block.
+record, a KmsMatrix that holds one matrix: the whole K_n(rho) (kms_spectrum,
+and every number the command line reports) or one type block (gate, the
+rule that accepts or rejects each catalog point).
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ from .kms import (EigType, KmsMatrix, _finite_complex, _finite_real, _powers, bu
                   check_order, type_sign)
 
 _MAX_N = 512
+GATE_RADIUS = 1e-5  # times n; QR loses half its digits at a defective eigenvalue
 _LOG_MAX = math.log(sys.float_info.max)
 _U = np.finfo(float).eps / 2  # unit roundoff
 
@@ -80,23 +76,21 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(m: KmsMatrix) -> np.ndarray:
-    """The eigenvalues that m's blocks hold: each block solved on its own, one
-    eigensolver call per block, and the spectra joined in block order.  That is
-    all n eigenvalues of K_n(rho) for build_matrix's one block, and one type's
-    for a record of one type block (the catalog gate).  SizeError unless
-    3 <= n <= 512.
+    """The eigenvalues of m's matrix, from one eigensolver call: all n of
+    K_n(rho) for build_matrix's record, one type's for a type block (the
+    catalog gate).  SizeError unless 3 <= n <= 512.
     """
     _check_order(m.n)
-    return np.concatenate([_eigvals(block) for block in m.blocks])
+    return _eigvals(m.block)
 
 
 # kms_spectrum, and with it every printed oracle number (critical-points'
-# oracle_gap column, verify's sampled checks), solves the whole matrix as one
-# block.  The gap of a defective pair is rounding, and the benchmark's
-# reference pins oracle_gap to the rounding of the dense solve; a solve of the
-# type blocks moves it in the second digit.  Once that column is compared by
-# value, with a bound from the Jordan pair's sensitivity, kms_spectrum can
-# solve the two type blocks instead.
+# oracle_gap column, verify's sampled checks), solves the whole matrix.  The
+# gap of a defective pair is rounding, and the benchmark's reference pins
+# oracle_gap to the rounding of the dense solve; a solve of the type blocks
+# moves it in the second digit.  Once that column is compared by value, with
+# a bound from the Jordan pair's sensitivity, kms_spectrum can solve the two
+# type blocks instead.
 def kms_spectrum(n: int, rho: complex) -> np.ndarray:
     """The n eigenvalues of K_n(rho), from one dense solve.  Before building the
     matrix, raises SizeError unless 3 <= n <= 512 and DomainError for a rho that
@@ -120,13 +114,6 @@ def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
     n = _check_order(n)
     type1 = type_sign(eig_type) < 0
     return _block(n, _powers(n, _check_rho(n, rho)), type1)
-
-
-def _blocks_by_type(n: int, rho) -> dict:
-    """Both type blocks of K_n(rho), keyed by EigType, from one check of rho and
-    one power table: the catalog gate's two blocks at rho_c."""
-    powers = _powers(n, _check_rho(n, rho))
-    return {eig_type: _block(n, powers, eig_type is EigType.Type1) for eig_type in EigType}
 
 
 @lru_cache(maxsize=8)
@@ -192,6 +179,32 @@ def _excludes(block: np.ndarray, z: complex, r: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def gate(n: int, rho_c: complex, eig_type: EigType) -> None:
+    """Accept rho_c as a critical point of K_n of type eig_type, or raise RootFindingFailure.
+
+    This is the catalog's whole acceptance rule.  Both type blocks of
+    K_n(rho_c) come from one table of powers of rho_c.  The block of eig_type
+    gets one eigensolve and must hold exactly two eigenvalues within
+    r = GATE_RADIUS n of -n.  The other block gets none: a Cholesky
+    factorization of its shifted Gram matrix must certify it free of -n
+    within r (_excludes).  Raises SizeError unless 3 <= n <= 512, and
+    DomainError for a rho_c that is not finite or whose powers overflow.
+    """
+    n = _check_order(n)
+    radius = GATE_RADIUS * n
+    type1 = type_sign(eig_type) < 0
+    powers = _powers(n, _check_rho(n, rho_c))
+    gaps = np.sort(np.abs(eigenvalues(KmsMatrix(n, rho_c, _block(n, powers, type1))) + n))
+    if gaps[1] > radius:
+        raise RootFindingFailure(
+            f"oracle found no double eigenvalue -{n} at rho_c = {rho_c} (gaps {gaps[:3]})")
+    if gaps.size > 2 and gaps[2] <= radius:
+        raise RootFindingFailure(f"unexpected eigenvalue multiplicity > 2 at rho_c = {rho_c}")
+    if not _excludes(_block(n, powers, not type1), -n, radius):
+        raise RootFindingFailure(f"oracle cannot certify the type-{2 if type1 else 1} block "
+                                 f"free of -{n} at rho_c = {rho_c}")
 
 
 def count_extraordinary(n: int, eigenvalues: np.ndarray) -> int:

@@ -87,13 +87,21 @@ def derivatives_at_critical(cp: "CriticalPoint") -> DerivativeBundle:
     return bundle
 
 
+def _abs_sq(a: complex) -> float:
+    """abs(a) ** 2; DomainError where it overflows, for |a| past 1.3e154."""
+    try:
+        return abs(a) ** 2
+    except OverflowError:
+        raise DomainError(f"|a|^2 overflows double precision at a = {a}") from None
+
+
 def _params_from_ab(lambda_c: complex, a: complex, b: complex) -> PuiseuxParams:
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise DomainError(f"series parameters overflow: a = {a}, b = {b}")
     theta_a = cmath.phase(a)
     theta_b = cmath.phase(b)
     big_theta = wrap_angle(theta_b - 2.0 * theta_a)
-    c = 0.5 * (abs(a) ** 2 - 2.0 * abs(b) * math.cos(big_theta))
+    c = 0.5 * (_abs_sq(a) - 2.0 * abs(b) * math.cos(big_theta))
     return PuiseuxParams(lambda_c=lambda_c, a=a, b=b, theta_a=theta_a, theta_b=theta_b,
                          Theta=big_theta, c=c)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kmsbif import critical
+from kmsbif import critical, oracle
 from kmsbif.cli import _render_svg, main
 from kmsbif.errors import RootFindingFailure
 from kmsbif.imag_axis import imag_axis_params
@@ -383,6 +383,9 @@ def test_verify_passes(capsys):
     assert all(r[0] == "PASS" for r in rows)
     names = {r[1] for r in rows}
     assert "route-equivalence" in names and "chebyshev-identities" in names
+    # the double-eigenvalue check reads the catalog gate's radius
+    gap = next(r for r in rows if r[1] == "critical-double-eigenvalue")
+    assert float(gap[3]) == oracle.GATE_RADIUS
 
 
 def test_verify_leaves_numpy_random_unloaded():

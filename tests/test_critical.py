@@ -190,12 +190,13 @@ def test_catalog_gate_solves_each_point_once_from_its_type_blocks(monkeypatch):
     # one oracle solve per point, keyed on the point's (n, rho_c), and no
     # dense K_n anywhere on the catalog's path
     solved = []
+    solve = oracle.eigenvalues
 
     def recording(m):
         solved.append((m.n, m.rho))
-        return oracle.eigenvalues(m)
+        return solve(m)
 
-    monkeypatch.setattr(critical, "eigenvalues", recording)
+    monkeypatch.setattr(oracle, "eigenvalues", recording)
     monkeypatch.setattr(kms, "build_matrix", _no_build)
     monkeypatch.setattr(oracle, "build_matrix", _no_build)
     for n in range(3, 21):
@@ -222,14 +223,15 @@ def test_catalog_gate_reads_both_type_blocks(monkeypatch, eig_type):
     def all_minus_n(block):
         return -n * np.eye(len(block), dtype=complex)
 
+    block_of = oracle._block
     for target, change, message in ((other, third_minus_n, "cannot certify"),
                                     (eig_type, np.zeros_like, "no double eigenvalue"),
                                     (eig_type, all_minus_n, "multiplicity > 2")):
-        def altered(n, rho):
-            return {t: change(block) if t is target else block
-                    for t, block in oracle._blocks_by_type(n, rho).items()}
+        def altered(n, powers, type1):
+            block = block_of(n, powers, type1)
+            return change(block) if type1 == (target is EigType.Type1) else block
 
-        monkeypatch.setattr(critical, "_blocks_by_type", altered)
+        monkeypatch.setattr(oracle, "_block", altered)
         critical._catalog.cache_clear()
         with pytest.raises(RootFindingFailure, match=message):
             all_critical_points(n)
@@ -242,7 +244,7 @@ def test_catalog_gate_at_blocks_of_at_most_two_eigenvalues(n):
     # own block is the pair at -n and nothing else, so there is no third
     # eigenvalue to check; the other block (1 x 1 for K_3's type 1) is
     # certified free of -n, and its eigenvalues do lie away from it
-    gate = critical._ORACLE_GAP * n
+    gate = oracle.GATE_RADIUS * n
     pairs_only = 0
     for p in all_critical_points(n):
         other = EigType.Type2 if p.eig_type is EigType.Type1 else EigType.Type1

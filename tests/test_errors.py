@@ -12,9 +12,10 @@ import pytest
 
 import kmsbif
 from kmsbif import errors
+from kmsbif.geometry import cardioid_approx
 from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu)
-from kmsbif.puiseux import DerivativeBundle
+from kmsbif.puiseux import DerivativeBundle, PuiseuxParams, _params_from_ab
 
 
 def test_error_classes_are_exactly_the_exported_error_names():
@@ -92,6 +93,9 @@ def _point_with_mu(mu_c):
 
 _BOX = {"eig_type": EigType.Type1}
 _NAN = complex("nan")
+# |a|^2 overflows for |a| past 1.3e154
+_HUGE_A = PuiseuxParams(lambda_c=-4.0, a=1e200, b=1.0, theta_a=0.0, theta_b=0.0, Theta=0.0,
+                        c=0.0)
 
 # each call passes a number argument that complex() or float() rejects, that
 # is NaN or infinite, or at which the entry point's arithmetic overflows
@@ -123,6 +127,11 @@ _BAD_NUMBERS = {
     "puiseux_from_derivatives: beta overflows": lambda: kmsbif.puiseux_from_derivatives(
         -8, DerivativeBundle(1e300, 1, 1e-10, 1e300)),
     "large_n_params: 2n above the largest double": lambda: kmsbif.large_n_params(10 ** 400 + 1),
+    "local_level_curve: |a|^2 overflows": lambda: kmsbif.local_level_curve(_HUGE_A, 0j),
+    "trajectory_along_bisector: |a|^2 overflows": lambda: kmsbif.trajectory_along_bisector(
+        _HUGE_A, [-1.0]),
+    "cardioid_approx: |a|^2 overflows": lambda: cardioid_approx(_HUGE_A, 0.0),
+    "_params_from_ab: |a|^2 overflows": lambda: _params_from_ab(-4.0, 1e200, 1.0),
 }
 
 

@@ -306,7 +306,8 @@ def test_geometry_loops_are_bit_identical_to_the_per_sample_loop():
 
 def test_trajectory_takes_a_squared_only_where_some_d_reads_it():
     # |a|^2 overflows for |a| = 1e200: a trajectory that only leaves the cusp
-    # never forms it, and one that approaches it raises as it always did
+    # never forms it, and one that approaches it raises DomainError where the
+    # reference loop raises OverflowError
     huge = PuiseuxParams(lambda_c=-4.0, a=1e200, b=1.0, theta_a=0.0, theta_b=0.0,
                          Theta=0.0, c=0.0)
     leaving = [1e-3, 0.5]
@@ -315,5 +316,5 @@ def test_trajectory_takes_a_squared_only_where_some_d_reads_it():
     for approaching in ([-1e-3], [1e-3, -0.0]):
         with pytest.raises(OverflowError):
             _reference_trajectory(huge, approaching)
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError, match="overflows"):
             trajectory_along_bisector(huge, approaching)

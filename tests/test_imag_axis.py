@@ -173,7 +173,7 @@ def test_critical_eigenvector():
     for n in (3, 7, 11, 19, 5, 9, 13, 21):
         v = _critical_eigenvector(n)
         k = build_matrix(n, 1j * imag_axis_params(n).y_n)
-        resid = np.linalg.norm(k.blocks[0] @ v + n * v) / np.linalg.norm(v)
+        resid = np.linalg.norm(k.block @ v + n * v) / np.linalg.norm(v)
         assert resid <= 1e-9 * n
         # isotropy: the collision eigenvector is a null vector of the bilinear form
         assert abs(np.sum(v * v)) <= 1e-10 * np.linalg.norm(v) ** 2

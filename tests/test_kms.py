@@ -16,7 +16,7 @@ def test_build_matrix_entries():
     rho = 0.4 + 0.3j
     m = build_matrix(4, rho)
     assert m.n == 4
-    (a,) = m.blocks
+    a = m.block
     for j in range(4):
         for k in range(4):
             assert a[j, k] == pytest.approx(rho ** abs(j - k), rel=1e-15)
@@ -35,7 +35,7 @@ def test_build_matrix_entries():
                 powers[k] = powers[k - 1] * rho
             j = np.arange(n)
             want = powers[np.abs(j[:, None] - j[None, :])]
-            assert build_matrix(n, rho).blocks[0].tobytes() == want.tobytes(), (n, rho)
+            assert build_matrix(n, rho).block.tobytes() == want.tobytes(), (n, rho)
 
 
 def test_build_matrix_rejects_small_n():
@@ -45,11 +45,10 @@ def test_build_matrix_rejects_small_n():
 
 def test_entries_read_only():
     rho = 0.2 + 0.1j
-    split = KmsMatrix(3, rho, tuple(type_blocks(3, rho, t) for t in EigType))
-    for m in (build_matrix(3, rho), split):
-        for block in m.blocks:
-            with pytest.raises(ValueError):
-                block[0, 0] = 0.0
+    split = [KmsMatrix(3, rho, type_blocks(3, rho, t)) for t in EigType]
+    for m in (build_matrix(3, rho), *split):
+        with pytest.raises(ValueError):
+            m.block[0, 0] = 0.0
 
 
 def test_type_sign():
@@ -111,7 +110,7 @@ def test_eigenvector_residual():
             continue
         rho = rho_of_mu(n, mu, et)
         lam = lambda_of_mu(n, mu, et)
-        k = build_matrix(n, rho).blocks[0]
+        k = build_matrix(n, rho).block
         resid = np.linalg.norm(k @ v - lam * v) / np.linalg.norm(v)
         assert resid < 1e-10 * n
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,7 +46,7 @@ def test_trace_and_determinant_invariants():
         m = build_matrix(n, rho)
         ev = eigenvalues(m)
         assert abs(complex(np.sum(ev)) - n) < 1e-8 * n
-        det = complex(np.linalg.det(m.blocks[0]))
+        det = complex(np.linalg.det(m.block))
         prod = complex(np.prod(ev))
         assert abs(prod - det) < 1e-6 * max(abs(det), 1e-30)
 
@@ -107,7 +108,7 @@ def _random_draws(seed, count):
     for _ in range(count):
         n = int(rng.integers(3, 41))
         rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        k = build_matrix(n, rho).blocks[0]
+        k = build_matrix(n, rho).block
         yield n, rho, k, n * np.finfo(float).eps / 2 * np.linalg.norm(k)
 
 
@@ -175,15 +176,16 @@ def _within(a, b, bound):
 
 
 def test_split_eigenvalues_equal_dense_spectrum_as_multisets():
-    # a KmsMatrix of the two type blocks: its eigenvalues are kms_spectrum(n, rho)
+    # a KmsMatrix per type block: their eigenvalues are kms_spectrum(n, rho)
     # up to the two solves' backward errors (the bound above), odd and even n;
-    # and they are, bit for bit, the two type blocks solved in block order
+    # and they are, bit for bit, the two type blocks solved on their own
     rng = np.random.default_rng(403)
     u = np.finfo(float).eps / 2
     for n in list(range(3, 65)) * 2:
         rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        bound = _SPECTRUM_C * n * u * np.linalg.norm(build_matrix(n, rho).blocks[0])
-        split = eigenvalues(KmsMatrix(n, rho, tuple(type_blocks(n, rho, t) for t in EigType)))
+        bound = _SPECTRUM_C * n * u * np.linalg.norm(build_matrix(n, rho).block)
+        split = np.concatenate([eigenvalues(KmsMatrix(n, rho, type_blocks(n, rho, t)))
+                                for t in EigType])
         assert _within(kms_spectrum(n, rho), split, bound), (n, rho)
         by_type = np.concatenate([np.linalg.eigvals(type_blocks(n, rho, t)) for t in EigType])
         assert split.tobytes() == by_type.tobytes(), (n, rho)
@@ -269,6 +271,32 @@ def test_excludes_is_sharp_at_every_catalog_point():
             sigma = np.linalg.svd(block + n * np.eye(len(block)), compute_uv=False)[-1]
             assert oracle._excludes(block, -n, 0.99 * sigma), (n, p.rho_c)
             assert not oracle._excludes(block, -n, 1.01 * sigma), (n, p.rho_c)
+
+
+_FAR = [1e3, 1e4, 1e5]
+
+
+@pytest.mark.parametrize("eig_type", list(EigType))
+@pytest.mark.parametrize("own, other, message", [
+    ([0, 0, 2], _FAR, None),  # the pair at -n, a third eigenvalue at 2r: accepted
+    ([0, 0, 0.5], _FAR, "unexpected eigenvalue multiplicity > 2 at rho_c = 0.5j"),
+    ([0, 0, 2], [1e3, 1e4, 0.5],
+     "oracle cannot certify the type-{other} block free of -6 at rho_c = 0.5j"),
+    ([0, 1e3, 1e4], _FAR, "oracle found no double eigenvalue -6 at rho_c = 0.5j (gaps "),
+])
+def test_gate_on_planted_blocks(monkeypatch, eig_type, own, other, message):
+    # no catalog: the gate reads two planted diagonal blocks of K_6 whose
+    # eigenvalues lie the given multiples of the gate radius r from -6
+    n, r = 6, oracle.GATE_RADIUS * 6
+    own, other = (np.diag(-n + r * np.array(d, dtype=float)) for d in (own, other))
+    type1 = eig_type is EigType.Type1
+    monkeypatch.setattr(oracle, "_block", lambda n, powers, t1: own if t1 == type1 else other)
+    if message is None:
+        assert oracle.gate(n, 0.5j, eig_type) is None
+    else:
+        message = message.format(other=2 if type1 else 1)
+        with pytest.raises(RootFindingFailure, match=f"^{re.escape(message)}"):
+            oracle.gate(n, 0.5j, eig_type)
 
 
 def test_block_eigenvectors_lift_to_typed_eigenvectors():
