@@ -56,9 +56,10 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     theta = pi - 2 theta_a) is always included exactly once; samples past a
     sign change of the denominator, or with |eps| above 0.5, are outside
     the validity region and are dropped (with a warning).  Raises DomainError
-    for a count that is not an integer >= 3 or a theta_window that is not a
-    finite real > 0, a rho_c that is not a finite complex number, or an
-    |a|^2 that overflows, and HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
+    for a count that is not an integer >= 3, a theta_window outside (0, pi)
+    (a wider one winds round rho_c), a rho_c that is not a finite complex
+    number, or an |a|^2 that overflows, and HypothesisViolation when
+    |a|^2 - 2|b|cos(Theta) ~ 0.
     """
     rho_c = _finite_complex(rho_c, "rho_c")
     a_sq = _abs_sq(p.a)
@@ -66,8 +67,8 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
     if abs(den_cusp) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
     theta_window = _finite_real(theta_window, "theta_window")
-    if theta_window <= 0:
-        raise DomainError(f"theta_window must be > 0, got {theta_window}")
+    if not 0 < theta_window < math.pi:
+        raise DomainError(f"theta_window must lie in (0, pi), got {theta_window}")
     if not isinstance(count, numbers.Integral) or count < 3:
         raise DomainError(f"need an integer count >= 3 samples, got {count!r}")
     if count % 2 == 0:

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from kmsbif.chebyshev import cheb_t, cheb_t_log, cheb_u
-from kmsbif.critical import rho_c_of_t
+from kmsbif import chebyshev
+from kmsbif.chebyshev import cheb_t, cheb_u
+from kmsbif.critical import all_critical_points, critical_t_values, rho_c_of_t
 from kmsbif.errors import DomainError
 from kmsbif.kms import EigType
+from kmsbif.puiseux import puiseux_ab_from_t
 
 
 def _rel(lhs, rhs):
@@ -23,7 +25,6 @@ def test_low_degree_values():
     assert _rel(cheb_t(2, z), 2 * z * z - 1) < 1e-15
     assert cheb_u(0, z) == 1.0
     assert _rel(cheb_u(1, z), 2 * z) < 1e-15
-    assert cheb_u(-1, z) == 0.0
 
 
 def test_values_at_one():
@@ -103,22 +104,22 @@ def test_growth_for_x_above_one():
     for _ in range(100):
         k = int(rng.integers(1, 60))
         x = float(rng.uniform(1.0 + 1e-9, 5.0))
-        assert cheb_u(k, x) > k + 1
-        assert cheb_t(k, x) > 1.0
+        u, t = cheb_u(k, x), cheb_t(k, x)
+        assert u.imag == 0.0 and t.imag == 0.0
+        assert u.real > k + 1
+        assert t.real > 1.0
 
 
 def test_hyperbolic_routing_matches_recurrence():
-    # a real |x| > 1 runs the real recurrence; it matches cosh(k arccosh |x|) and
-    # the complex recurrence at the same point
+    # a real |x| > 1 runs the complex recurrence with a zero imaginary part; it
+    # matches cosh(k arccosh |x|), and a float x gives the value of complex(x)
     for k in (3, 10, 41):
         for x in (1.5, 2.0, -1.7):
-            via_real = cheb_t(k, x)
-            via_complex = cheb_t(k, complex(x))
-            assert isinstance(via_real, float)
-            assert _rel(via_real, via_complex) < 1e-12
-            assert abs(via_complex.imag) < 1e-9 * abs(via_complex)
+            value = cheb_t(k, x)
+            assert value == cheb_t(k, complex(x))
+            assert value.imag == 0.0
             hyperbolic = math.copysign(1.0, x) ** k * math.cosh(k * math.acosh(abs(x)))
-            assert _rel(via_real, hyperbolic) < 1e-12
+            assert _rel(value.real, hyperbolic) < 1e-12
 
 
 def test_overflow_raises_domain_error():
@@ -131,28 +132,13 @@ def test_overflow_raises_domain_error():
             overflow()
 
 
-def test_cheb_t_log():
-    for k, x in ((5, 2.0), (20, 1.5), (60, 3.0)):
-        assert abs(cheb_t_log(k, x) - math.log(cheb_t(k, x))) < 1e-12
-    for bad in (1.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            cheb_t_log(3, bad)
-    # degrees as cheb_t takes them, and a typed error once the log overflows
-    for k, x in ((3.5, 2.0), (-2, 2.0), (10 ** 400, 2.0), (10 ** 308, 1e10)):
-        with pytest.raises(DomainError):
-            cheb_t_log(k, x)
-    assert cheb_t_log(0, 2.0) == 0.0 and cheb_t_log(np.int64(5), 2.0) == cheb_t_log(5, 2.0)
-
-
 def test_degree_validation():
-    # integer degrees only: k >= 0 for T, k >= -1 for U
-    for bad in (3.5, 0.3, -1, 3.0):
-        with pytest.raises(DomainError):
-            cheb_t(bad, 1.0 + 0j)
-    for bad in (3.5, 0.3, -2):
-        with pytest.raises(DomainError):
-            cheb_u(bad, 1.0 + 0j)
-    assert cheb_u(-1, 0.5) == 0.0 and cheb_u(np.int64(4), 1.0) == 5.0
+    # integer degrees k >= 0 only, for T and U alike
+    for bad in (3.5, 0.3, -1, -2, 3.0):
+        for fn in (cheb_t, cheb_u):
+            with pytest.raises(DomainError):
+                fn(bad, 1.0 + 0j)
+    assert cheb_u(np.int64(4), 1.0) == 5.0
 
 
 def test_half_integer_float_degree_rejected():
@@ -163,3 +149,35 @@ def test_half_integer_float_degree_rejected():
         for fn in (cheb_t, cheb_u):
             with pytest.raises(DomainError, match="integer"):
                 fn(bad, z)
+
+
+def test_every_caller_reaches_the_patchable_recurrences(monkeypatch):
+    # the benchmark tracer counts chebyshev.degree_sum by patching these two
+    # module globals; a caller that bypassed them would leave the count at 0
+    calls = {"_t_recurrence": [], "_u_recurrence": []}
+    for name, seen in calls.items():
+        def counted(k, z, recurrence=getattr(chebyshev, name), seen=seen):
+            seen.append(k)
+            return recurrence(k, z)
+        monkeypatch.setattr(chebyshev, name, counted)
+
+    def reached(call):
+        for seen in calls.values():
+            seen.clear()
+        call()
+        return {name: list(seen) for name, seen in calls.items()}
+
+    z = 0.3 + 0.4j
+    assert reached(lambda: cheb_t(7, z)) == {"_t_recurrence": [7], "_u_recurrence": []}
+    assert reached(lambda: cheb_u(7, z)) == {"_t_recurrence": [], "_u_recurrence": [7]}
+    roots = reached(lambda: critical_t_values(8, EigType.Type1))
+    assert 7 in roots["_u_recurrence"] and 8 in roots["_t_recurrence"]
+    # odd n: U_4/U_3 for type 1 and T_5/T_4 for type 2
+    points = {p.eig_type: p for p in all_critical_points(9)}
+    type1, type2 = points[EigType.Type1], points[EigType.Type2]
+    assert reached(lambda: rho_c_of_t(9, type1.t_c, EigType.Type1)) == {
+        "_t_recurrence": [], "_u_recurrence": [4, 3]}
+    assert reached(lambda: rho_c_of_t(9, type2.t_c, EigType.Type2)) == {
+        "_t_recurrence": [5, 4], "_u_recurrence": []}
+    assert reached(lambda: puiseux_ab_from_t(type1)) == {
+        "_t_recurrence": [9, 8], "_u_recurrence": []}

@@ -60,6 +60,10 @@ def parse_csv(text):
     # float flags that would reach the library as NaN or inf
     ["level-curve", "--n", "8", "--window", "nan"],
     ["figure", "1", "--window", "nan"],
+    # a theta half-window of pi or more winds round rho_c
+    ["level-curve", "--n", "8", "--window", "100"],
+    ["level-curve", "--n", "8", "--window", "3.1416"],
+    ["figure", "1", "--window", "4"],
     ["trajectory", "--n", "8", "--d-max", "nan"],
     ["trajectory", "--n", "8", "--d-max", "inf"],
 ])

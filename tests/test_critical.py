@@ -154,12 +154,24 @@ def test_rho_c_outside_unit_circle():
             assert abs(p.rho_c) > 1.0
 
 
-def test_conjugation_and_negation_closure_odd_n():
-    for n in (5, 7, 9, 11):
-        rhos = [p.rho_c for p in all_critical_points(n)]
-        for r in rhos:
-            assert min(abs(x - r.conjugate()) for x in rhos) < 1e-8
-            assert min(abs(x + r) for x in rhos) < 1e-8
+def test_conjugation_and_negation_closure_by_type():
+    # conj rho_c is a point of the same type.  D = diag((-1)^j) gives
+    # D K_n(rho) D = K_n(-rho) and maps a symmetric vector to a symmetric one
+    # for odd n and to a skew-symmetric one for even n, so -rho_c is a point
+    # of the same type for odd n and of the other type for even n
+    def nearest(rhos, target):
+        return min(abs(x - target) for x in rhos) / abs(target)
+
+    for n in [*range(3, 31), 48, 64]:
+        by_type = {t: [p.rho_c for p in all_critical_points(n) if p.eig_type is t]
+                   for t in EigType}
+        for t, rhos in by_type.items():
+            other = EigType.Type2 if t is EigType.Type1 else EigType.Type1
+            negated = by_type[t if n % 2 else other]
+            assert len(negated) == len(rhos), (n, t)
+            for r in rhos:
+                assert nearest(rhos, r.conjugate()) < 1e-8, (n, t, r)
+                assert nearest(negated, -r) < 1e-8, (n, t, r)
 
 
 def test_mu_parameterization_at_critical_points():

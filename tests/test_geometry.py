@@ -123,7 +123,8 @@ def test_level_curve_condition_violated():
     with pytest.raises(HypothesisViolation):
         local_level_curve(bad, 0j)
     good = puiseux_ab_from_t(all_critical_points(3)[0])
-    for window in (0.0, math.nan, math.inf, "x", None, 1j):
+    # a half-window of pi or more winds round rho_c instead of covering the cusp
+    for window in (0.0, math.nan, math.inf, "x", None, 1j, math.pi, 4.0, 100.0):
         with pytest.raises(DomainError):
             local_level_curve(good, 0j, theta_window=window)
     # too few samples to hold the cusp and both branches, or not an integer
