@@ -20,13 +20,14 @@ import math
 import os
 import random
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import critical, geometry, imag_axis, oracle, puiseux
-from .errors import KmsBifError
+from .errors import HypothesisViolation, KmsBifError
 from .kms import EigType, eigenvector_of_mu, isotropy_defect, lambda_of_mu, rho_of_mu, \
     rho_prime_of_mu
 
@@ -292,7 +293,7 @@ def _nearest_point(n: int, eig_type: EigType, target: complex):
 def _borderline(name: str, meta: dict, n: int, eig_type, bounds, grid: int) -> Curve:
     rows = []
     for piece in oracle.numeric_borderline(n, bounds, resolution=grid, eig_type=eig_type):
-        rows.extend(_sample_rows(piece))
+        rows.extend((cmath.phase(rho), abs(rho), rho.real, rho.imag) for rho in piece)
         rows.append((math.nan, math.nan, math.nan, math.nan))  # polyline break
     return Curve(name, meta, _LEVEL_COLS, rows[:-1], False, (2, 3))
 
@@ -421,26 +422,15 @@ def cmd_figure(args) -> None:
 # verify
 
 
-def _verify_battery(n_max: int, scale: float) -> list:
+def _verify_battery(n_max: int) -> list:
     # the stdlib generator keeps numpy.random (about 6 MiB of RSS) out of the process
     rng = random.Random(20240901)
 
-    def run(name, fn):
-        try:
-            residual, tol, detail = fn()
-            ok = residual <= tol * scale
-        except KmsBifError as exc:  # a raised invariant is a failure, not a crash
-            residual, tol, detail, ok = math.inf, 0.0, f"raised {exc!r}", False
-        return ("PASS" if ok else "FAIL", name, residual, tol * scale, detail.replace(",", ";"))
-
-    def over_catalog(metric, tol: float, detail: str):
-        def check():  # builds the catalog itself, so a raise fails this check only
-            worst = 0.0
-            for n in range(3, n_max + 1):
-                for p in critical.all_critical_points(n):
-                    worst = max(worst, metric(p))
-            return worst, tol, detail
-        return check
+    def over_catalog(metric):
+        def worst():  # builds the catalog itself, so a raise fails this check only
+            return max([0.0] + [metric(p) for n in range(3, n_max + 1)
+                                for p in critical.all_critical_points(n)])
+        return worst
 
     def chebyshev_identities():
         from .chebyshev import cheb_t, cheb_u
@@ -452,7 +442,7 @@ def _verify_battery(n_max: int, scale: float) -> list:
             rec = cheb_t(k, z) - (2 * z * cheb_t(k + 1, z) - cheb_t(k + 2, z))
             ref = abs(cheb_t(k, z)) + 1.0
             worst = max(worst, abs(pell) / ref ** 2, abs(rec) / ref)
-        return worst, 1e-10, "Pell + recurrence on 200 seeded draws"
+        return worst
 
     def mu_consistency():
         worst = 0.0
@@ -463,7 +453,7 @@ def _verify_battery(n_max: int, scale: float) -> list:
                 lam = lambda_of_mu(n, mu, et)
                 ev = oracle.kms_spectrum(n, rho_of_mu(n, mu, et))
                 worst = max(worst, float(np.min(np.abs(ev - lam))))
-        return worst, 1e-8, "lambda(mu) sits in the oracle spectrum"
+        return worst
 
     def route_gap(p) -> float:
         pp_t = puiseux.puiseux_ab_from_t(p)
@@ -484,9 +474,9 @@ def _verify_battery(n_max: int, scale: float) -> list:
             res = abs(math.cosh(n * par.v_n) - n * math.cosh(par.v_n)) / (n * math.cosh(par.v_n))
             worst = max(worst, res)
             if par.c_n >= 0.0 or par.a_n <= prev_a:
-                return math.inf, 1e-11, f"c_n sign or a_n monotonicity broke at n = {n}"
+                raise HypothesisViolation(f"c_n sign or a_n monotonicity broke at n = {n}")
             prev_a = par.a_n
-        return worst, 1e-11, "defining residuals, c_n < 0, a_n increasing"
+        return worst
 
     def trace_identity():
         worst = 0.0
@@ -495,28 +485,35 @@ def _verify_battery(n_max: int, scale: float) -> list:
             rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             ev = oracle.kms_spectrum(n, rho)
             worst = max(worst, abs(complex(np.sum(ev)) - n) / n)
-        return worst, 1e-9, "sum of eigenvalues = n"
+        return worst
 
-    battery = [
-        ("chebyshev-identities", chebyshev_identities),
-        ("mu-parameterization", mu_consistency),
-        ("critical-double-eigenvalue", over_catalog(
-            lambda p: _oracle_gap(p) / p.n, oracle.GATE_RADIUS,
-            "double eigenvalue -n at every catalog point")),
+    battery = [  # (name, residual, gate, detail), run in this order: the draws are seeded
+        ("chebyshev-identities", chebyshev_identities, 1e-10,
+         "Pell + recurrence on 200 seeded draws"),
+        ("mu-parameterization", mu_consistency, 1e-8, "lambda(mu) sits in the oracle spectrum"),
+        ("critical-double-eigenvalue", over_catalog(lambda p: _oracle_gap(p) / p.n),
+         oracle.GATE_RADIUS, "double eigenvalue -n at every catalog point"),
         ("rho-prime-vanishes", over_catalog(
-            lambda p: abs(rho_prime_of_mu(p.n, p.mu_c, p.eig_type)), 1e-8,
-            "rho'(mu_c) = 0")),
-        ("route-equivalence", over_catalog(
-            route_gap, 1e-9, "closed-form vs derivative-chain parameters")),
-        ("isotropy", over_catalog(isotropy_ratio, 1e-10, "critical eigenvectors are isotropic")),
-        ("imaginary-family", imag_family),
-        ("trace-identity", trace_identity),
+            lambda p: abs(rho_prime_of_mu(p.n, p.mu_c, p.eig_type))), 1e-8, "rho'(mu_c) = 0"),
+        ("route-equivalence", over_catalog(route_gap), 1e-9,
+         "closed-form vs derivative-chain parameters"),
+        ("isotropy", over_catalog(isotropy_ratio), 1e-10, "critical eigenvectors are isotropic"),
+        ("imaginary-family", imag_family, 1e-11, "defining residuals, c_n < 0, a_n increasing"),
+        ("trace-identity", trace_identity, 1e-9, "sum of eigenvalues = n"),
     ]
-    return [run(name, fn) for name, fn in battery]
+    rows = []
+    for name, residual, tol, detail in battery:
+        try:
+            value = residual()
+            ok = value <= tol
+        except KmsBifError as exc:  # a raised invariant is a failure, not a crash
+            value, tol, detail, ok = math.inf, 0.0, f"raised {exc!r}", False
+        rows.append(("PASS" if ok else "FAIL", name, value, tol, detail.replace(",", ";")))
+    return rows
 
 
 def cmd_verify(args) -> None:
-    rows = _verify_battery(args.n_max, args.tol)
+    rows = _verify_battery(args.n_max)
     meta = {"command": "verify", "n-max": args.n_max,
             "columns-doc": "one row per invariant; residual must stay below tol"}
     _emit_table(args, meta, ["status", "check", "residual", "tol", "detail"], rows)
@@ -569,8 +566,7 @@ def _build_parser() -> _Parser:
         "--grid": dict(type=_AT_LEAST_3, help="samples per curve / grid resolution"),
         "--n-max": dict(type=_AT_LEAST_3, dest="n_max",
                         help="largest n of the figure-6 sweep / the verify battery"),
-        "--tol": dict(type=_POSITIVE, default=None,
-                      help="residual gate (exit 2 above it); for verify a tolerance scale"),
+        "--tol": dict(type=_POSITIVE, default=None, help="residual gate (exit 2 above it)"),
     }
 
     def command(name, handler, help, names, formats=("csv", "json"),
@@ -605,8 +601,7 @@ def _build_parser() -> _Parser:
             ("--window", dict(help="level-curve theta half-window (figures 1, 2, 3)")),
             ("--n-max", dict(default=50, help="largest n of the sweep (figure 6)"))):
         s.add_argument(flag, **{**flags[flag], **only})
-    command("verify", cmd_verify, "run the invariant battery", ["--n-max", "--tol"],
-            n_max=12, tol=1.0)
+    command("verify", cmd_verify, "run the invariant battery", ["--n-max"], n_max=12)
     return parser
 
 
@@ -631,17 +626,24 @@ def _check_out(args) -> None:
             target.unlink()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning the filters let through as one stderr line, with no source echo."""
+    print(f"kmsbif: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        _check_out(args)
-        args.handler(args)
-    except KmsBifError as exc:
-        print(f"kmsbif: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # an --out that cannot be written is a usage error
-        print(f"kmsbif: cannot write output: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # the filters (-W error::..., say) still apply
+        warnings.showwarning = _show_warning
+        try:
+            _check_out(args)
+            args.handler(args)
+        except KmsBifError as exc:
+            print(f"kmsbif: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:  # an --out that cannot be written is a usage error
+            print(f"kmsbif: cannot write output: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .chebyshev import cheb_t, cheb_u
 from .errors import DegenerateArgument, DomainError, RootFindingFailure
 from .kms import EigType, _finite_complex, check_order, type_sign
-from .oracle import _check_order, gate
+from .oracle import _check_order, _eigvals, gate
 
 _MERGE_DIST = 1e-8
 
@@ -60,8 +60,8 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
     roots for even n and n - 3 (type 1) or n - 1 (type 2) for odd n, so type 1
     at n = 3 gives [] (K_3's type-1 eigenvalue 1 - rho^2 never bifurcates).
     Raises SizeError unless n is an integer >= 3, and RootFindingFailure when
-    a trivial root is missing, a polished residual exceeds 1e-9 n or two
-    polished roots coincide.
+    the colleague eigensolve fails, a trivial root is missing, a polished
+    residual exceeds 1e-9 n or two polished roots coincide.
     """
     n = check_order(n)
     s = type_sign(eig_type)
@@ -70,7 +70,7 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
     off = np.arange(size - 1)
     colleague[off + 1, off] = colleague[off, off + 1] = 0.5
     colleague[0, size - 1] -= s * n / 2.0
-    raw = list(np.linalg.eigvals(colleague))
+    raw = list(_eigvals(colleague))
 
     # U_{n-1}(+/-1) = (+/-1)^(n-1) n, so t = 1 is a root for s = -1 and t = -1 for s = (-1)^n
     for r in [r for r, root_sign in ((1.0, -1), (-1.0, (-1) ** n)) if s == root_sign]:

@@ -17,6 +17,7 @@ import enum
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import DegenerateArgument, DomainError, SizeError
 
 _FLOOR = 1e-12
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class EigType(enum.Enum):
@@ -82,10 +84,12 @@ def _finite_complex(value, name: str) -> complex:
 
 
 def _mu_entry(func):
-    """Run func(n, mu, eig_type) on mu made a finite complex; DomainError
-    where its trigonometry overflows or its result is not finite."""
+    """Run func(n, mu, eig_type) on n checked by check_order and mu made a
+    finite complex; DomainError where its trigonometry overflows or its
+    result is not finite."""
     @functools.wraps(func)
     def checked(n, mu, eig_type):
+        n = check_order(n)
         mu = _finite_complex(mu, "mu")
         try:
             out = func(n, mu, eig_type)
@@ -115,12 +119,38 @@ def _powers(n: int, rho) -> np.ndarray:
     return np.cumprod(factors, axis=-1)
 
 
+def _check_rho(n: int, rho) -> np.ndarray:
+    """rho as a complex array, checked before any power of it is formed.
+
+    Entries of K_n(rho) and of its type blocks reach 2 |rho|^(n-1), so every
+    eigenvalue is below 2 n |rho|^(n-1), which must stay finite.  rho may be
+    an array, checked as a whole and shown in full; one that is not numeric
+    (a string, None) goes through _finite_complex entry by entry.  DomainError
+    for a rho that is not finite or whose powers overflow.
+    """
+    rho = np.asarray(rho)
+    if rho.dtype.kind not in "biufc":
+        rho = np.reshape([_finite_complex(r, "rho") for r in rho.ravel()], rho.shape)
+    rho = rho.astype(complex, copy=False)
+    r_max = np.abs(rho).max(initial=0.0)
+    if not np.isfinite(rho).all():
+        problem = "rho must be finite, got"
+    elif r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
+        problem = f"|rho|^{n - 1} overflows at rho ="
+    else:
+        return rho
+    raise DomainError(f"{problem} {', '.join(str(complex(r)) for r in rho.ravel())}")
+
+
 def build_matrix(n: int, rho: complex) -> KmsMatrix:
-    """K_n(rho), with entries rho^|j-k|."""
+    """K_n(rho), with entries rho^|j-k|.  Raises SizeError unless n is an
+    integer >= 3, and DomainError for a rho that is not a finite complex
+    number or whose powers overflow."""
     n = check_order(n)
+    rho = _finite_complex(rho, "rho")
     j = np.arange(n)
-    entries = _powers(n, rho)[np.abs(j[:, None] - j[None, :])]
-    return KmsMatrix(n=n, rho=complex(rho), block=entries)
+    entries = _powers(n, _check_rho(n, rho))[np.abs(j[:, None] - j[None, :])]
+    return KmsMatrix(n=n, rho=rho, block=entries)
 
 
 @_mu_entry

@@ -3,12 +3,12 @@
 Everything here deliberately avoids the closed forms under test: eigenvalues
 come from a dense general-complex eigensolver (LAPACK zgeev: balancing,
 Hessenberg reduction, shifted QR with deflation), and the |lambda| = n
-borderline is traced by marching squares over a grid of oracle spectra.
-The grid solves the nodes at the ends of the grid edges the contour
-crosses, the only nodes whose value marching squares reads, and the few
-nodes the bounds below leave open.  Every other node gets just the sign
-of max |lambda| - n, certified by trace and Frobenius-norm bounds on the
-spectral radius of powers of its type block.
+borderline, polylines of complex rho, is traced by marching squares over a
+grid of oracle spectra.  The grid solves the nodes at the ends of the grid
+edges the contour crosses, the only nodes whose value marching squares
+reads, and the few nodes the bounds below leave open.  Every other node
+gets just the sign of max |lambda| - n, certified by trace and
+Frobenius-norm bounds on the spectral radius of powers of its type block.
 
 K_n(rho) is symmetric and centrosymmetric, so in the orthonormal basis of
 symmetric and skew-symmetric vectors it splits into two half-size blocks
@@ -26,19 +26,16 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import sys
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, RootFindingFailure, SizeError
-from .geometry import CurveSamples
-from .kms import (EigType, KmsMatrix, _finite_complex, _finite_real, _powers, build_matrix,
-                  check_order, type_sign)
+from .kms import (EigType, KmsMatrix, _check_rho, _finite_complex, _finite_real, _powers,
+                  build_matrix, check_order, type_sign)
 
 _MAX_N = 512
 GATE_RADIUS = 1e-5  # times n; QR loses half its digits at a defective eigenvalue
-_LOG_MAX = math.log(sys.float_info.max)
 _U = np.finfo(float).eps / 2  # unit roundoff
 
 
@@ -47,25 +44,6 @@ def _check_order(n) -> int:
     if n > _MAX_N:
         raise SizeError(f"oracle needs 3 <= n <= {_MAX_N}, got {n}")
     return n
-
-
-def _check_rho(n: int, rho) -> np.ndarray:
-    # entries of K_n(rho) and of its type blocks reach 2 |rho|^(n-1), so every
-    # eigenvalue is below 2 n |rho|^(n-1), which must stay finite; rho may be
-    # an array, checked as a whole and shown in full.  An array that is not
-    # numeric (a string, None) goes through _finite_complex entry by entry.
-    rho = np.asarray(rho)
-    if rho.dtype.kind not in "biufc":
-        rho = np.reshape([_finite_complex(r, "rho") for r in rho.ravel()], rho.shape)
-    rho = rho.astype(complex, copy=False)
-    r_max = np.abs(rho).max(initial=0.0)
-    if not np.isfinite(rho).all():
-        problem = "rho must be finite, got"
-    elif r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
-        problem = f"|rho|^{n - 1} overflows at rho ="
-    else:
-        return rho
-    raise DomainError(f"{problem} {', '.join(str(complex(r)) for r in rho.ravel())}")
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
@@ -349,10 +327,10 @@ _SEGMENTS = {
 def _march(xs, ys, f) -> list:
     """Marching-squares polylines of f = 0, with f[j, i] at (xs[i], ys[j]); f < 0 is inside.
 
-    A crossing is keyed by the grid edge it lies on, or by the grid node where
-    f is exactly 0, and segments that share a key are joined.  Each chain
-    starts at the first unused segment in row-major cell order and grows from
-    its second end, then from its first; a closed chain repeats its first point.
+    Each point is complex, x + iy.  A crossing is keyed by the grid edge it lies on, or
+    by the grid node where f is exactly 0, and segments that share a key are joined.
+    Each chain starts at the first unused segment in row-major cell order and grows
+    from its second end, then from its first; a closed chain repeats its first point.
     """
     inside = f < 0
     case = inside[:-1, :-1] + 2 * inside[:-1, 1:] + 4 * inside[1:, 1:] + 8 * inside[1:, :-1]
@@ -363,7 +341,8 @@ def _march(xs, ys, f) -> list:
         p, q = [(j + dj, i + di) for dj, di in (_CORNERS[edge], _CORNERS[(edge + 1) % 4])]
         fp, fq = f[p], f[q]
         t = fp / (fp - fq)
-        point = (xs[p[1]] + t * (xs[q[1]] - xs[p[1]]), ys[p[0]] + t * (ys[q[0]] - ys[p[0]]))
+        point = complex(xs[p[1]] + t * (xs[q[1]] - xs[p[1]]),
+                        ys[p[0]] + t * (ys[q[0]] - ys[p[0]]))
         if fp == 0 or fq == 0:
             return point, (p if fp == 0 else q,)
         return point, (min(p, q), max(p, q))
@@ -412,7 +391,7 @@ def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigTyp
     certify the sign.  A box symmetric about the real axis
     (im_min == -im_max), or about the imaginary axis for odd n, is solved on
     half its grid and the other half copied from the mirror nodes.  Returns
-    a list of CurveSamples with center 0, one per connected polyline.
+    one list of complex rho per polyline; a closed one repeats its first point.
     Raises DomainError for a resolution that is not an integer >= 64, for a
     box that is not four finite real numbers, for a box without
     re_min < re_max and im_min < im_max, for a box where an eigenvalue bound
@@ -434,12 +413,4 @@ def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigTyp
     if not (re0 < re1 and im0 < im1):
         raise DomainError(f"borderline box needs re_min < re_max and im_min < im_max, "
                           f"got {bounds}")
-    xs, ys, f = _grid_values(n, resolution, bounds, eig_type)
-    out = []
-    for chain in _march(xs, ys, f):
-        samples = []
-        for (x, y) in chain:
-            rho = complex(x, y)
-            samples.append((cmath.phase(rho), abs(rho), rho))
-        out.append(CurveSamples(center=0j, samples=samples))
-    return out
+    return _march(*_grid_values(n, resolution, bounds, eig_type))

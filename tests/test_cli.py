@@ -1,16 +1,21 @@
 """End-to-end tests of the command-line interface (in-process, and one fresh interpreter)."""
 
+import argparse
+import cmath
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from kmsbif import critical, oracle
-from kmsbif.cli import _render_svg, main
+from kmsbif import critical, imag_axis, oracle
+from kmsbif.cli import _build_parser, _render_svg, main
 from kmsbif.errors import RootFindingFailure
 from kmsbif.imag_axis import imag_axis_params
 
@@ -54,6 +59,7 @@ def parse_csv(text):
     # each subcommand takes only the flags and formats it uses
     ["critical-points", "--n", "5", "--format", "svg"],
     ["puiseux", "--n", "4", "--tol", "1e-3"],
+    ["verify", "--tol", "2"],  # --tol is a gate, and verify's gates are its own
     ["figure", "2", "--format", "json"],
     # the borderline figures need a grid of at least 64
     ["figure", "2", "--grid", "10"],
@@ -176,6 +182,20 @@ def test_success_returns_zero(capsys):
     assert code == 0
     assert err == ""
     assert out
+
+
+def test_library_warning_is_one_stderr_line(capsys):
+    before = warnings.showwarning
+    code, out, err = run(capsys, "level-curve", "--n", "8")
+    assert code == 0 and out
+    assert err == "kmsbif: warning: 51 level-curve samples outside validity region dropped\n"
+    assert warnings.showwarning is before
+    # the warning filters still apply: -W error turns the warning into an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="51 level-curve samples"):
+            main(["level-curve", "--n", "8"])
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +394,21 @@ def test_figure_files(fig, tmp_path, capsys):
     assert ["stroke-dasharray" in line for line in polylines] == expected
 
 
+def test_borderline_csv_polar_columns_match_rho(tmp_path, capsys):
+    # theta and eps_mag are the phase and modulus of rho = re_rho + i im_rho,
+    # bit for bit, since %.17g round-trips every double
+    assert main(["figure", "1", "--grid", "64", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name in ("borderline_type1", "borderline_type2"):
+        _, header, rows = parse_csv((tmp_path / f"fig1_{name}.csv").read_text())
+        assert header == _LEVEL
+        points = [[float(v) for v in row] for row in rows if row[0] != "nan"]
+        assert len(points) > 50
+        for theta, eps_mag, re_rho, im_rho in points:
+            rho = complex(re_rho, im_rho)
+            assert (theta, eps_mag) == (cmath.phase(rho), abs(rho)), name
+
+
 # ---------------------------------------------------------------------------
 # verify battery
 
@@ -402,3 +437,51 @@ def test_verify_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_fails_a_broken_imaginary_family_row(capsys, monkeypatch):
+    # a c_n of the wrong sign raises HypothesisViolation, which fails its row only
+    params = imag_axis.imag_axis_params
+    monkeypatch.setattr(imag_axis, "imag_axis_params", lambda n: (
+        dataclasses.replace(params(n), c_n=1.0) if n == 7 else params(n)))
+    code, out, err = run(capsys, "verify", "--n-max", "6")
+    assert code == 2 and "invariants failed" in err
+    rows = {row[1]: row for row in parse_csv(out)[2]}
+    assert rows.pop("imaginary-family") == [
+        "FAIL", "imaginary-family", "inf", "0",
+        "raised HypothesisViolation('c_n sign or a_n monotonicity broke at n = 7')"]
+    assert len(rows) == 7 and all(row[0] == "PASS" for row in rows.values())
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_flags(text):
+    """{subcommand: the flags its usage lines name} from README's command-line block."""
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    flags, name = {}, None
+    for line in block.splitlines():
+        if line.startswith("kmsbif "):
+            name = line.split()[1]
+            flags[name] = set()
+        if name is not None:
+            flags[name] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+def _parser_flags():
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in sub._actions for flag in action.option_strings}
+            - {"-h", "--help"} for name, sub in subs.choices.items()}
+
+
+def test_readme_usage_lists_the_flags_each_subcommand_takes():
+    text = _README.read_text(encoding="utf-8")
+    assert _readme_flags(text) == _parser_flags()
+    stale = text.replace("kmsbif verify [--n-max 12]", "kmsbif verify [--n-max 12] [--tol 1.0]")
+    assert stale != text and _readme_flags(stale) != _parser_flags()

@@ -99,6 +99,23 @@ def test_coinciding_roots_raise(monkeypatch):
         critical_t_values(5, EigType.Type2)
 
 
+def test_colleague_solver_failure_is_a_typed_error(monkeypatch):
+    # root finding never goes through oracle.eigenvalues, whose calls count oracle solves
+    def no_oracle(m):
+        raise AssertionError("oracle.eigenvalues called")
+
+    monkeypatch.setattr(oracle, "eigenvalues", no_oracle)
+    assert len(critical_t_values(8, EigType.Type1)) == 6
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    for eig_type in EigType:
+        with pytest.raises(RootFindingFailure, match="did not converge"):
+            critical_t_values(8, eig_type)
+
+
 def test_rho_c_matches_mu_route():
     # the Chebyshev ratio in t_c (half-integer degrees for even n, evaluated in
     # place) equals rho(mu) of the mu-parameterization at mu = acos t_c

@@ -40,13 +40,17 @@ _ORDER_ENTRY_POINTS = {
     "imag_axis_params": kmsbif.imag_axis_params,
     "large_n_params": kmsbif.large_n_params,
     "build_matrix": lambda n: build_matrix(n, 0.5),
+    "lambda_of_mu": lambda n: lambda_of_mu(n, 1.0, EigType.Type1),
+    "rho_of_mu": lambda n: rho_of_mu(n, 1.0, EigType.Type1),
+    "rho_prime_of_mu": lambda n: rho_prime_of_mu(n, 1.0 + 0.1j, EigType.Type1),
+    "eigenvector_of_mu": lambda n: eigenvector_of_mu(n, 1.0, EigType.Type1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ORDER_ENTRY_POINTS))
 def test_order_must_be_an_integer(name):
     call = _ORDER_ENTRY_POINTS[name]
-    for n in (7.0, 7.5, "7", None):
+    for n in (7.0, 7.5, "7", None, 0, 2):
         with pytest.raises(errors.SizeError, match=r"^need an integer n >= 3, got "):
             call(n)
     call(np.int64(7))  # numpy integers are integers
@@ -105,6 +109,10 @@ _BAD_NUMBERS = {
     "type_blocks: rho None": lambda: kmsbif.type_blocks(4, None, EigType.Type2),
     "type_blocks: rho 'x'": lambda: kmsbif.type_blocks(4, "x", EigType.Type1),
     "type_blocks: rho [1, None]": lambda: kmsbif.type_blocks(4, [1, None], EigType.Type1),
+    "build_matrix: rho None": lambda: build_matrix(4, None),
+    "build_matrix: rho 'x'": lambda: build_matrix(4, "x"),
+    "build_matrix: rho nan": lambda: build_matrix(4, _NAN),
+    "build_matrix: |rho|^39 overflows": lambda: build_matrix(40, 1e200),
     "rho_c_of_t: t_c 'x'": lambda: kmsbif.rho_c_of_t(8, "x", EigType.Type1),
     "rho_c_of_t: t_c None": lambda: kmsbif.rho_c_of_t(8, None, EigType.Type1),
     "numeric_borderline: bound 'a'": lambda: kmsbif.numeric_borderline(3, ("a", 1, -1, 1), **_BOX),

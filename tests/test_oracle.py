@@ -1,9 +1,11 @@
 """Tests for the dense-eigensolver oracle and the borderline tracer."""
 
+import ast
 import cmath
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,7 +351,7 @@ def test_borderline_passes_through_n3_critical_points():
         pieces = numeric_borderline(3, bounds, resolution=64,
                                     eig_type=EigType.Type2)
         assert pieces
-        pts = np.array([rho for piece in pieces for _, _, rho in piece.samples])
+        pts = np.array([rho for piece in pieces for rho in piece])
         cell = 1.0 / 63
         assert np.min(np.abs(pts - target)) < 4 * cell
 
@@ -358,21 +360,35 @@ def test_borderline_type1_is_cassini_oval():
     # type-1 eigenvalue of K_3 is 1 - rho^2, so its borderline is |1-rho^2| = 3
     pieces = numeric_borderline(3, (-2.4, 2.4, -2.4, 2.4), resolution=64,
                                 eig_type=EigType.Type1)
-    pts = np.array([rho for piece in pieces for _, _, rho in piece.samples])
+    pts = np.array([rho for piece in pieces for rho in piece])
     assert pts.size > 50
     cell = 4.8 / 63
     assert np.max(np.abs(np.abs(1 - pts ** 2) - 3.0)) < 3.0 * cell
 
 
-def test_borderline_sample_fields_consistent():
-    pieces = numeric_borderline(3, (0.5, 3.0, 0.5, 3.0), resolution=64,
-                                eig_type=EigType.Type2)
-    assert pieces
+def test_borderline_is_a_list_of_complex_polylines():
+    # the Cassini oval |1 - rho^2| = 3 of K_3's type-1 eigenvalue is one closed
+    # loop, inside this box, so it comes back as one piece that repeats its first point
+    pieces = numeric_borderline(3, (-2.4, 2.4, -2.4, 2.4), resolution=64,
+                                eig_type=EigType.Type1)
+    assert isinstance(pieces, list) and len(pieces) == 1
     for piece in pieces:
-        assert piece.center == 0j
-        for theta, mag, rho in piece.samples:
-            assert mag == pytest.approx(abs(rho))
-            assert theta == pytest.approx(cmath.phase(rho))
+        assert isinstance(piece, list) and len(piece) > 3
+        assert all(type(rho) is complex for rho in piece)
+        assert piece[0] == piece[-1]
+
+
+def test_oracle_imports_only_errors_and_kms():
+    # the oracle never feeds the formulas: no formula module loads with it
+    modules = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            package = "kmsbif." if node.level else ""
+            modules |= ({package + node.module} if node.module
+                        else {package + alias.name for alias in node.names})
+    assert {m for m in modules if m.split(".")[0] == "kmsbif"} == {"kmsbif.errors", "kmsbif.kms"}
 
 
 def _grid_by_rows(n, res, bounds, eig_type):
@@ -605,7 +621,7 @@ def test_radius_bounds_raise_no_warning_at_extreme_entries():
 def _march(f):
     f = np.asarray(f, dtype=float)
     xs, ys = np.arange(f.shape[1], dtype=float), np.arange(f.shape[0], dtype=float)
-    return [[(float(x), float(y)) for x, y in chain] for chain in oracle._march(xs, ys, f)]
+    return [[(z.real, z.imag) for z in chain] for chain in oracle._march(xs, ys, f)]
 
 
 def test_march_one_inside_node_is_a_closed_loop():
