@@ -507,7 +507,7 @@ def _verify_battery(n_max: int) -> list:
             value = residual()
             ok = value <= tol
         except KmsBifError as exc:  # a raised invariant is a failure, not a crash
-            value, tol, detail, ok = math.inf, 0.0, f"raised {exc!r}", False
+            value, detail, ok = math.inf, f"raised {exc!r}", False
         rows.append(("PASS" if ok else "FAIL", name, value, tol, detail.replace(",", ";")))
     return rows
 
@@ -635,6 +635,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():  # the filters (-W error::..., say) still apply
         warnings.showwarning = _show_warning
+        # every warning the call raises, not each text once per source line;
+        # appended, so -W and the caller's filters still come first
+        warnings.filterwarnings("always", category=UserWarning, append=True)
         try:
             _check_out(args)
             args.handler(args)

@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, RootFindingFailure, SizeError
-from .kms import (EigType, KmsMatrix, _check_rho, _finite_complex, _finite_real, _powers,
-                  build_matrix, check_order, type_sign)
+from .kms import (EigType, KmsMatrix, _check_rho, _finite_real, _powers, build_matrix,
+                  check_order, type_sign)
 
 _MAX_N = 512
 GATE_RADIUS = 1e-5  # times n; QR loses half its digits at a defective eigenvalue
@@ -73,9 +73,7 @@ def kms_spectrum(n: int, rho: complex) -> np.ndarray:
     """The n eigenvalues of K_n(rho), from one dense solve.  Before building the
     matrix, raises SizeError unless 3 <= n <= 512 and DomainError for a rho that
     is not a finite complex number or whose powers overflow."""
-    n = _check_order(n)
-    _check_rho(n, _finite_complex(rho, "rho"))
-    return eigenvalues(build_matrix(n, rho))
+    return eigenvalues(build_matrix(_check_order(n), rho))
 
 
 def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:

@@ -44,6 +44,7 @@ def parse_csv(text):
 
 @pytest.mark.parametrize("argv", [
     ["critical-points", "--n", "2"],
+    ["critical-points", "--n", "x"],  # not an integer at all
     ["no-such-command"],
     ["critical-points", "--n", "5", "--type", "3"],
     ["critical-points", "--n", "5", "--tol", "0"],
@@ -92,6 +93,10 @@ def test_computation_errors_return_two(capsys):
     code, _, err = run(capsys, "trajectory", "--n", "8", "--d-max", "1e300")
     assert code == 2
     assert "overflows" in err
+    # a residual above --tol fails the command, with one stderr line
+    code, _, err = run(capsys, "trajectory", "--n", "8", "--type", "1", "--tol", "1e-12")
+    assert code == 2
+    assert err.startswith("kmsbif: trajectory residual ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,6 +200,19 @@ def test_library_warning_is_one_stderr_line(capsys):
         warnings.simplefilter("error", UserWarning)
         with pytest.raises(UserWarning, match="51 level-curve samples"):
             main(["level-curve", "--n", "8"])
+    assert capsys.readouterr().err == ""
+
+
+def test_every_library_warning_is_printed(tmp_path, capsys):
+    # figure 1 traces two level curves, and each drops samples: two warnings
+    # with the same text from the same line, and both are printed
+    code, _, err = run(capsys, "figure", "1", "--out", str(tmp_path))
+    assert code == 0
+    assert err == "kmsbif: warning: 90 level-curve samples outside validity region dropped\n" * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        with pytest.raises(UserWarning, match="90 level-curve samples"):
+            main(["figure", "1", "--out", str(tmp_path)])
     assert capsys.readouterr().err == ""
 
 
@@ -448,7 +466,7 @@ def test_verify_fails_a_broken_imaginary_family_row(capsys, monkeypatch):
     assert code == 2 and "invariants failed" in err
     rows = {row[1]: row for row in parse_csv(out)[2]}
     assert rows.pop("imaginary-family") == [
-        "FAIL", "imaginary-family", "inf", "0",
+        "FAIL", "imaginary-family", "inf", "9.9999999999999994e-12",
         "raised HypothesisViolation('c_n sign or a_n monotonicity broke at n = 7')"]
     assert len(rows) == 7 and all(row[0] == "PASS" for row in rows.values())
 

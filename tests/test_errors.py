@@ -1,7 +1,8 @@
 """The error taxonomy: every class in kmsbif.errors is exported, and nothing else is;
 every entry point that takes a matrix order rejects one that is not an integer,
 every entry point that takes an eigenvalue type rejects one that is not an EigType,
-and a number argument that is not a number, not finite or overflows raises DomainError."""
+a number argument that is not a number, not finite or overflows raises DomainError,
+and a point where a formula degenerates raises DegenerateArgument."""
 
 import dataclasses
 import inspect
@@ -147,3 +148,23 @@ _BAD_NUMBERS = {
 def test_bad_number_raises_domain_error(case):
     with pytest.raises(errors.DomainError):
         _BAD_NUMBERS[case]()
+
+
+# each call hits a point where the formula it evaluates has a vanishing denominator
+_DEGENERATE_POINTS = {
+    "rho_c_of_t: denominator vanishes at t_c = 0, n = 5": lambda: kmsbif.rho_c_of_t(
+        5, 0j, EigType.Type1),
+    "derivatives_at_critical: sin(mu_c) = 0": lambda: kmsbif.derivatives_at_critical(
+        _point_with_mu(0j)),
+    # n = 4, type 2: 1 + cos(3 mu_c) = 0 at mu_c = pi/3
+    "derivatives_at_critical: 1 + s cos((n-1) mu_c) = 0": lambda: kmsbif.derivatives_at_critical(
+        _point_with_mu(complex(math.pi / 3))),
+    "puiseux_ab_from_t: t_c = 1": lambda: kmsbif.puiseux_ab_from_t(
+        dataclasses.replace(_point_of_type(EigType.Type2), t_c=1 + 0j)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEGENERATE_POINTS))
+def test_degenerate_point_raises_degenerate_argument(case):
+    with pytest.raises(errors.DegenerateArgument):
+        _DEGENERATE_POINTS[case]()

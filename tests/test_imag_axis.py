@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kmsbif.critical import all_critical_points, rho_c_of_t
 from kmsbif.errors import DomainError, HypothesisViolation, SizeError
 from kmsbif.geometry import _level_eps, cusp_bisector_angle, trajectory_along_bisector
 from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, imag_axis_params,
@@ -58,6 +59,19 @@ def test_x_n_properties():
 def test_y_values():
     assert imag_axis_params(3).y_n == pytest.approx(math.sqrt(8.0), abs=1e-12)
     assert imag_axis_params(19).y_n == pytest.approx(1.2780414700042164, abs=1e-12)
+
+
+def test_y_n_matches_the_chebyshev_ratio_and_the_catalog():
+    # y_n comes from one route; the Chebyshev ratio at t_c = i sinh(v_n) and
+    # the catalog's point of the family's type check it at the same gate
+    for n in range(3, 156, 2):
+        p = imag_axis_params(n)
+        other = rho_c_of_t(n, 1j * math.sinh(p.v_n), p.eig_type) / 1j
+        assert abs(other - p.y_n) <= 1e-9 * p.y_n, (n, p.y_n, other)
+        if n <= 51:
+            gap = min(abs(q.rho_c - 1j * p.y_n) for q in all_critical_points(n)
+                      if q.eig_type is p.eig_type)
+            assert gap <= 1e-9 * p.y_n, (n, p.y_n, gap)
 
 
 def test_odd_only():

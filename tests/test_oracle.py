@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kmsbif import all_critical_points, critical, oracle
+from kmsbif import (all_critical_points, chebyshev, critical, geometry, imag_axis, kms,
+                    oracle, puiseux)
 from kmsbif.errors import DomainError, KmsBifError, RootFindingFailure, SizeError
 from kmsbif.kms import EigType, KmsMatrix, build_matrix
 from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
@@ -73,11 +74,23 @@ def test_kms_spectrum_rejects_bad_rho_before_building(monkeypatch):
         for n in (4, 20, 100):
             r = math.exp((math.log(np.finfo(float).max) - math.log(2 * n)) / (n - 1))
             assert np.all(np.isfinite(kms_spectrum(n, 0.999 * r * 1j)))
-        monkeypatch.setattr(oracle, "build_matrix", _no_build)
+        monkeypatch.setattr(kms, "_powers", _no_build)
         for n, rho in ((3, math.nan), (3, math.inf), (3, complex(0, math.nan)),
                        (100, 1e10)):
             with pytest.raises(DomainError):
                 kms_spectrum(n, rho)
+
+
+def test_kms_spectrum_checks_rho_once(monkeypatch):
+    # counted wherever the check is looked up: in kms and in the oracle
+    calls = []
+    check = kms._check_rho
+    for module in (kms, oracle):
+        monkeypatch.setattr(module, "_check_rho",
+                            lambda n, rho: calls.append(rho) or check(n, rho))
+    for rho in (0.5, 1j * math.sqrt(8.0), 2.0 - 1.0j):
+        kms_spectrum(3, rho)
+    assert len(calls) == 3
 
 
 def test_solver_failure_is_a_typed_error(monkeypatch):
@@ -378,17 +391,34 @@ def test_borderline_is_a_list_of_complex_polylines():
         assert piece[0] == piece[-1]
 
 
+def _kmsbif_imports(module) -> set:
+    """The kmsbif modules module's source imports at run time, that is,
+    outside an `if TYPE_CHECKING:` block."""
+    def walk(node):
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            children = node.orelse
+        elif isinstance(node, ast.Import):
+            return {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("kmsbif" if node.level else "", node.module)))
+            return {f"{base}.{alias.name}" for alias in node.names} if base == "kmsbif" else {base}
+        else:
+            children = ast.iter_child_nodes(node)
+        return set().union(*map(walk, children))
+    modules = walk(ast.parse(Path(module.__file__).read_text()))
+    return {m for m in modules if m.split(".")[0] == "kmsbif"}
+
+
 def test_oracle_imports_only_errors_and_kms():
     # the oracle never feeds the formulas: no formula module loads with it
-    modules = set()
-    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
-        if isinstance(node, ast.Import):
-            modules |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            package = "kmsbif." if node.level else ""
-            modules |= ({package + node.module} if node.module
-                        else {package + alias.name for alias in node.names})
-    assert {m for m in modules if m.split(".")[0] == "kmsbif"} == {"kmsbif.errors", "kmsbif.kms"}
+    assert _kmsbif_imports(oracle) == {"kmsbif.errors", "kmsbif.kms"}
+
+
+@pytest.mark.parametrize("module", [chebyshev, kms, puiseux, geometry, imag_axis],
+                         ids=lambda m: m.__name__)
+def test_formula_module_imports_neither_catalog_nor_oracle(module):
+    # a formula module that loads the catalog loads the oracle with it
+    assert not _kmsbif_imports(module) & {"kmsbif.critical", "kmsbif.oracle"}
 
 
 def _grid_by_rows(n, res, bounds, eig_type):
