@@ -73,8 +73,10 @@ def _render_csv(meta: dict, columns: list, rows: list) -> str:
 
 
 def _render_json(meta: dict, columns: list, rows: list) -> str:
-    payload = {"meta": meta, "columns": columns, "rows": [list(row) for row in rows]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """RFC 8259 JSON, which has no inf or NaN: a non-finite cell is written as null."""
+    rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in r] for r in rows]
+    payload = {"meta": meta, "columns": columns, "rows": rows}
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _pieces(points: list) -> list:
@@ -285,9 +287,8 @@ def cmd_large_n(args) -> None:
 # figures: each builder returns the figure's curves in drawing order
 
 
-def _nearest_point(n: int, eig_type: EigType, target: complex):
-    pts = [p for p in critical.all_critical_points(n) if p.eig_type is eig_type]
-    return min(pts, key=lambda p: abs(p.rho_c - target))
+def _nearest_point(catalog: list, eig_type: EigType, target: complex):
+    return min((p for p in catalog if p.eig_type is eig_type), key=lambda p: abs(p.rho_c - target))
 
 
 def _borderline(name: str, meta: dict, n: int, eig_type, bounds, grid: int) -> Curve:
@@ -320,8 +321,8 @@ def _trajectory_pair(fig: int, n: int, d_max: float, pp, rho_c: complex) -> list
 
 def _fig_cassini(args) -> list:
     box = (-3.2, 3.2, -3.2, 3.2)
-    plus = _nearest_point(3, EigType.Type2, cmath.sqrt(-8))
-    minus = _nearest_point(3, EigType.Type2, -cmath.sqrt(-8))
+    catalog = critical.all_critical_points(3)
+    plus, minus = (_nearest_point(catalog, EigType.Type2, z * cmath.sqrt(-8)) for z in (1, -1))
     return [
         _borderline("borderline_type1", {"fig": 1, "curve": "type-1 borderline (Cassini oval)"},
                     3, EigType.Type1, box, args.grid),
@@ -336,7 +337,7 @@ def _fig_cassini(args) -> list:
 
 def _fig_catalog_point(fig: int, n: int, eig_type: EigType, target: complex, bounds,
                        args) -> list:
-    point = _nearest_point(n, eig_type, target)
+    point = _nearest_point(critical.all_critical_points(n), eig_type, target)
     tag = {"n": n, "type": eig_type.value}
     return [
         _borderline("borderline", {"fig": fig, "curve": "oracle borderline |lambda| = n", **tag},
@@ -349,7 +350,7 @@ def _fig_catalog_point(fig: int, n: int, eig_type: EigType, target: complex, bou
 
 def _fig_catalog_trajectory(fig: int, n: int, eig_type: EigType, target: complex,
                             d_max: float) -> list:
-    point = _nearest_point(n, eig_type, target)
+    point = _nearest_point(critical.all_critical_points(n), eig_type, target)
     return _trajectory_pair(fig, n, d_max, puiseux.puiseux_ab_from_t(point), point.rho_c)
 
 
@@ -368,7 +369,7 @@ def _fig_sweep(args) -> list:
 
 def _fig_imag_level(args) -> list:
     params = imag_axis.imag_axis_params(19)
-    point = _nearest_point(19, EigType.Type2, 1j * params.y_n)
+    point = _nearest_point(critical.all_critical_points(19), EigType.Type2, 1j * params.y_n)
     return [
         Curve("level", {"fig": 8, "curve": "imaginary-family level curve", "n": 19},
               _LEVEL_COLS, _sample_rows(imag_axis.imag_level_curve(params)),
@@ -426,10 +427,16 @@ def _verify_battery(n_max: int) -> list:
     # the stdlib generator keeps numpy.random (about 6 MiB of RSS) out of the process
     rng = random.Random(20240901)
 
+    try:  # built once for the four catalog rows; a build that raises fails each of them
+        catalog = [p for n in range(3, n_max + 1) for p in critical.all_critical_points(n)]
+    except KmsBifError as exc:
+        catalog = exc
+
     def over_catalog(metric):
-        def worst():  # builds the catalog itself, so a raise fails this check only
-            return max([0.0] + [metric(p) for n in range(3, n_max + 1)
-                                for p in critical.all_critical_points(n)])
+        def worst():
+            if isinstance(catalog, KmsBifError):
+                raise catalog
+            return max([0.0] + [metric(p) for p in catalog])
         return worst
 
     def chebyshev_identities():

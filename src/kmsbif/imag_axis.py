@@ -78,7 +78,6 @@ def solve_v_n(n: int) -> float:
     raise RootFindingFailure(f"v_n iteration did not converge for n = {n}")
 
 
-# log cosh(x) and log sinh(x) for real x > 0, finite long after cosh(x) overflows
 def _log_cosh(x: float) -> float:
     return x + math.log1p(math.exp(-2.0 * x)) - _LN2
 
@@ -93,7 +92,6 @@ def imag_axis_params(n: int) -> ImagAxisParams:
     eig_type = EigType.Type1 if n % 4 == 1 else EigType.Type2
     v = solve_v_n(n)
     x = math.cosh(v)
-    # the critical height, from the overflow-safe hyperbolic ratio
     y = math.exp(_log_cosh((n + 1) * v / 2.0) - _log_sinh((n - 1) * v / 2.0))
     t_big = math.cosh((n - 1) * v)             # T_{n-1}(x_n)
     u_big = math.sinh(n * v) / math.sinh(v)    # U_{n-1}(x_n)
@@ -126,7 +124,7 @@ def imag_puiseux_params(params: ImagAxisParams) -> PuiseuxParams:
 def imag_level_eps(params: ImagAxisParams, theta: float) -> float:
     """|eps|(theta) = 8 a^2 (1 + sin theta) / (a^2 + (4b - a^2) sin theta)^2.
 
-    Raises DomainError for a theta that is not a finite real.
+    DomainError for a non-finite theta; DegenerateArgument where the denominator is 0.
     """
     theta = _finite_real(theta, "theta")
     a2 = params.a_n ** 2
@@ -154,13 +152,14 @@ def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
     samples = []
     for i in range(count):
         theta = lo + (hi - lo) * i / (count - 1)
-        den = a2 + (4.0 * params.b_n - a2) * math.sin(theta)
+        s = math.sin(theta)
+        den = a2 + (4.0 * params.b_n - a2) * s
         if den * sign_cusp <= 0.0:
             continue
-        eps = imag_level_eps(params, theta)
+        eps = 8.0 * a2 * (1.0 + s) / den ** 2  # imag_level_eps(params, theta); den != 0
         if eps > _EPS_CAP:
             continue
-        rho = center + eps * complex(math.cos(theta), math.sin(theta))
+        rho = center + eps * complex(math.cos(theta), s)
         samples.append((theta, eps, rho))
     return CurveSamples(center=center, samples=samples)
 

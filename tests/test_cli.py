@@ -16,7 +16,7 @@ import pytest
 
 from kmsbif import critical, imag_axis, oracle
 from kmsbif.cli import _build_parser, _render_svg, main
-from kmsbif.errors import RootFindingFailure
+from kmsbif.errors import HypothesisViolation, RootFindingFailure
 from kmsbif.imag_axis import imag_axis_params
 
 
@@ -287,6 +287,14 @@ def test_svg_draws_each_piece_of_a_broken_curve():
     assert broken[2] == whole[1]
 
 
+def test_svg_of_no_finite_point_is_an_empty_drawing():
+    # no command reaches this (a level curve keeps its cusp sample), but a
+    # series of break rows alone has no bounds to scale to
+    empty = '<svg xmlns="http://www.w3.org/2000/svg"/>\n'
+    assert _render_svg([], {}) == empty
+    assert _render_svg([([(math.nan, math.nan)], (0, 1), False)], {"n": 3}) == empty
+
+
 # ---------------------------------------------------------------------------
 # content spot checks
 
@@ -469,6 +477,65 @@ def test_verify_fails_a_broken_imaginary_family_row(capsys, monkeypatch):
         "FAIL", "imaginary-family", "inf", "9.9999999999999994e-12",
         "raised HypothesisViolation('c_n sign or a_n monotonicity broke at n = 7')"]
     assert len(rows) == 7 and all(row[0] == "PASS" for row in rows.values())
+
+
+def _strict_json(text):
+    """json.loads that rejects the Infinity, -Infinity and NaN that RFC 8259 forbids."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_json_writes_a_raised_row_as_null(capsys, monkeypatch):
+    # the CSV prints a raised row's residual as inf; JSON has no inf, so it reads null
+    def broken(n):
+        raise HypothesisViolation(f"planted at n = {n}")
+
+    monkeypatch.setattr(imag_axis, "imag_axis_params", broken)
+    code, out, _ = run(capsys, "verify", "--n-max", "6", "--format", "json")
+    assert code == 2
+    rows = {row[1]: row for row in _strict_json(out)["rows"]}
+    assert rows["imaginary-family"] == [
+        "FAIL", "imaginary-family", None, 1e-11,
+        "raised HypothesisViolation('planted at n = 3')"]
+    code, out, _ = run(capsys, "verify", "--n-max", "6")
+    assert "FAIL,imaginary-family,inf,9.9999999999999994e-12," in out
+
+
+_CATALOG_ROWS = ["critical-double-eigenvalue", "rho-prime-vanishes", "route-equivalence",
+                 "isotropy"]
+
+
+def test_verify_builds_each_catalog_once(capsys, monkeypatch):
+    # the four catalog rows share one build per n = 3..12
+    built = []
+    build = critical.all_critical_points
+
+    def counting(n):
+        built.append(n)
+        return build(n)
+
+    monkeypatch.setattr(critical, "all_critical_points", counting)
+    code, _, _ = run(capsys, "verify")
+    assert code == 0 and built == list(range(3, 13))
+
+
+def test_verify_fails_every_catalog_row_when_a_build_raises(capsys, monkeypatch):
+    build = critical.all_critical_points
+
+    def failing(n):
+        if n == 7:
+            raise RootFindingFailure("planted at n = 7")
+        return build(n)
+
+    monkeypatch.setattr(critical, "all_critical_points", failing)
+    code, out, _ = run(capsys, "verify")
+    assert code == 2
+    rows = {row[1]: row for row in parse_csv(out)[2]}
+    for name in _CATALOG_ROWS:
+        assert rows.pop(name)[::2] == ["FAIL", "inf",
+                                       "raised RootFindingFailure('planted at n = 7')"]
+    assert len(rows) == 4 and all(row[0] == "PASS" for row in rows.values())
 
 
 # ---------------------------------------------------------------------------

@@ -229,11 +229,9 @@ def test_catalog_gate_solves_each_point_once_from_its_type_blocks(monkeypatch):
     monkeypatch.setattr(kms, "build_matrix", _no_build)
     monkeypatch.setattr(oracle, "build_matrix", _no_build)
     for n in range(3, 21):
-        critical._catalog.cache_clear()
         solved.clear()
         points = all_critical_points(n)
         assert Counter(solved) == Counter((p.n, p.rho_c) for p in points)
-    critical._catalog.cache_clear()
 
 
 @pytest.mark.parametrize("eig_type", list(EigType))
@@ -261,10 +259,8 @@ def test_catalog_gate_reads_both_type_blocks(monkeypatch, eig_type):
             return change(block) if type1 == (target is EigType.Type1) else block
 
         monkeypatch.setattr(oracle, "_block", altered)
-        critical._catalog.cache_clear()
         with pytest.raises(RootFindingFailure, match=message):
             all_critical_points(n)
-    critical._catalog.cache_clear()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

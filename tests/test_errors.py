@@ -2,7 +2,9 @@
 every entry point that takes a matrix order rejects one that is not an integer,
 every entry point that takes an eigenvalue type rejects one that is not an EigType,
 a number argument that is not a number, not finite or overflows raises DomainError,
-and a point where a formula degenerates raises DegenerateArgument."""
+a point where a formula degenerates raises DegenerateArgument, one where a hypothesis
+of the formulas fails raises HypothesisViolation, and wrong roots from the colleague
+eigensolve raise RootFindingFailure."""
 
 import dataclasses
 import inspect
@@ -14,6 +16,7 @@ import pytest
 import kmsbif
 from kmsbif import errors
 from kmsbif.geometry import cardioid_approx
+from kmsbif.imag_axis import imag_level_eps
 from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu)
 from kmsbif.puiseux import DerivativeBundle, PuiseuxParams, _params_from_ab
@@ -131,6 +134,9 @@ _BAD_NUMBERS = {
         _point_with_mu(1e3j)),
     "derivatives_at_critical: mu_c inf": lambda: kmsbif.derivatives_at_critical(
         _point_with_mu(complex("inf"))),
+    # sin(4 mu_c) stays finite, and n^2 sin(4 mu_c) in lambda'' does not
+    "derivatives_at_critical: lambda'' overflows": lambda: kmsbif.derivatives_at_critical(
+        _point_with_mu(0.5 + 177.25j)),
     "puiseux_from_derivatives: nan": lambda: kmsbif.puiseux_from_derivatives(
         -8, DerivativeBundle(math.nan, 1, 1, 1)),
     "puiseux_from_derivatives: beta overflows": lambda: kmsbif.puiseux_from_derivatives(
@@ -161,6 +167,9 @@ _DEGENERATE_POINTS = {
         _point_with_mu(complex(math.pi / 3))),
     "puiseux_ab_from_t: t_c = 1": lambda: kmsbif.puiseux_ab_from_t(
         dataclasses.replace(_point_of_type(EigType.Type2), t_c=1 + 0j)),
+    # a_n^2 + (4 b_n - a_n^2) sin(-pi/2) = 1 - 1 exactly
+    "imag_level_eps: denominator vanishes at theta = -pi/2": lambda: imag_level_eps(
+        dataclasses.replace(kmsbif.imag_axis_params(19), a_n=1.0, b_n=0.5), -math.pi / 2),
 }
 
 
@@ -168,3 +177,40 @@ _DEGENERATE_POINTS = {
 def test_degenerate_point_raises_degenerate_argument(case):
     with pytest.raises(errors.DegenerateArgument):
         _DEGENERATE_POINTS[case]()
+
+
+# each call reaches a point where a hypothesis the formulas rely on fails numerically
+_FAILED_HYPOTHESES = {
+    # x_n^2 - 1 is formed by cancellation; the first odd n it spoils is 5201
+    "imag_axis_params: Pell-type identity at n = 5201": lambda: kmsbif.imag_axis_params(5201),
+    # n = 4, type 2: cos(mu_c) + cos(4 mu_c) = 0 at mu_c = pi/5, so rho'' ~ 0
+    "derivatives_at_critical: rho'' = 0": lambda: kmsbif.derivatives_at_critical(
+        _point_with_mu(complex(math.pi / 5))),
+    # n = 3, type 2: T_2(t_c) = 2 t_c^2 - 1 rounds to -1, so a = 0 with t_c^2 != 1
+    "puiseux_ab_from_t: a = 0": lambda: kmsbif.puiseux_ab_from_t(
+        dataclasses.replace(_point_of_type(EigType.Type2), n=3, t_c=1e-9 + 0j)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILED_HYPOTHESES))
+def test_failed_hypothesis_raises_hypothesis_violation(case):
+    with pytest.raises(errors.HypothesisViolation):
+        _FAILED_HYPOTHESES[case]()
+
+
+# (n, type, what the colleague eigensolve returns): no true colleague matrix
+# yields these, so each stands in for an eigensolver that returned wrong roots
+_BAD_COLLEAGUE_ROOTS = {
+    # t = -1 is a root of U_3(t) + 4, which the solve for n = 4, type 2 must return
+    "trivial root missing": (4, EigType.Type2, [0.5, 0.7, 0.9], "expected a root near"),
+    # T_5(0) = 0 makes g'(0) = 0, so Newton stops at t = 0 with |g| = 6
+    "Newton stalls where g' = 0": (5, EigType.Type2, [0.0] * 4, "residual above tolerance"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_COLLEAGUE_ROOTS))
+def test_bad_colleague_roots_raise_root_finding_failure(case, monkeypatch):
+    n, eig_type, roots, message = _BAD_COLLEAGUE_ROOTS[case]
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.array(roots, dtype=complex))
+    with pytest.raises(errors.RootFindingFailure, match=message):
+        kmsbif.critical_t_values(n, eig_type)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kmsbif import (all_critical_points, chebyshev, critical, geometry, imag_axis, kms,
-                    oracle, puiseux)
+from kmsbif import (all_critical_points, chebyshev, geometry, imag_axis, kms, oracle,
+                    puiseux)
 from kmsbif.errors import DomainError, KmsBifError, RootFindingFailure, SizeError
 from kmsbif.kms import EigType, KmsMatrix, build_matrix
 from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
@@ -269,10 +269,8 @@ def test_excludes_fails_on_a_solver_error(monkeypatch):
     assert oracle._excludes(block, -8.0, 1e-4)
     monkeypatch.setattr(np.linalg, "cholesky", failing)
     assert not oracle._excludes(block, -8.0, 1e-4)
-    critical._catalog.cache_clear()
     with pytest.raises(RootFindingFailure, match="cannot certify"):
         all_critical_points(8)
-    critical._catalog.cache_clear()
 
 
 def test_excludes_is_sharp_at_every_catalog_point():
