@@ -322,7 +322,8 @@ def _trajectory_pair(fig: int, n: int, d_max: float, pp, rho_c: complex) -> list
 def _fig_cassini(args) -> list:
     box = (-3.2, 3.2, -3.2, 3.2)
     catalog = critical.all_critical_points(3)
-    plus, minus = (_nearest_point(catalog, EigType.Type2, z * cmath.sqrt(-8)) for z in (1, -1))
+    plus = _nearest_point(catalog, EigType.Type2, cmath.sqrt(-8))
+    minus = _nearest_point(catalog, EigType.Type2, -cmath.sqrt(-8))
     return [
         _borderline("borderline_type1", {"fig": 1, "curve": "type-1 borderline (Cassini oval)"},
                     3, EigType.Type1, box, args.grid),

@@ -78,6 +78,7 @@ def solve_v_n(n: int) -> float:
     raise RootFindingFailure(f"v_n iteration did not converge for n = {n}")
 
 
+# log cosh(x) and log sinh(x) for real x > 0, finite long after cosh(x) overflows
 def _log_cosh(x: float) -> float:
     return x + math.log1p(math.exp(-2.0 * x)) - _LN2
 
@@ -92,6 +93,7 @@ def imag_axis_params(n: int) -> ImagAxisParams:
     eig_type = EigType.Type1 if n % 4 == 1 else EigType.Type2
     v = solve_v_n(n)
     x = math.cosh(v)
+    # the critical height, from the overflow-safe hyperbolic ratio
     y = math.exp(_log_cosh((n + 1) * v / 2.0) - _log_sinh((n - 1) * v / 2.0))
     t_big = math.cosh((n - 1) * v)             # T_{n-1}(x_n)
     u_big = math.sinh(n * v) / math.sinh(v)    # U_{n-1}(x_n)
@@ -121,18 +123,23 @@ def imag_puiseux_params(params: ImagAxisParams) -> PuiseuxParams:
                          theta_b=THETA_B_IMAG, Theta=0.0, c=params.c_n)
 
 
+def _level_den_eps(params: ImagAxisParams, s: float) -> tuple[float, float]:
+    """The denominator and |eps| at sin theta = s; |eps| is inf where the denominator is 0."""
+    a2 = params.a_n ** 2
+    den = a2 + (4.0 * params.b_n - a2) * s
+    return den, 8.0 * a2 * (1.0 + s) / den ** 2 if den != 0.0 else math.inf
+
+
 def imag_level_eps(params: ImagAxisParams, theta: float) -> float:
     """|eps|(theta) = 8 a^2 (1 + sin theta) / (a^2 + (4b - a^2) sin theta)^2.
 
     DomainError for a non-finite theta; DegenerateArgument where the denominator is 0.
     """
     theta = _finite_real(theta, "theta")
-    a2 = params.a_n ** 2
-    s = math.sin(theta)
-    den = a2 + (4.0 * params.b_n - a2) * s
+    den, eps = _level_den_eps(params, math.sin(theta))
     if den == 0.0:
         raise DegenerateArgument(f"level-curve denominator vanished at theta = {theta}")
-    return 8.0 * a2 * (1.0 + s) / den ** 2
+    return eps
 
 
 def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
@@ -148,16 +155,12 @@ def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
     lo, hi, count = -math.pi, 0.0, 161
     center = 1j * params.y_n
     sign_cusp = 1.0 if params.c_n > 0 else -1.0
-    a2 = params.a_n ** 2
     samples = []
     for i in range(count):
         theta = lo + (hi - lo) * i / (count - 1)
         s = math.sin(theta)
-        den = a2 + (4.0 * params.b_n - a2) * s
-        if den * sign_cusp <= 0.0:
-            continue
-        eps = 8.0 * a2 * (1.0 + s) / den ** 2  # imag_level_eps(params, theta); den != 0
-        if eps > _EPS_CAP:
+        den, eps = _level_den_eps(params, s)
+        if den * sign_cusp <= 0.0 or eps > _EPS_CAP:
             continue
         rho = center + eps * complex(math.cos(theta), s)
         samples.append((theta, eps, rho))

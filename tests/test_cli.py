@@ -16,7 +16,7 @@ import pytest
 
 from kmsbif import critical, imag_axis, oracle
 from kmsbif.cli import _build_parser, _render_svg, main
-from kmsbif.errors import HypothesisViolation, RootFindingFailure
+from kmsbif.errors import RootFindingFailure
 from kmsbif.imag_axis import imag_axis_params
 
 
@@ -465,20 +465,6 @@ def test_verify_leaves_numpy_random_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_fails_a_broken_imaginary_family_row(capsys, monkeypatch):
-    # a c_n of the wrong sign raises HypothesisViolation, which fails its row only
-    params = imag_axis.imag_axis_params
-    monkeypatch.setattr(imag_axis, "imag_axis_params", lambda n: (
-        dataclasses.replace(params(n), c_n=1.0) if n == 7 else params(n)))
-    code, out, err = run(capsys, "verify", "--n-max", "6")
-    assert code == 2 and "invariants failed" in err
-    rows = {row[1]: row for row in parse_csv(out)[2]}
-    assert rows.pop("imaginary-family") == [
-        "FAIL", "imaginary-family", "inf", "9.9999999999999994e-12",
-        "raised HypothesisViolation('c_n sign or a_n monotonicity broke at n = 7')"]
-    assert len(rows) == 7 and all(row[0] == "PASS" for row in rows.values())
-
-
 def _strict_json(text):
     """json.loads that rejects the Infinity, -Infinity and NaN that RFC 8259 forbids."""
     def reject(constant):
@@ -486,20 +472,21 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_verify_json_writes_a_raised_row_as_null(capsys, monkeypatch):
-    # the CSV prints a raised row's residual as inf; JSON has no inf, so it reads null
-    def broken(n):
-        raise HypothesisViolation(f"planted at n = {n}")
-
-    monkeypatch.setattr(imag_axis, "imag_axis_params", broken)
-    code, out, _ = run(capsys, "verify", "--n-max", "6", "--format", "json")
-    assert code == 2
-    rows = {row[1]: row for row in _strict_json(out)["rows"]}
-    assert rows["imaginary-family"] == [
-        "FAIL", "imaginary-family", None, 1e-11,
-        "raised HypothesisViolation('planted at n = 3')"]
-    code, out, _ = run(capsys, "verify", "--n-max", "6")
-    assert "FAIL,imaginary-family,inf,9.9999999999999994e-12," in out
+def test_verify_fails_a_broken_imaginary_family_row(capsys, monkeypatch):
+    # a c_n of the wrong sign raises HypothesisViolation, which fails its row only;
+    # its residual is inf in the CSV and null in the JSON, which has no inf
+    params = imag_axis.imag_axis_params
+    monkeypatch.setattr(imag_axis, "imag_axis_params", lambda n: (
+        dataclasses.replace(params(n), c_n=1.0) if n == 7 else params(n)))
+    for fmt, residual, tol in [("csv", "inf", "9.9999999999999994e-12"), ("json", None, 1e-11)]:
+        code, out, err = run(capsys, "verify", "--n-max", "6", "--format", fmt)
+        assert code == 2 and "invariants failed" in err
+        table = parse_csv(out)[2] if fmt == "csv" else _strict_json(out)["rows"]
+        rows = {row[1]: row for row in table}
+        assert rows.pop("imaginary-family") == [
+            "FAIL", "imaginary-family", residual, tol,
+            "raised HypothesisViolation('c_n sign or a_n monotonicity broke at n = 7')"]
+        assert len(rows) == 7 and all(row[0] == "PASS" for row in rows.values())
 
 
 _CATALOG_ROWS = ["critical-double-eigenvalue", "rho-prime-vanishes", "route-equivalence",
