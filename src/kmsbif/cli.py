@@ -152,21 +152,6 @@ def _oracle_gap(point) -> float:
     return float(gaps[1])
 
 
-def _oracle_pair(n: int, rho: complex, d: float) -> list:
-    """The two oracle eigenvalues nearest -n, divided by -n.
-
-    Before the collision (d <= 0) the pair is conjugate-like and is ordered by
-    falling imaginary part; after it the pair is real and ordered by falling
-    real part, matching the series' (plus, minus) branches.
-    """
-    lam_c = complex(-n)
-    ev = oracle.kms_spectrum(n, rho)
-    pair = ev[np.argsort(np.abs(ev - lam_c))[:2]] / lam_c
-    if d <= 0:
-        return sorted(pair, key=lambda z: -z.imag)
-    return sorted(pair, key=lambda z: -z.real)
-
-
 def _symmetric_grid(half_width: float, count: int) -> list:
     return [half_width * (2.0 * i / (count - 1) - 1.0) for i in range(count)]
 
@@ -181,11 +166,22 @@ def _level_curve_rows(point, window: float, count: int) -> list:
                                                    count=count))
 
 
-def _trajectory_rows(pp, rho_c: complex, n: int, d_values) -> list:
+def _trajectory_rows(pp, rho_c: complex, n: int, eig_type: EigType, d_values) -> list:
+    """Series and oracle pair, divided by -n, along rho = rho_c + d e^(-2i theta_a).
+
+    The colliding pair has one type: one stacked call solves that type's block
+    at every d, and the pair is the two eigenvalues nearest -n, in the series'
+    (plus, minus) order: by falling imaginary part before the collision
+    (d <= 0), where it is conjugate-like, and by falling real part after it.
+    """
+    lam_c = complex(-n)
     direction = cmath.exp(-2j * pp.theta_a)
+    traj = geometry.trajectory_along_bisector(pp, d_values)
+    rhos = np.array([rho_c + tp.d * direction for tp in traj])
     rows = []
-    for tp in geometry.trajectory_along_bisector(pp, d_values):
-        pair = _oracle_pair(n, rho_c + tp.d * direction, tp.d)
+    for tp, ev in zip(traj, oracle._eigvals(oracle.type_blocks(n, rhos, eig_type))):
+        pair = ev[np.argsort(np.abs(ev - lam_c))[:2]] / lam_c
+        pair = sorted(pair, key=lambda z: -z.imag if tp.d <= 0 else -z.real)
         resid = max(abs(pair[0].real - tp.re_pair[0]), abs(pair[1].real - tp.re_pair[1]),
                     abs(pair[0].imag - tp.im_pair[0]), abs(pair[1].imag - tp.im_pair[1]),
                     abs(abs(pair[0]) - tp.mag_pair[0]), abs(abs(pair[1]) - tp.mag_pair[1]))
@@ -246,7 +242,8 @@ def cmd_trajectory(args) -> None:
     point = _pick(_catalog_points(args), args)
     pp = puiseux.puiseux_ab_from_t(point)
     count = args.grid if args.grid % 2 else args.grid + 1
-    rows = _trajectory_rows(pp, point.rho_c, args.n, _symmetric_grid(args.d_max, count))
+    rows = _trajectory_rows(pp, point.rho_c, args.n, point.eig_type,
+                            _symmetric_grid(args.d_max, count))
     meta = {"command": "trajectory", "n": args.n, "type": point.eig_type.value,
             "columns-doc": "normalized eigenvalue pair along the cusp bisector; "
                            "plus/minus = series branch; oracle_* from the dense solver"}
@@ -310,8 +307,8 @@ def _bisector(meta: dict, point, length: float = 0.3) -> Curve:
     return Curve("bisector", meta, ["dist", "re_rho", "im_rho"], rows, False, (1, 2))
 
 
-def _trajectory_pair(fig: int, n: int, d_max: float, pp, rho_c: complex) -> list:
-    rows = _trajectory_rows(pp, rho_c, n, _symmetric_grid(d_max, 81))
+def _trajectory_pair(fig: int, n: int, d_max: float, pp, rho_c: complex, eig_type) -> list:
+    rows = _trajectory_rows(pp, rho_c, n, eig_type, _symmetric_grid(d_max, 81))
     return [Curve("formula", {"fig": fig, "curve": "series trajectory (dashed)", "n": n},
                   _TRAJ_COLS[:7], [r[:7] for r in rows], True, (0, 5)),
             Curve("oracle", {"fig": fig, "curve": "oracle trajectory (solid)", "n": n},
@@ -352,13 +349,14 @@ def _fig_catalog_point(fig: int, n: int, eig_type: EigType, target: complex, bou
 def _fig_catalog_trajectory(fig: int, n: int, eig_type: EigType, target: complex,
                             d_max: float) -> list:
     point = _nearest_point(critical.all_critical_points(n), eig_type, target)
-    return _trajectory_pair(fig, n, d_max, puiseux.puiseux_ab_from_t(point), point.rho_c)
+    return _trajectory_pair(fig, n, d_max, puiseux.puiseux_ab_from_t(point), point.rho_c,
+                            eig_type)
 
 
 def _fig_imag_trajectory(args) -> list:
     params = imag_axis.imag_axis_params(19)
     return _trajectory_pair(7, 19, 0.005, imag_axis.imag_puiseux_params(params),
-                            1j * params.y_n)
+                            1j * params.y_n, params.eig_type)
 
 
 def _fig_sweep(args) -> list:
@@ -386,8 +384,9 @@ def _fig_parabola(args) -> list:
     chi = [1.0 - 0.12 * i / 80 for i in range(81)]
     prows = [(c, pair[0], pair[1]) for c, pair in imag_axis.parabola_trajectory(params, chi)]
     d_values = [-0.01 * (40 - i) / 40 for i in range(41)]
-    pairs = [_oracle_pair(19, 1j * (params.y_n + d), d) for d in d_values]
-    orows = [(d, p[0].real, p[1].real, p[0].imag, p[1].imag) for d, p in zip(d_values, pairs)]
+    # the imaginary family's bisector is the imaginary axis: rho = i (y_n + d)
+    orows = [r[:1] + r[7:11] for r in _trajectory_rows(
+        imag_axis.imag_puiseux_params(params), 1j * params.y_n, 19, params.eig_type, d_values)]
     return [Curve("parabola", {"fig": 9, "curve": "parabola psi^2 = (a^2/b)(1 - chi)", "n": 19},
                   ["chi", "psi_plus", "psi_minus"], prows, True, (0, 1)),
             Curve("oracle", {"fig": 9, "curve": "oracle normalized pair before bifurcation",
@@ -457,9 +456,9 @@ def _verify_battery(n_max: int) -> list:
         for _ in range(40):
             n = rng.randrange(3, n_max + 1)
             mu = complex(rng.uniform(0.2, 2.8), rng.uniform(-0.4, 0.4))
-            for et in EigType:
+            for et in EigType:  # lambda(mu) is a type-et eigenvalue: solve that block
                 lam = lambda_of_mu(n, mu, et)
-                ev = oracle.kms_spectrum(n, rho_of_mu(n, mu, et))
+                ev = oracle._eigvals(oracle.type_blocks(n, rho_of_mu(n, mu, et), et))
                 worst = max(worst, float(np.min(np.abs(ev - lam))))
         return worst
 

@@ -53,16 +53,19 @@ def solve_v_n(n: int) -> float:
     """Positive solution of cosh(n v) = n cosh(v).
 
     Safeguarded Newton seeded at ln(2n)/n, bracketed by [ln(2n)/(2n),
-    2 ln(2n)/n] with bisection fallback.
+    2 ln(2n)/n] with bisection fallback.  DomainError above about n = 1e154.
     """
     n = _require_odd(n)
-    lo, hi = math.log(2 * n) / (2 * n), 2.0 * math.log(2 * n) / n
 
     def g(v: float) -> float:
         return math.cosh(n * v) - n * math.cosh(v)
 
-    if not (g(lo) < 0.0 < g(hi)):
-        raise RootFindingFailure(f"bracket failed for n = {n}")
+    try:  # g(hi) holds cosh(2 ln 2n), past the largest double once ln 2n > 355
+        lo, hi = math.log(2 * n) / (2 * n), 2.0 * math.log(2 * n) / n
+        if not g(lo) < 0.0 < g(hi):
+            raise RootFindingFailure(f"bracket failed for n = {n}")
+    except OverflowError:
+        raise DomainError(f"v_n needs n below about 1e154, got {len(str(n))} digits") from None
     v = math.log(2 * n) / n
     for _ in range(100):
         gv = g(v)

@@ -8,17 +8,17 @@ grid of oracle spectra.  The grid solves the nodes at the ends of the grid
 edges the contour crosses, the only nodes whose value marching squares
 reads, and the few nodes the bounds below leave open.  Every other node
 gets just the sign of max |lambda| - n, certified by trace and
-Frobenius-norm bounds on the spectral radius of powers of its type block.
+Frobenius-norm bounds on the eighth power of its type block.
 
 K_n(rho) is symmetric and centrosymmetric, so in the orthonormal basis of
 symmetric and skew-symmetric vectors it splits into two half-size blocks
 (Cantoni & Butler, LAA 13 (1976) 275-288).  The type-1 block acts on the
 skew-symmetric vectors and the type-2 block on the symmetric ones, so each
 block's spectrum is exactly one eigenvalue type.  The split uses only the
-matrix's symmetry, never the mu-parameterization.  Every solve takes one
-record, a KmsMatrix that holds one matrix: the whole K_n(rho) (kms_spectrum,
-and every number the command line reports) or one type block (gate, the
-rule that accepts or rejects each catalog point).
+matrix's symmetry, never the mu-parameterization.  A solve at one rho
+takes a KmsMatrix, which holds the whole K_n(rho) (kms_spectrum) or one
+type block (gate, the rule that accepts or rejects each catalog point);
+a stack of type blocks (the borderline grid, the trajectories) does not.
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ def eigenvalues(m: KmsMatrix) -> np.ndarray:
     return _eigvals(m.block)
 
 
-# kms_spectrum, and with it every printed oracle number (critical-points'
-# oracle_gap column, verify's sampled checks), solves the whole matrix.  The
-# gap of a defective pair is rounding, and the benchmark's reference pins
-# oracle_gap to the rounding of the dense solve; a solve of the type blocks
-# moves it in the second digit.  Once that column is compared by value, with
-# a bound from the Jordan pair's sensitivity, kms_spectrum can solve the two
-# type blocks instead.
+# kms_spectrum, and with it three printed oracle numbers (critical-points'
+# oracle_gap column, verify's critical-double-eigenvalue and trace-identity
+# rows), solves the whole matrix.  The gap of a defective pair is rounding,
+# and the benchmark's reference pins oracle_gap to the rounding of the dense
+# solve; a solve of the type blocks moves it in the second digit.  Once that
+# column is compared by value, with a bound from the Jordan pair's
+# sensitivity, kms_spectrum can solve the two type blocks instead.
 def kms_spectrum(n: int, rho: complex) -> np.ndarray:
     """The n eigenvalues of K_n(rho), from one dense solve.  Before building the
     matrix, raises SizeError unless 3 <= n <= 512 and DomainError for a rho that
@@ -217,37 +217,31 @@ _STEP_ENTRIES = 4800
 def _radius_bounds(blocks):
     """Bounds lower <= max |lambda| <= upper on the spectrum zgeev returns for each block."""
     # With s = max |B_ij| and C = B / s, so that 1 <= F = ||C||_F <= m and no
-    # power of C can overflow, every k has |tr C^k| / m <= rho(C)^k <= ||C^k||_F;
-    # the upper bound tends to rho(C) as k grows (Gelfand).  The powers
-    # k = 1, 2, 4, 8 come from repeated squaring.  Three errors, each a
-    # multiple of u F^k, separate the computed q_k = ||P_k||_F and
-    # t_k = |tr P_k| from the spectrum zgeev returns:
+    # power of C can overflow, |tr C^8| / m <= rho(C)^8 <= ||C^8||_F; the upper
+    # bound's 8th root is at most F and tends to rho(C) as the power grows
+    # (Gelfand).  Three squarings give P = fl(C^8).  Three errors, each a
+    # multiple of u F^8, separate the computed ||P||_F and |tr P| from the
+    # spectrum zgeev returns:
     #  - zgeev's spectrum is exactly that of C + E with ||E||_F <= 8 m u F (the
     #    backward error of LAPACK Users' Guide sec. 4.8, with the constant 8
     #    the oracle tests hold the solver to), and
-    #    ||(C + E)^k - C^k||_F <= (F + ||E||_F)^k - F^k <= 16 k m u F^k;
-    #  - a squaring adds at most gamma_m ||P||_F^2 (|fl(XY) - XY| <= gamma_m |X||Y|),
-    #    so ||P_k - C^k||_F <= 2 (k - 1) m u F^k;
-    #  - the sums in ||.||_F and tr add at most 2 m^2 u F^k.
-    # So sigma_k = (18 k + 2 m) m u F^k covers all three, and |tr X| <= sqrt(m) ||X||_F
-    # carries it to the trace.  The slack is per block: it scales with F^k,
-    # which exceeds rho(C)^k by as much as C is far from normal.
+    #    ||(C + E)^8 - C^8||_F <= (F + ||E||_F)^8 - F^8 <= 128 m u F^8;
+    #  - each squaring adds at most gamma_m ||X||_F^2 (|fl(XY) - XY| <= gamma_m |X||Y|),
+    #    so ||P - C^8||_F <= 14 m u F^8;
+    #  - the sums in ||.||_F and tr add at most 2 m^2 u F^8.
+    # So sigma = (144 + 2 m) m u F^8 covers all three, and |tr X| <= sqrt(m) ||X||_F
+    # carries it to the trace.  The slack is per block: it scales with F^8,
+    # which exceeds rho(C)^8 by as much as C is far from normal.
     m = blocks.shape[-1]
     s = np.abs(blocks).max(axis=(-2, -1))
     s = np.where(s > 0, s, 1.0)  # a zero block (type 1 at rho = 1, say): C = 0
-    power = np.ascontiguousarray(blocks / s[..., None, None])
-    lower, upper = 0.0, np.inf
-    for k in (1, 2, 4, 8):
-        if k > 1:
-            power = power @ power
-        parts = power.view(float).reshape(s.shape + (-1,))
-        norm = np.sqrt(np.einsum("...i,...i->...", parts, parts))
-        if k == 1:
-            frob = norm
-        sigma = (18 * k + 2 * m) * m * _U * frob ** k
-        upper = np.minimum(upper, (norm + sigma) ** (1 / k))
-        trace = np.abs(power.trace(axis1=-2, axis2=-1)) - math.sqrt(m) * sigma
-        lower = np.maximum(lower, (np.maximum(trace, 0.0) / m) ** (1 / k))
+    power = blocks / s[..., None, None]
+    sigma = (144 + 2 * m) * m * _U * np.linalg.norm(power, axis=(-2, -1)) ** 8
+    for _ in range(3):
+        power = power @ power
+    upper = (np.linalg.norm(power, axis=(-2, -1)) + sigma) ** (1 / 8)
+    trace = np.abs(power.trace(axis1=-2, axis2=-1)) - math.sqrt(m) * sigma
+    lower = (np.maximum(trace, 0.0) / m) ** (1 / 8)
     return lower * s, upper * s
 
 
@@ -383,10 +377,9 @@ def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigTyp
     node is max |lambda| - n over the eigenvalues of type eig_type, taken
     from its type block.  The eigensolver runs only at the two ends of each
     grid edge whose ends differ in sign, and where the bounds
-    |tr C^k / m|^(1/k) <= rho(C) <= ||C^k||_F^(1/k) (k = 1, 2, 4, 8, C the
-    block scaled to unit largest entry), widened by the solver's backward
-    error and their own rounding, leave the sign open; elsewhere the bounds
-    certify the sign.  A box symmetric about the real axis
+    |tr C^8 / m|^(1/8) <= rho(C) <= ||C^8||_F^(1/8) (C the block scaled to
+    unit largest entry), widened by the solver's backward error and their
+    own rounding, leave the sign open; elsewhere the bounds certify the sign.  A box symmetric about the real axis
     (im_min == -im_max), or about the imaginary axis for odd n, is solved on
     half its grid and the other half copied from the mirror nodes.  Returns
     one list of complex rho per polyline; a closed one repeats its first point.

@@ -12,12 +12,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kmsbif import critical, imag_axis, oracle
+from kmsbif import critical, imag_axis, oracle, puiseux
 from kmsbif.cli import _build_parser, _render_svg, main
 from kmsbif.errors import RootFindingFailure
 from kmsbif.imag_axis import imag_axis_params
+from kmsbif.kms import EigType
 
 
 def run(capsys, *argv):
@@ -93,6 +95,10 @@ def test_computation_errors_return_two(capsys):
     code, _, err = run(capsys, "trajectory", "--n", "8", "--d-max", "1e300")
     assert code == 2
     assert "overflows" in err
+    # cosh(n v) overflows in the bracket of v_n: a typed error, not a traceback
+    code, _, err = run(capsys, "imaginary", "--n", str(10 ** 160 + 1))
+    assert code == 2
+    assert err.startswith("kmsbif: v_n needs n below about 1e154") and err.count("\n") == 1
     # a residual above --tol fails the command, with one stderr line
     code, _, err = run(capsys, "trajectory", "--n", "8", "--type", "1", "--tol", "1e-12")
     assert code == 2
@@ -338,6 +344,55 @@ def test_trajectory_columns(capsys):
     _, _, rows = parse_csv(out)
     assert len(rows) == 21
     assert all(float(r[0]) == 0.0 for r in rows)
+
+
+def _bisector_rho(n, eig_type, pick):
+    """rho(d) = rho_c + d e^(-2i theta_a) about the catalog point pick(points of eig_type)."""
+    point = pick([p for p in critical.all_critical_points(n) if p.eig_type is eig_type])
+    direction = cmath.exp(-2j * puiseux.puiseux_ab_from_t(point).theta_a)
+    return lambda d: point.rho_c + d * direction
+
+
+def _nearest(target):
+    return lambda points: min(points, key=lambda p: abs(p.rho_c - target))
+
+
+_Y19 = imag_axis_params(19).y_n
+_PAIR = ["oracle_re_plus", "oracle_re_minus", "oracle_im_plus", "oracle_im_minus"]
+
+
+# argv, the output file (None: stdout), n, rho at a row's d, and the pair's
+# columns (re_plus, re_minus, im_plus, im_minus); the figures' points are
+# those their builders pick
+@pytest.mark.parametrize("argv, name, n, rho, columns", [
+    (["figure", "4"], "fig4_oracle.csv", 4,
+     _bisector_rho(4, EigType.Type2, _nearest(1 + 2j)), _PAIR),
+    (["figure", "5"], "fig5_oracle.csv", 8,
+     _bisector_rho(8, EigType.Type1, _nearest(0.922 - 1.29j)), _PAIR),
+    (["figure", "7"], "fig7_oracle.csv", 19,
+     lambda d: 1j * _Y19 + d * cmath.exp(-2j * imag_axis.THETA_A_IMAG), _PAIR),
+    (["figure", "9"], "fig9_oracle.csv", 19,
+     lambda d: 1j * (_Y19 + d), ["chi_plus", "chi_minus", "psi_plus", "psi_minus"]),
+    (["trajectory", "--n", "8", "--type", "1"], None, 8,
+     _bisector_rho(8, EigType.Type1, lambda points: points[0]), _PAIR),
+], ids=["figure-4", "figure-5", "figure-7", "figure-9", "trajectory-n8-type1"])
+def test_trajectory_pair_matches_the_dense_spectrum(tmp_path, capsys, argv, name, n, rho,
+                                                    columns):
+    # the oracle pair comes from the colliding type's block; at every row it
+    # is the pair of the whole K_n(rho) nearest -n, in (plus, minus) order
+    code, out, _ = run(capsys, *argv, *(["--out", str(tmp_path)] if name else []))
+    assert code == 0
+    _, header, rows = parse_csv((tmp_path / name).read_text() if name else out)
+    cols = [header.index(c) for c in columns]
+    assert len(rows) >= 41
+    for row in rows:
+        d = float(row[0])
+        ev = oracle.kms_spectrum(n, rho(d))
+        pair = ev[np.argsort(np.abs(ev + n))[:2]] / -n
+        plus, minus = sorted(pair, key=lambda z: -z.imag if d <= 0 else -z.real)
+        want = [plus.real, minus.real, plus.imag, minus.imag]
+        got = [float(row[i]) for i in cols]
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-6, (d, got, want)
 
 
 def test_tol_gate(capsys):

@@ -16,7 +16,7 @@ import pytest
 import kmsbif
 from kmsbif import errors
 from kmsbif.geometry import cardioid_approx
-from kmsbif.imag_axis import imag_level_eps
+from kmsbif.imag_axis import imag_level_eps, solve_v_n
 from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu)
 from kmsbif.puiseux import DerivativeBundle, PuiseuxParams, _params_from_ab
@@ -142,6 +142,7 @@ _BAD_NUMBERS = {
     "puiseux_from_derivatives: beta overflows": lambda: kmsbif.puiseux_from_derivatives(
         -8, DerivativeBundle(1e300, 1, 1e-10, 1e300)),
     "large_n_params: 2n above the largest double": lambda: kmsbif.large_n_params(10 ** 400 + 1),
+    "solve_v_n: cosh(2 ln 2n) overflows": lambda: solve_v_n(10 ** 160 + 1),
     "local_level_curve: |a|^2 overflows": lambda: kmsbif.local_level_curve(_HUGE_A, 0j),
     "trajectory_along_bisector: |a|^2 overflows": lambda: kmsbif.trajectory_along_bisector(
         _HUGE_A, [-1.0]),
