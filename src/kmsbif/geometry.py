@@ -40,11 +40,12 @@ def cusp_bisector_angle(p: PuiseuxParams) -> float:
     return wrap_angle(math.pi - 2.0 * p.theta_a)
 
 
-def _level_eps(p: PuiseuxParams, theta: float) -> tuple[float, float]:
-    half = 0.5 * theta + p.theta_a
-    num = 2.0 * abs(p.a) * math.cos(half)
-    den = _abs_sq(p.a) * math.sin(half) ** 2 + 2.0 * abs(p.b) * math.cos(theta + p.theta_b)
-    return num, den
+def _level_eps(theta: float, theta_a: float, theta_b: float, a_sq: float, two_a: float,
+               two_b: float) -> tuple[float, float]:
+    """num and den of |eps|(theta) = (num / den)^2, given the factors that do not
+    depend on theta: theta_a, theta_b, |a|^2, 2|a| and 2|b|."""
+    half = 0.5 * theta + theta_a
+    return two_a * math.cos(half), a_sq * math.sin(half) ** 2 + two_b * math.cos(theta + theta_b)
 
 
 def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.8,
@@ -75,8 +76,6 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
         count += 1  # keep the cusp as the exact middle sample
     bis = cusp_bisector_angle(p)
     sgn = 1.0 if den_cusp > 0 else -1.0
-    # the loop evaluates _level_eps inline, in its order of operations, with
-    # the factors that do not depend on theta taken out of it
     cos, sin = math.cos, math.sin
     theta_a, theta_b = p.theta_a, p.theta_b
     two_a, two_b = 2.0 * abs(p.a), 2.0 * abs(p.b)
@@ -88,12 +87,11 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.
         if i == cusp:
             samples.append((theta, 0.0, rho_c))  # the cusp itself
             continue
-        half = 0.5 * theta + theta_a
-        den = a_sq * sin(half) ** 2 + two_b * cos(theta + theta_b)
+        num, den = _level_eps(theta, theta_a, theta_b, a_sq, two_a, two_b)
         if den * sgn <= 0.0:
             dropped += 1
             continue
-        eps = (two_a * cos(half) / den) ** 2
+        eps = (num / den) ** 2
         if eps > _EPS_CAP:
             dropped += 1
             continue

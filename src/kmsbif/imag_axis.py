@@ -91,7 +91,7 @@ def _log_sinh(x: float) -> float:
 
 
 def imag_axis_params(n: int) -> ImagAxisParams:
-    """The full real-parameter bundle (v, x, y, a, b, c) for odd n."""
+    """The full real-parameter bundle (v, x, y, a, b, c) for odd n; DomainError past n ~ 1.6e78."""
     n = _require_odd(n)
     eig_type = EigType.Type1 if n % 4 == 1 else EigType.Type2
     v = solve_v_n(n)
@@ -101,7 +101,11 @@ def imag_axis_params(n: int) -> ImagAxisParams:
     t_big = math.cosh((n - 1) * v)             # T_{n-1}(x_n)
     u_big = math.sinh(n * v) / math.sinh(v)    # U_{n-1}(x_n)
     x2 = x * x
-    if abs((x2 - 1.0) * u_big ** 2 - (n * n * x2 - 1.0)) > 1e-10 * n * n * x2:
+    try:  # u_big grows like n^2 / ln 2n, so u_big^2 passes the largest double near n = 1.6e78
+        pell = abs((x2 - 1.0) * u_big ** 2 - (n * n * x2 - 1.0))
+    except OverflowError:
+        raise DomainError(f"the Pell-type check needs n below about 1.6e78, got {n:.3g}") from None
+    if pell > 1e-10 * n * n * x2:
         raise HypothesisViolation(f"Pell-type identity failed at n = {n}")
     a = math.sqrt(2.0 / n) * (x2 - 1.0) ** 0.25 / x * math.sqrt((u_big - 1.0) * (t_big - 1.0))
     num_b = (12.0 + 4.0 * (n + 1) * t_big ** 2 - (5.0 * n * n + 5.0 * n + 12.0) * x2

@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,20 +91,11 @@ def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
     return _block(n, _powers(n, _check_rho(n, rho)), type1)
 
 
-@lru_cache(maxsize=8)
-def _block_index(n: int, type1: bool) -> tuple:
-    """Which power of rho each entry of a type block starts from: |j-k| and n-1-j-k."""
-    j = np.arange(n // 2 if type1 else (n + 1) // 2)
-    near, far = np.abs(j[:, None] - j[None, :]), n - 1 - j[:, None] - j[None, :]
-    near.setflags(write=False)
-    far.setflags(write=False)
-    return near, far
-
-
 def _block(n: int, powers: np.ndarray, type1: bool) -> np.ndarray:
-    near_index, far_index = _block_index(n, type1)
-    near = powers[..., near_index]
-    far = powers[..., far_index]
+    # each entry starts from the powers |j-k| and n-1-j-k of rho
+    j = np.arange(n // 2 if type1 else (n + 1) // 2)
+    near = powers[..., np.abs(j[:, None] - j[None, :])]
+    far = powers[..., n - 1 - j[:, None] - j[None, :]]
     if type1:
         return near - far
     blocks = near + far

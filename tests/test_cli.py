@@ -99,6 +99,12 @@ def test_computation_errors_return_two(capsys):
     code, _, err = run(capsys, "imaginary", "--n", str(10 ** 160 + 1))
     assert code == 2
     assert err.startswith("kmsbif: v_n needs n below about 1e154") and err.count("\n") == 1
+    # U_{n-1}(x_n)^2 overflows in the Pell-type check: a typed error, not a traceback
+    for command in ("imaginary", "large-n"):
+        code, _, err = run(capsys, command, "--n", str(10 ** 80 + 1))
+        assert code == 2
+        assert err.startswith("kmsbif: the Pell-type check needs n below about 1.6e78")
+        assert err.count("\n") == 1
     # a residual above --tol fails the command, with one stderr line
     code, _, err = run(capsys, "trajectory", "--n", "8", "--type", "1", "--tol", "1e-12")
     assert code == 2

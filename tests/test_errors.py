@@ -143,6 +143,7 @@ _BAD_NUMBERS = {
         -8, DerivativeBundle(1e300, 1, 1e-10, 1e300)),
     "large_n_params: 2n above the largest double": lambda: kmsbif.large_n_params(10 ** 400 + 1),
     "solve_v_n: cosh(2 ln 2n) overflows": lambda: solve_v_n(10 ** 160 + 1),
+    "imag_axis_params: U_{n-1}(x_n)^2 overflows": lambda: kmsbif.imag_axis_params(10 ** 80 + 1),
     "local_level_curve: |a|^2 overflows": lambda: kmsbif.local_level_curve(_HUGE_A, 0j),
     "trajectory_along_bisector: |a|^2 overflows": lambda: kmsbif.trajectory_along_bisector(
         _HUGE_A, [-1.0]),

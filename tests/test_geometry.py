@@ -157,7 +157,8 @@ def test_cardioid_is_unit_amplitude_scaling_of_level_curve():
     from kmsbif.geometry import _level_eps
 
     def level_eps(params, theta):
-        num, den = _level_eps(params, theta)
+        num, den = _level_eps(theta, params.theta_a, params.theta_b, abs(params.a) ** 2,
+                              2.0 * abs(params.a), 2.0 * abs(params.b))
         return (num / den) ** 2
 
     pp = puiseux_ab_from_t(_point(4, EigType.Type2, 1 + 2j))
@@ -303,6 +304,36 @@ def test_geometry_loops_are_bit_identical_to_the_per_sample_loop():
                     if dropped else []), (n, point.rho_c, window)
             got = _as_tuples(trajectory_along_bisector(pp, d_values))
             assert repr(got) == repr(_reference_trajectory(pp, d_values)), (n, point.rho_c)
+
+
+# the first, cusp and last samples (theta, |eps|, rho) of the default level
+# curve, recorded from an earlier build, at the first catalog point of each
+# type at n = 8 and the first catalog point at n = 64
+_LEVEL_CURVE_GOLDEN = {
+    (8, EigType.Type1): (
+        "(-0.27162647308433724, 0.46251930365990274, (-0.8597634043647246-0.878476361191872j))",
+        "(0.1983735269156628, 0.0, (-1.3053248032701803-0.7543830653880502j))",
+        "(0.8183735269156628, 0.4789386122709965, (-0.9780136088896674-0.40474099647003514j))"),
+    (8, EigType.Type2): (
+        "(0.2961740693168551, 0.4961812177440663, (-0.4479424276398384-1.1421535514546552j))",
+        "(0.7961740693168551, 0.0, (-0.9225199817586446-1.2869704909631126j))",
+        "(1.3561740693168551, 0.4832198358071935, (-0.8196046099551854-0.8148372089715897j))"),
+    (64, None): (
+        "(-0.974536297964249, 0.44783975666299425, (-0.7992636856867055-0.43831443510516627j))",
+        "(-0.30453629796424897, 0.0, (-1.0507489072666012-0.06775319728490976j))",
+        "(0.4954637020357511, 0.12776772077257312, (-0.9383454667436592-0.007007357674088263j))"),
+}
+
+
+@pytest.mark.parametrize("key", list(_LEVEL_CURVE_GOLDEN), ids=str)
+def test_level_curve_keeps_its_recorded_bits(key):
+    n, eig_type = key
+    point = next(p for p in all_critical_points(n) if eig_type in (None, p.eig_type))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        samples = local_level_curve(puiseux_ab_from_t(point), point.rho_c).samples
+    cusp = next(s for s in samples if s[1] == 0.0)
+    assert tuple(map(repr, (samples[0], cusp, samples[-1]))) == _LEVEL_CURVE_GOLDEN[key]
 
 
 def test_trajectory_takes_a_squared_only_where_some_d_reads_it():

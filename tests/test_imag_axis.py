@@ -221,7 +221,8 @@ def test_level_eps_matches_general_formula():
         params = imag_axis_params(n)
         gen = imag_puiseux_params(params)
         for theta in np.linspace(-math.pi, math.pi, 41):
-            num, den = _level_eps(gen, theta)
+            num, den = _level_eps(theta, gen.theta_a, gen.theta_b, abs(gen.a) ** 2,
+                                  2.0 * abs(gen.a), 2.0 * abs(gen.b))
             if den <= 0.0:
                 continue
             want = (num / den) ** 2

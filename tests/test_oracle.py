@@ -412,6 +412,32 @@ def test_oracle_imports_only_errors_and_kms():
     assert _kmsbif_imports(oracle) == {"kmsbif.errors", "kmsbif.kms"}
 
 
+_CACHES = {"lru_cache", "cache", "functools.lru_cache", "functools.cache"}
+
+
+def _cache_decorators(source: str) -> list:
+    """Lines that decorate a function with functools' lru_cache or cache."""
+    return [dec.lineno for node in ast.walk(ast.parse(source))
+            for dec in getattr(node, "decorator_list", ())
+            if ast.unparse(dec.func if isinstance(dec, ast.Call) else dec) in _CACHES]
+
+
+def test_cache_decorator_check_sees_both_spellings():
+    for source in ("from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(): pass",
+                   "import functools\nclass C:\n    @functools.cache\n    def f(self): pass"):
+        assert len(_cache_decorators(source)) == 1, source
+    assert _cache_decorators("import functools\n@functools.wraps(g)\ndef f(): pass") == []
+
+
+def test_no_module_memoizes_a_function():
+    # results are recomputed by their one route on every call; the package
+    # keeps no memo table behind any function
+    package = Path(oracle.__file__).parent
+    found = {str(path.relative_to(package)): lines for path in sorted(package.rglob("*.py"))
+             if (lines := _cache_decorators(path.read_text()))}
+    assert found == {}
+
+
 @pytest.mark.parametrize("module", [chebyshev, kms, puiseux, geometry, imag_axis],
                          ids=lambda m: m.__name__)
 def test_formula_module_imports_neither_catalog_nor_oracle(module):
