@@ -6,9 +6,8 @@ double eigenvalue -n appears.  This package locates every such point, expands
 the colliding pair in a Puiseux series, draws the local level curves and
 eigenvalue trajectories, and cross-checks everything against an eigensolver
 oracle.  The oracle solves the half-size type blocks of K_n(rho) for the
-catalog gate, the borderline and the trajectories, and the whole matrix only
-for critical-points' oracle_gap column and verify's critical-double-eigenvalue
-and trace-identity rows.
+catalog gate, the borderline, the trajectories and verify, and the whole
+matrix only for critical-points' oracle_gap column.
 """
 
 from .critical import CriticalPoint, all_critical_points, critical_t_values, rho_c_of_t

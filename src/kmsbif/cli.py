@@ -486,11 +486,13 @@ def _verify_battery(n_max: int) -> list:
         return worst
 
     def trace_identity():
+        # the two type blocks' spectra make up the spectrum of K_n(rho)
         worst = 0.0
         for _ in range(20):
             n = rng.randrange(3, n_max + 1)
             rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            ev = oracle.kms_spectrum(n, rho)
+            ev = np.concatenate([oracle._eigvals(oracle.type_blocks(n, rho, et))
+                                 for et in EigType])
             worst = max(worst, abs(complex(np.sum(ev)) - n) / n)
         return worst
 
@@ -498,7 +500,7 @@ def _verify_battery(n_max: int) -> list:
         ("chebyshev-identities", chebyshev_identities, 1e-10,
          "Pell + recurrence on 200 seeded draws"),
         ("mu-parameterization", mu_consistency, 1e-8, "lambda(mu) sits in the oracle spectrum"),
-        ("critical-double-eigenvalue", over_catalog(lambda p: _oracle_gap(p) / p.n),
+        ("critical-double-eigenvalue", over_catalog(lambda p: p.gate_gap / p.n),
          oracle.GATE_RADIUS, "double eigenvalue -n at every catalog point"),
         ("rho-prime-vanishes", over_catalog(
             lambda p: abs(rho_prime_of_mu(p.n, p.mu_c, p.eig_type))), 1e-8, "rho'(mu_c) = 0"),

@@ -9,7 +9,7 @@ half-integer degrees when n is even.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +23,21 @@ _MERGE_DIST = 1e-8
 
 @dataclass(frozen=True)
 class CriticalPoint:
+    """One critical point of K_n: the double eigenvalue lambda_c = -n at rho_c.
+
+    gate_gap is the second-smallest |lambda + n| that oracle.gate measured on
+    the point's own type block when it accepted the point, at most
+    GATE_RADIUS n; None means the point was not gated (built by hand).  It
+    takes no part in equality, so a point built without it equals the
+    catalog's point.
+    """
     n: int
     eig_type: EigType
     t_c: complex
     mu_c: complex
     rho_c: complex
     lambda_c: complex
+    gate_gap: float | None = field(default=None, compare=False)
 
 
 def _newton_polish(n: int, s: int, t: complex) -> tuple[complex, float]:
@@ -136,7 +145,8 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
 
 
 def all_critical_points(n: int) -> list[CriticalPoint]:
-    """Every critical point of K_n, both types, each accepted by oracle.gate.
+    """Every critical point of K_n, both types, each accepted by oracle.gate and
+    carrying the gap the gate measured as gate_gap.
 
     Each call builds the catalog (0.11, 0.82 and 6.8 s at n = 64, 128, 256);
     a caller that reads it twice keeps the list.  Built at every n <= 30 and
@@ -150,10 +160,9 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
     for eig_type in EigType:
         for t_c in critical_t_values(n, eig_type):
             rho_c = rho_c_of_t(n, t_c, eig_type)
-            gate(n, rho_c, eig_type)
             points.append(CriticalPoint(
                 n=n, eig_type=eig_type, t_c=t_c, mu_c=cmath.acos(t_c),
-                rho_c=rho_c, lambda_c=complex(-n)))
+                rho_c=rho_c, lambda_c=complex(-n), gate_gap=gate(n, rho_c, eig_type)))
     points.sort(key=lambda p: (p.eig_type.value, cmath.phase(p.rho_c),
                                abs(p.rho_c), p.rho_c.real, p.rho_c.imag))
     return points

@@ -61,13 +61,13 @@ def eigenvalues(m: KmsMatrix) -> np.ndarray:
     return _eigvals(m.block)
 
 
-# kms_spectrum, and with it three printed oracle numbers (critical-points'
-# oracle_gap column, verify's critical-double-eigenvalue and trace-identity
-# rows), solves the whole matrix.  The gap of a defective pair is rounding,
-# and the benchmark's reference pins oracle_gap to the rounding of the dense
-# solve; a solve of the type blocks moves it in the second digit.  Once that
-# column is compared by value, with a bound from the Jordan pair's
-# sensitivity, kms_spectrum can solve the two type blocks instead.
+# kms_spectrum solves the whole matrix, and in the package it serves one
+# printed number only, critical-points' oracle_gap column; verify reads the
+# gap the gate measured (CriticalPoint.gate_gap) and the type blocks.  The
+# gap of a defective pair is rounding, and the benchmark's reference pins
+# oracle_gap to the rounding of the dense solve; a solve of the type blocks
+# moves it in the second digit.  Once that column is compared by value, with
+# a bound from the Jordan pair's sensitivity, it can read gate_gap too.
 def kms_spectrum(n: int, rho: complex) -> np.ndarray:
     """The n eigenvalues of K_n(rho), from one dense solve.  Before building the
     matrix, raises SizeError unless 3 <= n <= 512 and DomainError for a rho that
@@ -147,7 +147,7 @@ def _excludes(block: np.ndarray, z: complex, r: float) -> bool:
     return True
 
 
-def gate(n: int, rho_c: complex, eig_type: EigType) -> None:
+def gate(n: int, rho_c: complex, eig_type: EigType) -> float:
     """Accept rho_c as a critical point of K_n of type eig_type, or raise RootFindingFailure.
 
     This is the catalog's whole acceptance rule.  Both type blocks of
@@ -155,8 +155,11 @@ def gate(n: int, rho_c: complex, eig_type: EigType) -> None:
     gets one eigensolve and must hold exactly two eigenvalues within
     r = GATE_RADIUS n of -n.  The other block gets none: a Cholesky
     factorization of its shifted Gram matrix must certify it free of -n
-    within r (_excludes).  Raises SizeError unless 3 <= n <= 512, and
-    DomainError for a rho_c that is not finite or whose powers overflow.
+    within r (_excludes).  Returns the measured gap of an accepted point,
+    the second-smallest |lambda + n| over its own block's eigenvalues, which
+    is at most r; the catalog carries it as CriticalPoint.gate_gap.  Raises
+    SizeError unless 3 <= n <= 512, and DomainError for a rho_c that is not
+    finite or whose powers overflow.
     """
     n = _check_order(n)
     radius = GATE_RADIUS * n
@@ -171,6 +174,7 @@ def gate(n: int, rho_c: complex, eig_type: EigType) -> None:
     if not _excludes(_block(n, powers, not type1), -n, radius):
         raise RootFindingFailure(f"oracle cannot certify the type-{2 if type1 else 1} block "
                                  f"free of -{n} at rho_c = {rho_c}")
+    return float(gaps[1])
 
 
 def count_extraordinary(n: int, eigenvalues: np.ndarray) -> int:

@@ -550,6 +550,15 @@ def test_verify_fails_a_broken_imaginary_family_row(capsys, monkeypatch):
         assert len(rows) == 7 and all(row[0] == "PASS" for row in rows.values())
 
 
+def test_verify_double_eigenvalue_row_reads_the_gate_gap(capsys):
+    # the row re-solves nothing: its residual is the worst gap the catalog
+    # gate measured, over n = 3..12, exactly
+    code, out, _ = run(capsys, "verify")
+    row = next(r for r in parse_csv(out)[2] if r[1] == "critical-double-eigenvalue")
+    worst = max(p.gate_gap / p.n for n in range(3, 13) for p in critical.all_critical_points(n))
+    assert code == 0 and float(row[2]) == worst
+
+
 _CATALOG_ROWS = ["critical-double-eigenvalue", "rho-prime-vanishes", "route-equivalence",
                  "isotropy"]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kmsbif import critical, kms, oracle
-from kmsbif.critical import all_critical_points, critical_t_values, rho_c_of_t
+from kmsbif.critical import CriticalPoint, all_critical_points, critical_t_values, rho_c_of_t
 from kmsbif.errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
 from kmsbif.kms import EigType, lambda_of_mu, rho_of_mu, rho_prime_of_mu
 from kmsbif.oracle import kms_spectrum
@@ -209,6 +209,23 @@ def test_catalog_ordering_deterministic():
     pts = all_critical_points(8)
     keys = [(p.eig_type.value, cmath.phase(p.rho_c)) for p in pts]
     assert keys == sorted(keys)
+
+
+def test_catalog_points_carry_the_gate_gap():
+    # gate_gap is the second-smallest |lambda + n| of the point's own type
+    # block, bit for bit what a fresh solve of that block gives, and within
+    # the gate's radius; it takes no part in equality or hashing, so a point
+    # built without it (as the benchmark builds them) equals the catalog's
+    for n in range(3, 31):
+        for p in all_critical_points(n):
+            ev = oracle._eigvals(oracle.type_blocks(n, p.rho_c, p.eig_type))
+            assert type(p.gate_gap) is float
+            assert p.gate_gap.hex() == float(np.sort(np.abs(ev + n))[1]).hex(), (n, p.rho_c)
+            assert p.gate_gap <= oracle.GATE_RADIUS * n
+            bare = CriticalPoint(n=p.n, eig_type=p.eig_type, t_c=p.t_c, mu_c=p.mu_c,
+                                 rho_c=p.rho_c, lambda_c=p.lambda_c)
+            assert bare.gate_gap is None
+            assert bare == p and hash(bare) == hash(p)
 
 
 def _no_build(*args):

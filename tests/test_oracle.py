@@ -304,8 +304,8 @@ def test_gate_on_planted_blocks(monkeypatch, eig_type, own, other, message):
     own, other = (np.diag(-n + r * np.array(d, dtype=float)) for d in (own, other))
     type1 = eig_type is EigType.Type1
     monkeypatch.setattr(oracle, "_block", lambda n, powers, t1: own if t1 == type1 else other)
-    if message is None:
-        assert oracle.gate(n, 0.5j, eig_type) is None
+    if message is None:  # an accepted point's gap is its own block's second gap
+        assert oracle.gate(n, 0.5j, eig_type) == np.sort(np.abs(np.diag(own) + n))[1]
     else:
         message = message.format(other=2 if type1 else 1)
         with pytest.raises(RootFindingFailure, match=f"^{re.escape(message)}"):
@@ -410,6 +410,49 @@ def _kmsbif_imports(module) -> set:
 def test_oracle_imports_only_errors_and_kms():
     # the oracle never feeds the formulas: no formula module loads with it
     assert _kmsbif_imports(oracle) == {"kmsbif.errors", "kmsbif.kms"}
+
+
+def _references(source: str, module: str, names) -> dict:
+    """For each of names, the functions of module that refer to it: a call, or
+    any other read of the bare name or of an attribute so named.  A nested
+    function or lambda counts as the def that encloses it."""
+    found = {}
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope or f"{module}.{node.name}"
+        ref = (node.id if isinstance(node, ast.Name) else
+               node.attr if isinstance(node, ast.Attribute) else None)
+        if ref in names and isinstance(node.ctx, ast.Load):
+            found.setdefault(ref, set()).add(scope or module)
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(ast.parse(source), None)
+    return found
+
+
+def test_reference_walk_names_the_enclosing_def():
+    source = ("from m import f\nx = f\ndef g():\n    return lambda: m.f()\n"
+              "class C:\n    def h(self):\n        def inner(): f()\n")
+    assert _references(source, "mod", {"f"}) == {"f": {"mod", "mod.g", "mod.h"}}
+
+
+def test_one_package_path_reaches_the_dense_solve():
+    # the whole K_n(rho) is built and solved for critical-points' oracle_gap
+    # column only: build_matrix <- kms_spectrum <- _oracle_gap <-
+    # cmd_critical_points.  Every other oracle result, verify's included,
+    # solves type blocks or reads the gate's gap.
+    package = Path(oracle.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        refs = _references(path.read_text(), path.stem,
+                           {"build_matrix", "kms_spectrum", "_oracle_gap"})
+        for name, scopes in refs.items():
+            found.setdefault(name, set()).update(scopes)
+    assert found == {"build_matrix": {"oracle.kms_spectrum"},
+                     "kms_spectrum": {"cli._oracle_gap"},
+                     "_oracle_gap": {"cli.cmd_critical_points"}}
 
 
 _CACHES = {"lru_cache", "cache", "functools.lru_cache", "functools.cache"}
