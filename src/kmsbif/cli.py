@@ -152,18 +152,19 @@ def _oracle_gap(point) -> float:
     return float(gaps[1])
 
 
-def _symmetric_grid(half_width: float, count: int) -> list:
-    return [half_width * (2.0 * i / (count - 1) - 1.0) for i in range(count)]
+def _symmetric_grid(half_width: float) -> list:
+    """81 values of d, evenly spaced over [-half_width, half_width]."""
+    return [half_width * (2.0 * i / 80 - 1.0) for i in range(81)]
 
 
 def _sample_rows(curve) -> list:
     return [(th, mag, rho.real, rho.imag) for th, mag, rho in curve.samples]
 
 
-def _level_curve_rows(point, window: float, count: int) -> list:
-    pp = puiseux.puiseux_ab_from_t(point)
-    return _sample_rows(geometry.local_level_curve(pp, point.rho_c, theta_window=window,
-                                                   count=count))
+def _level_curve_rows(point) -> list:
+    """161 level-curve samples over the theta half-window 0.8 about the cusp, less the
+    ones outside the series' validity region."""
+    return _sample_rows(geometry.local_level_curve(puiseux.puiseux_ab_from_t(point), point.rho_c))
 
 
 def _trajectory_rows(pp, rho_c: complex, n: int, eig_type: EigType, d_values) -> list:
@@ -231,7 +232,7 @@ def cmd_puiseux(args) -> None:
 
 def cmd_level_curve(args) -> None:
     point = _pick(_catalog_points(args), args)
-    rows = _level_curve_rows(point, args.window, args.grid)
+    rows = _level_curve_rows(point)
     meta = {"command": "level-curve", "n": args.n, "type": point.eig_type.value,
             "rho_c": f"{_fmt(point.rho_c.real)}{point.rho_c.imag:+.17g}j",
             "columns-doc": "polar samples about rho_c: rho = rho_c + eps_mag e^(i theta)"}
@@ -240,10 +241,8 @@ def cmd_level_curve(args) -> None:
 
 def cmd_trajectory(args) -> None:
     point = _pick(_catalog_points(args), args)
-    pp = puiseux.puiseux_ab_from_t(point)
-    count = args.grid if args.grid % 2 else args.grid + 1
-    rows = _trajectory_rows(pp, point.rho_c, args.n, point.eig_type,
-                            _symmetric_grid(args.d_max, count))
+    rows = _trajectory_rows(puiseux.puiseux_ab_from_t(point), point.rho_c, args.n,
+                            point.eig_type, _symmetric_grid(0.02))
     meta = {"command": "trajectory", "n": args.n, "type": point.eig_type.value,
             "columns-doc": "normalized eigenvalue pair along the cusp bisector; "
                            "plus/minus = series branch; oracle_* from the dense solver"}
@@ -288,9 +287,10 @@ def _nearest_point(catalog: list, eig_type: EigType, target: complex):
     return min((p for p in catalog if p.eig_type is eig_type), key=lambda p: abs(p.rho_c - target))
 
 
-def _borderline(name: str, meta: dict, n: int, eig_type, bounds, grid: int) -> Curve:
+def _borderline(name: str, meta: dict, n: int, eig_type, bounds) -> Curve:
+    """The borderline over bounds, traced on a 96 x 96 grid."""
     rows = []
-    for piece in oracle.numeric_borderline(n, bounds, resolution=grid, eig_type=eig_type):
+    for piece in oracle.numeric_borderline(n, bounds, resolution=96, eig_type=eig_type):
         rows.extend((cmath.phase(rho), abs(rho), rho.real, rho.imag) for rho in piece)
         rows.append((math.nan, math.nan, math.nan, math.nan))  # polyline break
     return Curve(name, meta, _LEVEL_COLS, rows[:-1], False, (2, 3))
@@ -308,7 +308,7 @@ def _bisector(meta: dict, point, length: float = 0.3) -> Curve:
 
 
 def _trajectory_pair(fig: int, n: int, d_max: float, pp, rho_c: complex, eig_type) -> list:
-    rows = _trajectory_rows(pp, rho_c, n, eig_type, _symmetric_grid(d_max, 81))
+    rows = _trajectory_rows(pp, rho_c, n, eig_type, _symmetric_grid(d_max))
     return [Curve("formula", {"fig": fig, "curve": "series trajectory (dashed)", "n": n},
                   _TRAJ_COLS[:7], [r[:7] for r in rows], True, (0, 5)),
             Curve("oracle", {"fig": fig, "curve": "oracle trajectory (solid)", "n": n},
@@ -316,32 +316,31 @@ def _trajectory_pair(fig: int, n: int, d_max: float, pp, rho_c: complex, eig_typ
                   False, (0, 5))]
 
 
-def _fig_cassini(args) -> list:
+def _fig_cassini() -> list:
     box = (-3.2, 3.2, -3.2, 3.2)
     catalog = critical.all_critical_points(3)
     plus = _nearest_point(catalog, EigType.Type2, cmath.sqrt(-8))
     minus = _nearest_point(catalog, EigType.Type2, -cmath.sqrt(-8))
     return [
         _borderline("borderline_type1", {"fig": 1, "curve": "type-1 borderline (Cassini oval)"},
-                    3, EigType.Type1, box, args.grid),
+                    3, EigType.Type1, box),
         _borderline("borderline_type2", {"fig": 1, "curve": "type-2 borderline"},
-                    3, EigType.Type2, box, args.grid),
+                    3, EigType.Type2, box),
         Curve("level_plus", {"fig": 1, "curve": "local level curve at +i sqrt(8)"},
-              _LEVEL_COLS, _level_curve_rows(plus, args.window, 161), True, (2, 3)),
+              _LEVEL_COLS, _level_curve_rows(plus), True, (2, 3)),
         Curve("level_minus", {"fig": 1, "curve": "local level curve at -i sqrt(8)"},
-              _LEVEL_COLS, _level_curve_rows(minus, args.window, 161), True, (2, 3)),
+              _LEVEL_COLS, _level_curve_rows(minus), True, (2, 3)),
     ]
 
 
-def _fig_catalog_point(fig: int, n: int, eig_type: EigType, target: complex, bounds,
-                       args) -> list:
+def _fig_catalog_point(fig: int, n: int, eig_type: EigType, target: complex, bounds) -> list:
     point = _nearest_point(critical.all_critical_points(n), eig_type, target)
     tag = {"n": n, "type": eig_type.value}
     return [
         _borderline("borderline", {"fig": fig, "curve": "oracle borderline |lambda| = n", **tag},
-                    n, eig_type, bounds, args.grid),
+                    n, eig_type, bounds),
         Curve("level", {"fig": fig, "curve": "local level curve (series)", **tag},
-              _LEVEL_COLS, _level_curve_rows(point, args.window, 161), True, (2, 3)),
+              _LEVEL_COLS, _level_curve_rows(point), True, (2, 3)),
         _bisector({"fig": fig, "curve": "cusp bisector ray", **tag}, point),
     ]
 
@@ -353,20 +352,20 @@ def _fig_catalog_trajectory(fig: int, n: int, eig_type: EigType, target: complex
                             eig_type)
 
 
-def _fig_imag_trajectory(args) -> list:
+def _fig_imag_trajectory() -> list:
     params = imag_axis.imag_axis_params(19)
     return _trajectory_pair(7, 19, 0.005, imag_axis.imag_puiseux_params(params),
                             1j * params.y_n, params.eig_type)
 
 
-def _fig_sweep(args) -> list:
-    family = [imag_axis.imag_axis_params(n) for n in range(3, args.n_max + 1, 2)]
+def _fig_sweep() -> list:
+    family = [imag_axis.imag_axis_params(n) for n in range(3, 50, 2)]  # odd n = 3..49
     rows = [(par.n, par.a_n, par.b_n, par.c_n) for par in family]
     return [Curve("params", {"fig": 6, "curve": "imaginary-axis family parameters vs n"},
                   ["n", "a_n", "b_n", "c_n"], rows, False, (0, 1))]
 
 
-def _fig_imag_level(args) -> list:
+def _fig_imag_level() -> list:
     params = imag_axis.imag_axis_params(19)
     point = _nearest_point(critical.all_critical_points(19), EigType.Type2, 1j * params.y_n)
     return [
@@ -374,12 +373,12 @@ def _fig_imag_level(args) -> list:
               _LEVEL_COLS, _sample_rows(imag_axis.imag_level_curve(params)),
               True, (2, 3)),
         _borderline("borderline", {"fig": 8, "curve": "oracle borderline", "n": 19},
-                    19, EigType.Type2, (-0.45, 0.45, 1.05, 1.55), args.grid),
+                    19, EigType.Type2, (-0.45, 0.45, 1.05, 1.55)),
         _bisector({"fig": 8, "curve": "cusp bisector ray", "n": 19}, point, 0.15),
     ]
 
 
-def _fig_parabola(args) -> list:
+def _fig_parabola() -> list:
     params = imag_axis.imag_axis_params(19)
     chi = [1.0 - 0.12 * i / 80 for i in range(81)]
     prows = [(c, pair[0], pair[1]) for c, pair in imag_axis.parabola_trajectory(params, chi)]
@@ -396,11 +395,10 @@ def _fig_parabola(args) -> list:
 
 _FIGURES = {
     1: _fig_cassini,
-    2: lambda args: _fig_catalog_point(2, 4, EigType.Type2, 1 + 2j, (0.2, 1.8, 1.2, 2.8), args),
-    3: lambda args: _fig_catalog_point(3, 8, EigType.Type1, 0.922 - 1.29j,
-                                       (0.2, 1.7, -2.0, -0.5), args),
-    4: lambda args: _fig_catalog_trajectory(4, 4, EigType.Type2, 1 + 2j, 0.02),
-    5: lambda args: _fig_catalog_trajectory(5, 8, EigType.Type1, 0.922 - 1.29j, 0.002),
+    2: lambda: _fig_catalog_point(2, 4, EigType.Type2, 1 + 2j, (0.2, 1.8, 1.2, 2.8)),
+    3: lambda: _fig_catalog_point(3, 8, EigType.Type1, 0.922 - 1.29j, (0.2, 1.7, -2.0, -0.5)),
+    4: lambda: _fig_catalog_trajectory(4, 4, EigType.Type2, 1 + 2j, 0.02),
+    5: lambda: _fig_catalog_trajectory(5, 8, EigType.Type1, 0.922 - 1.29j, 0.002),
     6: _fig_sweep,
     7: _fig_imag_trajectory,
     8: _fig_imag_level,
@@ -410,7 +408,7 @@ _FIGURES = {
 
 def cmd_figure(args) -> None:
     fig = args.fig_id
-    curves = _FIGURES[fig](args)
+    curves = _FIGURES[fig]()
     out_dir = Path(args.output_path if args.output_path != "-" else ".")  # made by _check_out
     for c in curves:
         _write_text(out_dir / f"fig{fig}_{c.name}.csv", _render_csv(c.meta, c.columns, c.rows))
@@ -556,8 +554,6 @@ def _checked(convert, accept, rule: str):
 
 _AT_LEAST_3 = _checked(int, lambda v: v >= 3, "an integer >= 3")
 _POSITIVE = _checked(float, lambda v: v > 0, "a number > 0")
-_FINITE = _checked(float, math.isfinite, "a finite number")
-_WINDOW = _checked(float, lambda v: 0 < v < math.pi, "a number in (0, pi)")
 
 
 def _build_parser() -> _Parser:
@@ -569,12 +565,8 @@ def _build_parser() -> _Parser:
         "--type": dict(type=int, choices=(1, 2), default=None, dest="eig_type"),
         "--index": dict(type=int, default=0,
                         help="catalog point (0-based, after --type filter)"),
-        "--d-max": dict(type=_FINITE, default=0.02, dest="d_max"),
-        "--window": dict(type=_WINDOW, default=0.8,
-                         help="theta half-window around the cusp (radians)"),
-        "--grid": dict(type=_AT_LEAST_3, help="samples per curve / grid resolution"),
-        "--n-max": dict(type=_AT_LEAST_3, dest="n_max",
-                        help="largest n of the figure-6 sweep / the verify battery"),
+        "--n-max": dict(type=_AT_LEAST_3, default=12, dest="n_max",
+                        help="largest n of the battery"),
         "--tol": dict(type=_POSITIVE, default=None, help="residual gate (exit 2 above it)"),
     }
 
@@ -595,22 +587,16 @@ def _build_parser() -> _Parser:
     command("puiseux", cmd_puiseux, "series parameters a, b, phases, c",
             ["--n", "--type", "--index"], index=None)
     command("level-curve", cmd_level_curve, "local |lambda| = n level curve at a point",
-            ["--n", "--type", "--index", "--window", "--grid"], svg, grid=161)
+            ["--n", "--type", "--index"], svg)
     command("trajectory", cmd_trajectory, "eigenvalue pair along the cusp bisector",
-            ["--n", "--type", "--index", "--d-max", "--grid", "--tol"], svg, grid=81)
+            ["--n", "--type", "--index", "--tol"], svg)
     command("imaginary", cmd_imaginary, "imaginary-axis family parameters (odd n)", ["--n"])
     s = command("large-n", cmd_large_n, "asymptotic parameter table", [])
     s.add_argument("--n", type=_AT_LEAST_3, nargs="+", required=True, dest="n_list")
     s = command("figure", cmd_figure, "reproduce figure data sets (1..9)", [],
                 ("csv", "svg"), "output directory")
     s.add_argument("fig_id", type=int, choices=range(1, 10))
-    for flag, only in (  # what each figure reads
-            ("--grid", dict(type=_checked(int, lambda v: v >= 64, "an integer >= 64"),
-                            default=96, help="borderline grid, >= 64 (figures 1, 2, 3, 8)")),
-            ("--window", dict(help="level-curve theta half-window (figures 1, 2, 3)")),
-            ("--n-max", dict(default=50, help="largest n of the sweep (figure 6)"))):
-        s.add_argument(flag, **{**flags[flag], **only})
-    command("verify", cmd_verify, "run the invariant battery", ["--n-max"], n_max=12)
+    command("verify", cmd_verify, "run the invariant battery", ["--n-max"])
     return parser
 
 

@@ -152,7 +152,8 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
     a caller that reads it twice keeps the list.  Built at every n <= 30 and
     n = 48, 64, 96, 128, 256, 384; at n = 512 the gate, whose radius does not
     scale with the norm of K_n(rho_c), rejects a true point (second gap 5.26e-3
-    against 5.12e-3) and this raises RootFindingFailure (ROADMAP item 2).
+    against 5.12e-3) and this raises RootFindingFailure, until ROADMAP item 13
+    scales the radius.
     Points are ordered by (type, arg rho_c).  SizeError unless n is an integer in [3, 512].
     """
     n = _check_order(n)

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, HypothesisViolation
-from .kms import _finite_complex, _finite_real
+from .kms import _finite_complex, _finite_real, _finite_reals
 from .puiseux import PuiseuxParams, _abs_sq, wrap_angle
 
 # level-curve samples with a larger |eps| lie outside the series' validity region
@@ -127,11 +127,11 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
     d < 0 approaches the cusp along the bisector, d > 0 leaves along the
     opposite ray.  Pairs are (plus-branch, minus-branch) of the +/- sign in
     the series; all values are normalized by lambda_c.  Raises DomainError,
-    before any point is built, for a d that is not a real number (float()
-    rejects it) or is NaN or infinite, and, with any d <= 0, where |a|^2
-    overflows.
+    before any point is built, for d_values that are not iterable, a d that
+    is not a real number (float() rejects it) or is NaN or infinite, and,
+    with any d <= 0, where |a|^2 overflows.
     """
-    d_values = [_finite_real(d, "d") for d in d_values]
+    d_values = _finite_reals(d_values, "d")
     sqrt = math.sqrt
     mag_a, mag_b = abs(p.a), abs(p.b)
     cos_t, sin_t = math.cos(p.Theta), math.sin(p.Theta)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateArgument, DomainError, HypothesisViolation, RootFindingFailure
 from .geometry import _EPS_CAP, CurveSamples
-from .kms import EigType, _finite_real, check_order
+from .kms import EigType, _finite_real, _finite_reals, check_order
 from .puiseux import PuiseuxParams
 
 THETA_A_IMAG = 3.0 * math.pi / 4.0
@@ -196,12 +196,12 @@ def parabola_trajectory(params: ImagAxisParams, chi_values):
 
     chi, psi are the real and imaginary parts of lambda/lambda_c; the vertex
     (1, 0) is the collision point.  Returns (chi, (psi+, psi-)) pairs.
-    Raises DomainError for a chi that is not a finite real or exceeds 1.
+    Raises DomainError for chi_values that are not iterable, and for a chi
+    that is not a finite real or exceeds 1.
     """
     coef = params.a_n ** 2 / params.b_n
     out = []
-    for chi in chi_values:
-        chi = _finite_real(chi, "chi")
+    for chi in _finite_reals(chi_values, "chi"):
         if chi > 1.0:
             raise DomainError(f"parabola needs chi <= 1, got {chi}")
         psi = math.sqrt(coef * (1.0 - chi))

@@ -70,6 +70,17 @@ def _finite_real(value, name: str) -> float:
     return value
 
 
+def _finite_reals(values, name: str) -> list:
+    """[_finite_real(v, name) for v in values]; DomainError also when values
+    is not iterable (None, a number)."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise DomainError(f"{name} values must be an iterable of real numbers, "
+                          f"got {values!r}") from None
+    return [_finite_real(v, name) for v in values]
+
+
 def _finite_complex(value, name: str) -> complex:
     """complex(value), the complex twin of _finite_real; DomainError when
     complex() rejects it (a string that is not a number, None) or when it is
@@ -126,9 +137,13 @@ def _check_rho(n: int, rho) -> np.ndarray:
     eigenvalue is below 2 n |rho|^(n-1), which must stay finite.  rho may be
     an array, checked as a whole and shown in full; one that is not numeric
     (a string, None) goes through _finite_complex entry by entry.  DomainError
-    for a rho that is not finite or whose powers overflow.
+    for a ragged rho that numpy cannot shape, and for a rho that is not finite
+    or whose powers overflow.
     """
-    rho = np.asarray(rho)
+    try:
+        rho = np.asarray(rho)
+    except ValueError as exc:  # a ragged nesting such as [[1, 2], [3]]
+        raise DomainError(f"rho must be an array of numbers: {exc}") from None
     if rho.dtype.kind not in "biufc":
         rho = np.reshape([_finite_complex(r, "rho") for r in rho.ravel()], rho.shape)
     rho = rho.astype(complex, copy=False)

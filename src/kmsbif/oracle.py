@@ -178,8 +178,17 @@ def gate(n: int, rho_c: complex, eig_type: EigType) -> float:
 
 
 def count_extraordinary(n: int, eigenvalues: np.ndarray) -> int:
-    """Number of eigenvalues with |lambda| > n (strictly, with 1e-12 slack)."""
-    return int(np.sum(np.abs(eigenvalues) > n * (1.0 + 1e-12)))
+    """Number of eigenvalues with |lambda| > n (strictly, with 1e-12 slack).
+
+    DomainError for an eigenvalue that is not a number, or is NaN or infinite.
+    """
+    try:
+        mags = np.abs(np.asarray(eigenvalues, dtype=complex))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"eigenvalues must be complex numbers: {exc}") from None
+    if not np.isfinite(mags).all():
+        raise DomainError(f"eigenvalues must be finite, got {eigenvalues}")
+    return int(np.sum(mags > n * (1.0 + 1e-12)))
 
 
 def closed_form_eigenvalues_n3(rho: complex):
@@ -187,8 +196,10 @@ def closed_form_eigenvalues_n3(rho: complex):
 
     1 - rho^2 is the (single) type-1 eigenvalue; the +/- pair is type-2.
     Used as an independent cross-check of the dense solver and the series.
+    DomainError for a rho that is not a finite complex number, or whose
+    square overflows.
     """
-    rho = complex(rho)
+    rho = complex(_check_rho(3, rho))
     root = cmath.sqrt(rho * rho + 8.0)
     lam1 = 1.0 - rho * rho
     lam2 = (2.0 + rho * rho + rho * root) / 2.0

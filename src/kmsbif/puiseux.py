@@ -28,8 +28,11 @@ _TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(x: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    return x - _TWO_PI * math.ceil((x - math.pi) / _TWO_PI)
+    """Reduce an angle to (-pi, pi]; DomainError for an x that is not a finite real."""
+    try:
+        return x - _TWO_PI * math.ceil((x - math.pi) / _TWO_PI)
+    except (TypeError, ValueError, OverflowError):  # ceil of a complex, a NaN, an inf
+        raise DomainError(f"angle must be a finite real number, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,10 @@ def puiseux_ab_from_t(cp: "CriticalPoint") -> PuiseuxParams:
 def eval_truncated_series(p: PuiseuxParams, eps: complex) -> tuple[complex, complex]:
     """Both branch values lambda_c (1 +/- a sqrt(eps) + b eps), principal sqrt.
 
-    The pair is unordered; callers match branches by proximity.
+    The pair is unordered; callers match branches by proximity.  DomainError
+    for an eps that is not a finite complex number.
     """
+    eps = _finite_complex(eps, "eps")
     root = cmath.sqrt(eps)
     common = 1.0 + p.b * eps
     return (p.lambda_c * (common + p.a * root), p.lambda_c * (common - p.a * root))

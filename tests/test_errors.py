@@ -16,10 +16,12 @@ import pytest
 import kmsbif
 from kmsbif import errors
 from kmsbif.geometry import cardioid_approx
-from kmsbif.imag_axis import imag_level_eps, solve_v_n
+from kmsbif.imag_axis import imag_level_eps, parabola_trajectory, solve_v_n
 from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu)
-from kmsbif.puiseux import DerivativeBundle, PuiseuxParams, _params_from_ab
+from kmsbif.oracle import closed_form_eigenvalues_n3, count_extraordinary
+from kmsbif.puiseux import (DerivativeBundle, PuiseuxParams, _params_from_ab,
+                            eval_truncated_series, wrap_angle)
 
 
 def test_error_classes_are_exactly_the_exported_error_names():
@@ -113,6 +115,13 @@ _BAD_NUMBERS = {
     "type_blocks: rho None": lambda: kmsbif.type_blocks(4, None, EigType.Type2),
     "type_blocks: rho 'x'": lambda: kmsbif.type_blocks(4, "x", EigType.Type1),
     "type_blocks: rho [1, None]": lambda: kmsbif.type_blocks(4, [1, None], EigType.Type1),
+    "type_blocks: ragged rho": lambda: kmsbif.type_blocks(5, [[1, 2], [3]], EigType.Type1),
+    "closed_form_eigenvalues_n3: rho inf": lambda: closed_form_eigenvalues_n3(math.inf),
+    "closed_form_eigenvalues_n3: rho 'x'": lambda: closed_form_eigenvalues_n3("x"),
+    "count_extraordinary: a nan eigenvalue": lambda: count_extraordinary(4, [math.nan, 5]),
+    "eval_truncated_series: eps nan": lambda: eval_truncated_series(_series_of_k4(), math.nan),
+    "wrap_angle: nan": lambda: wrap_angle(math.nan),
+    "wrap_angle: inf": lambda: wrap_angle(math.inf),
     "build_matrix: rho None": lambda: build_matrix(4, None),
     "build_matrix: rho 'x'": lambda: build_matrix(4, "x"),
     "build_matrix: rho nan": lambda: build_matrix(4, _NAN),
@@ -147,6 +156,10 @@ _BAD_NUMBERS = {
     "local_level_curve: |a|^2 overflows": lambda: kmsbif.local_level_curve(_HUGE_A, 0j),
     "trajectory_along_bisector: |a|^2 overflows": lambda: kmsbif.trajectory_along_bisector(
         _HUGE_A, [-1.0]),
+    "trajectory_along_bisector: d_values None": lambda: kmsbif.trajectory_along_bisector(
+        _series_of_k4(), None),
+    "parabola_trajectory: chi_values None": lambda: parabola_trajectory(
+        kmsbif.imag_axis_params(19), None),
     "cardioid_approx: |a|^2 overflows": lambda: cardioid_approx(_HUGE_A, 0.0),
     "_params_from_ab: |a|^2 overflows": lambda: _params_from_ab(-4.0, 1e200, 1.0),
 }
