@@ -11,6 +11,7 @@ import cmath
 import numbers
 
 from .errors import DomainError
+from .kms import _finite_complex
 
 
 def _checked_degree(k) -> int:
@@ -48,18 +49,18 @@ def _u_recurrence(k: int, z: complex) -> complex:
 def cheb_t(k, z) -> complex:
     """First-kind Chebyshev polynomial T_k(z) for an integer degree k >= 0.
 
-    z is taken as complex(z).  Raises DomainError when the value overflows
-    double precision.
+    z is taken as complex(z).  Raises DomainError for a z that is not a
+    finite complex number and when the value overflows double precision.
     """
-    k, z = _checked_degree(k), complex(z)
+    k, z = _checked_degree(k), _finite_complex(z, "z")
     return _finite(_t_recurrence(k, z), "T", k, z)
 
 
 def cheb_u(k, z) -> complex:
     """Second-kind Chebyshev polynomial U_k(z) for an integer degree k >= 0.
 
-    z is taken as complex(z).  Raises DomainError when the value overflows
-    double precision.
+    z is taken as complex(z).  Raises DomainError for a z that is not a
+    finite complex number and when the value overflows double precision.
     """
-    k, z = _checked_degree(k), complex(z)
+    k, z = _checked_degree(k), _finite_complex(z, "z")
     return _finite(_u_recurrence(k, z), "U", k, z)

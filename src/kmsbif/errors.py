@@ -23,9 +23,8 @@ class DegenerateArgument(KmsBifError):
 
     Raised by the critical-rho ratio (t_c = +/-1 for even n, or a vanishing
     denominator), by the closed-form Puiseux route (t_c^2 = 1 or
-    t_c = -s T_n(t_c)), by a sine/cosine denominator of the
-    mu-parameterization below its floor, and by a vanished denominator of
-    the imaginary-axis level curve.
+    t_c = -s T_n(t_c)), and by a sine/cosine denominator of the
+    mu-parameterization below its floor.
     """
 
 

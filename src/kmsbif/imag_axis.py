@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateArgument, DomainError, HypothesisViolation, RootFindingFailure
+from .errors import DomainError, HypothesisViolation, RootFindingFailure
 from .geometry import _EPS_CAP, CurveSamples
-from .kms import EigType, _finite_real, _finite_reals, check_order
+from .kms import EigType, _finite_reals, check_order
 from .puiseux import PuiseuxParams
 
 THETA_A_IMAG = 3.0 * math.pi / 4.0
@@ -130,29 +130,11 @@ def imag_puiseux_params(params: ImagAxisParams) -> PuiseuxParams:
                          theta_b=THETA_B_IMAG, Theta=0.0, c=params.c_n)
 
 
-def _level_den_eps(params: ImagAxisParams, s: float) -> tuple[float, float]:
-    """The denominator and |eps| at sin theta = s; |eps| is inf where the denominator is 0."""
-    a2 = params.a_n ** 2
-    den = a2 + (4.0 * params.b_n - a2) * s
-    return den, 8.0 * a2 * (1.0 + s) / den ** 2 if den != 0.0 else math.inf
-
-
-def imag_level_eps(params: ImagAxisParams, theta: float) -> float:
-    """|eps|(theta) = 8 a^2 (1 + sin theta) / (a^2 + (4b - a^2) sin theta)^2.
-
-    DomainError for a non-finite theta; DegenerateArgument where the denominator is 0.
-    """
-    theta = _finite_real(theta, "theta")
-    den, eps = _level_den_eps(params, math.sin(theta))
-    if den == 0.0:
-        raise DegenerateArgument(f"level-curve denominator vanished at theta = {theta}")
-    return eps
-
-
 def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
     """Level-curve samples around i y_n; cusp at theta = -pi/2.
 
-    161 evenly spaced theta from -pi to 0.  The curve is symmetric under
+    |eps|(theta) = 8 a^2 (1 + sin theta) / (a^2 + (4b - a^2) sin theta)^2
+    at 161 evenly spaced theta from -pi to 0.  The curve is symmetric under
     theta -> -pi - theta (mirror in the imaginary axis).  Samples past a
     denominator sign change or with |eps| above 0.5 are dropped, as in the
     general routine.
@@ -161,12 +143,14 @@ def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
         raise HypothesisViolation("a_n^2 - 2 b_n ~ 0: no local level curve")
     lo, hi, count = -math.pi, 0.0, 161
     center = 1j * params.y_n
+    a2 = params.a_n ** 2
     sign_cusp = 1.0 if params.c_n > 0 else -1.0
     samples = []
     for i in range(count):
         theta = lo + (hi - lo) * i / (count - 1)
         s = math.sin(theta)
-        den, eps = _level_den_eps(params, s)
+        den = a2 + (4.0 * params.b_n - a2) * s
+        eps = 8.0 * a2 * (1.0 + s) / den ** 2 if den != 0.0 else math.inf
         if den * sign_cusp <= 0.0 or eps > _EPS_CAP:
             continue
         rho = center + eps * complex(math.cos(theta), s)

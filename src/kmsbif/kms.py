@@ -60,10 +60,11 @@ def _guard(num: complex, den: complex, what: str) -> None:
 
 def _finite_real(value, name: str) -> float:
     """float(value); DomainError when float() rejects it (a string, None, a
-    complex) or when it is NaN or infinite."""
+    complex, an integer too large for a double such as 10**400) or when it
+    is NaN or infinite."""
     try:
         value = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a real number: {exc}") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
@@ -83,11 +84,12 @@ def _finite_reals(values, name: str) -> list:
 
 def _finite_complex(value, name: str) -> complex:
     """complex(value), the complex twin of _finite_real; DomainError when
-    complex() rejects it (a string that is not a number, None) or when it is
-    NaN or infinite."""
+    complex() rejects it (a string that is not a number, None, a sequence,
+    an integer too large for a double such as 10**400) or when it is NaN or
+    infinite."""
     try:
         value = complex(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a complex number: {exc}") from None
     if not cmath.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value}")
@@ -96,7 +98,8 @@ def _finite_complex(value, name: str) -> complex:
 
 def _mu_entry(func):
     """Run func(n, mu, eig_type) on n checked by check_order and mu made a
-    finite complex; DomainError where its trigonometry overflows or its
+    finite complex; DomainError where its trigonometry overflows (cmath
+    raises ValueError for a product such as n mu that reached inf) or its
     result is not finite."""
     @functools.wraps(func)
     def checked(n, mu, eig_type):
@@ -106,7 +109,7 @@ def _mu_entry(func):
             out = func(n, mu, eig_type)
             if np.isfinite(out).all():
                 return out
-        except OverflowError:
+        except (OverflowError, ValueError):
             pass
         raise DomainError(f"{func.__name__} overflows double precision at mu = {mu}")
     return checked
@@ -218,7 +221,16 @@ def eigenvector_of_mu(n: int, mu: complex, eig_type: EigType) -> np.ndarray:
 def isotropy_defect(v) -> complex:
     """Unconjugated sum of squares sum_j v_j^2 (zero iff the vector is isotropic).
 
-    For eigenvector_of_mu output this equals (n + lambda(mu))/2.
+    For eigenvector_of_mu output this equals (n + lambda(mu))/2.  DomainError
+    for a v that is not an array of numbers, and for a sum that is not finite
+    (an entry that is NaN or infinite, or squares that overflow).
     """
-    v = np.asarray(v)
-    return complex(np.sum(v * v))
+    try:
+        v = np.asarray(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = complex(np.sum(v * v))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"v must be an array of numbers: {exc}") from None
+    if not cmath.isfinite(total):
+        raise DomainError(f"sum of squares is not finite: {total}")
+    return total

@@ -30,8 +30,8 @@ import numbers
 import numpy as np
 
 from .errors import DomainError, RootFindingFailure, SizeError
-from .kms import (EigType, KmsMatrix, _check_rho, _finite_real, _powers, build_matrix,
-                  check_order, type_sign)
+from .kms import (EigType, KmsMatrix, _check_rho, _finite_complex, _finite_real, _powers,
+                  build_matrix, check_order, type_sign)
 
 _MAX_N = 512
 GATE_RADIUS = 1e-5  # times n; QR loses half its digits at a defective eigenvalue
@@ -164,6 +164,7 @@ def gate(n: int, rho_c: complex, eig_type: EigType) -> float:
     n = _check_order(n)
     radius = GATE_RADIUS * n
     type1 = type_sign(eig_type) < 0
+    rho_c = _finite_complex(rho_c, "rho_c")
     powers = _powers(n, _check_rho(n, rho_c))
     gaps = np.sort(np.abs(eigenvalues(KmsMatrix(n, rho_c, _block(n, powers, type1))) + n))
     if gaps[1] > radius:
@@ -180,11 +181,13 @@ def gate(n: int, rho_c: complex, eig_type: EigType) -> float:
 def count_extraordinary(n: int, eigenvalues: np.ndarray) -> int:
     """Number of eigenvalues with |lambda| > n (strictly, with 1e-12 slack).
 
-    DomainError for an eigenvalue that is not a number, or is NaN or infinite.
+    SizeError unless n is an integer >= 3.  DomainError for an eigenvalue
+    that is not a number, is too large for a double, or is NaN or infinite.
     """
+    n = check_order(n)
     try:
         mags = np.abs(np.asarray(eigenvalues, dtype=complex))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"eigenvalues must be complex numbers: {exc}") from None
     if not np.isfinite(mags).all():
         raise DomainError(f"eigenvalues must be finite, got {eigenvalues}")
@@ -199,7 +202,8 @@ def closed_form_eigenvalues_n3(rho: complex):
     DomainError for a rho that is not a finite complex number, or whose
     square overflows.
     """
-    rho = complex(_check_rho(3, rho))
+    rho = _finite_complex(rho, "rho")
+    _check_rho(3, rho)
     root = cmath.sqrt(rho * rho + 8.0)
     lam1 = 1.0 - rho * rho
     lam2 = (2.0 + rho * rho + rho * root) / 2.0

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .chebyshev import cheb_t
 from .errors import DegenerateArgument, DomainError, HypothesisViolation
-from .kms import _finite_complex, type_sign
+from .kms import _finite_complex, check_order, type_sign
 
 if TYPE_CHECKING:  # pragma: no cover
     from .critical import CriticalPoint
@@ -61,16 +61,16 @@ def derivatives_at_critical(cp: "CriticalPoint") -> DerivativeBundle:
     differentiating the mu-parameterization at the point where rho'(mu_c) = 0
     and lambda(mu_c) = -n.  Raises DomainError for a mu_c that is not a
     finite complex number and wherever a sine, a cosine or a derivative
-    overflows double precision.
+    overflows double precision, and SizeError unless cp.n is an integer >= 3.
     """
-    n = cp.n
+    n = check_order(cp.n)
     mu = _finite_complex(cp.mu_c, "mu_c")
     s = type_sign(cp.eig_type)
     try:
         sin_mu, cos_mu = cmath.sin(mu), cmath.cos(mu)
         sin_nmu, cos_nmu = cmath.sin(n * mu), cmath.cos(n * mu)
         sin_m1, cos_m1 = cmath.sin((n - 1) * mu), cmath.cos((n - 1) * mu)
-    except OverflowError:
+    except (OverflowError, ValueError):  # cmath raises ValueError once n mu reaches inf
         raise DomainError(f"sin and cos overflow at mu_c = {mu}") from None
     if abs(sin_mu) < 1e-12 * (1.0 + abs(mu)):
         raise DegenerateArgument(f"sin(mu_c) ~ 0 at mu_c = {mu}")
@@ -132,9 +132,11 @@ def puiseux_ab_from_t(cp: "CriticalPoint") -> PuiseuxParams:
     """Series parameters via the closed forms in t_c (no derivatives needed).
 
     Agrees with puiseux_from_derivatives(derivatives_at_critical(...)) up to
-    the documented sign freedom in a; b is sign-fixed.
+    the documented sign freedom in a; b is sign-fixed.  Raises SizeError
+    unless cp.n is an integer >= 3, and DomainError for a t_c that is not a
+    finite complex number.
     """
-    n, t = cp.n, cp.t_c
+    n, t = check_order(cp.n), _finite_complex(cp.t_c, "t_c")
     s = type_sign(cp.eig_type)
     t_n = cheb_t(n, t)
     t_nm1 = cheb_t(n - 1, t)
@@ -157,9 +159,13 @@ def eval_truncated_series(p: PuiseuxParams, eps: complex) -> tuple[complex, comp
     """Both branch values lambda_c (1 +/- a sqrt(eps) + b eps), principal sqrt.
 
     The pair is unordered; callers match branches by proximity.  DomainError
-    for an eps that is not a finite complex number.
+    for an eps that is not a finite complex number, and for a branch value
+    that overflows double precision (eps = 1e308, say).
     """
     eps = _finite_complex(eps, "eps")
     root = cmath.sqrt(eps)
     common = 1.0 + p.b * eps
-    return (p.lambda_c * (common + p.a * root), p.lambda_c * (common - p.a * root))
+    pair = (p.lambda_c * (common + p.a * root), p.lambda_c * (common - p.a * root))
+    if not all(map(cmath.isfinite, pair)):
+        raise DomainError(f"truncated series overflows double precision at eps = {eps}")
+    return pair

@@ -45,40 +45,42 @@ def parse_csv(text):
 
 
 # sampling flags that no subcommand takes: README's "Command line" states the
-# fixed values
-_FIXED_FLAGS = [
-    ["level-curve", "--n", "8", "--window", "0.8"],
-    ["level-curve", "--n", "8", "--grid", "161"],
-    ["trajectory", "--n", "8", "--d-max", "0.02"],
-    ["trajectory", "--n", "8", "--grid", "81"],
-    ["figure", "1", "--window", "0.8"],
-    ["figure", "1", "--grid", "96"],
-    ["figure", "6", "--n-max", "50"],
-]
+# fixed values.  Each usage-error case below carries its own test id, so that
+# removing one case renames no other.
+_FIXED_FLAGS = {
+    "argv18": ["level-curve", "--n", "8", "--window", "0.8"],
+    "argv19": ["level-curve", "--n", "8", "--grid", "161"],
+    "argv20": ["trajectory", "--n", "8", "--d-max", "0.02"],
+    "argv21": ["trajectory", "--n", "8", "--grid", "81"],
+    "argv22": ["figure", "1", "--window", "0.8"],
+    "argv23": ["figure", "1", "--grid", "96"],
+    "argv24": ["figure", "6", "--n-max", "50"],
+}
 
 
 @pytest.mark.parametrize("argv", [
-    ["critical-points", "--n", "2"],
-    ["critical-points", "--n", "x"],  # not an integer at all
-    ["no-such-command"],
-    ["critical-points", "--n", "5", "--type", "3"],
-    ["critical-points", "--n", "5", "--tol", "0"],
-    ["level-curve"],
-    [],
+    pytest.param(["critical-points", "--n", "2"], id="argv0"),
+    pytest.param(["critical-points", "--n", "x"], id="argv1"),  # not an integer at all
+    pytest.param(["no-such-command"], id="argv2"),
+    pytest.param(["critical-points", "--n", "5", "--type", "3"], id="argv3"),
+    pytest.param(["critical-points", "--n", "5", "--tol", "0"], id="argv4"),
+    pytest.param(["level-curve"], id="argv5"),
+    pytest.param([], id="argv6"),
     # bad numbers are usage errors, never a crash or a silent default
-    ["verify", "--n-max", "2"],
-    ["verify", "--n-max", "0"],
-    ["large-n", "--n", "19", "2"],
-    ["puiseux", "--n", "4", "--index", "x"],
-    ["trajectory", "--n", "4", "--tol", "nan"],
-    ["figure", "10"],
+    pytest.param(["verify", "--n-max", "2"], id="argv7"),
+    pytest.param(["verify", "--n-max", "0"], id="argv8"),
+    pytest.param(["large-n", "--n", "19", "2"], id="argv9"),
+    pytest.param(["puiseux", "--n", "4", "--index", "x"], id="argv10"),
+    pytest.param(["trajectory", "--n", "4", "--tol", "nan"], id="argv11"),
+    pytest.param(["figure", "10"], id="argv12"),
     # each subcommand takes only the flags and formats it uses
-    ["critical-points", "--n", "5", "--format", "svg"],
-    ["puiseux", "--n", "4", "--tol", "1e-3"],
-    ["verify", "--tol", "2"],  # --tol is a gate, and verify's gates are its own
-    ["figure", "2", "--format", "json"],
-    ["critical-points", "--n", "5", "--index", "0"],
-    *_FIXED_FLAGS,
+    pytest.param(["critical-points", "--n", "5", "--format", "svg"], id="argv13"),
+    pytest.param(["puiseux", "--n", "4", "--tol", "1e-3"], id="argv14"),
+    # --tol is a gate, and verify's gates are its own
+    pytest.param(["verify", "--tol", "2"], id="argv15"),
+    pytest.param(["figure", "2", "--format", "json"], id="argv16"),
+    pytest.param(["critical-points", "--n", "5", "--index", "0"], id="argv17"),
+    *(pytest.param(argv, id=name) for name, argv in _FIXED_FLAGS.items()),
 ])
 def test_usage_errors_exit_one(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -86,7 +88,7 @@ def test_usage_errors_exit_one(capsys, argv):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.count(": error: ") == 1
-    if argv in _FIXED_FLAGS:
+    if argv in _FIXED_FLAGS.values():
         assert err.endswith(f"kmsbif: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
@@ -116,8 +118,9 @@ def test_computation_errors_return_two(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["critical-points", "--n", "4", "--out", "{missing}/x.csv"],
-    ["figure", "6", "--out", "{file}"],  # --out names a file, not a directory
+    pytest.param(["critical-points", "--n", "4", "--out", "{missing}/x.csv"], id="argv0"),
+    # --out names a file, not a directory
+    pytest.param(["figure", "6", "--out", "{file}"], id="argv1"),
 ])
 def test_unwritable_out_returns_one(tmp_path, capsys, argv):
     (tmp_path / "file").write_text("")
@@ -133,11 +136,13 @@ def _no_catalog(n):
 
 
 @pytest.mark.parametrize("argv", [
-    ["critical-points", "--n", "128", "--out", "{missing}/x.csv"],
-    ["critical-points", "--n", "128", "--out", "{dir}"],  # a directory, not a file
-    ["puiseux", "--n", "128", "--out", "{file}/x.csv"],  # a file as the parent directory
-    ["figure", "1", "--out", "{file}"],
-    ["figure", "1", "--out", "{file}/sub"],
+    pytest.param(["critical-points", "--n", "128", "--out", "{missing}/x.csv"], id="argv0"),
+    # a directory, not a file
+    pytest.param(["critical-points", "--n", "128", "--out", "{dir}"], id="argv1"),
+    # a file as the parent directory
+    pytest.param(["puiseux", "--n", "128", "--out", "{file}/x.csv"], id="argv2"),
+    pytest.param(["figure", "1", "--out", "{file}"], id="argv3"),
+    pytest.param(["figure", "1", "--out", "{file}/sub"], id="argv4"),
 ])
 def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(critical, "all_critical_points", _no_catalog)
@@ -178,9 +183,9 @@ def test_checked_out_leaves_no_file_when_the_computation_fails(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv", [
     # an empty catalog has no point to pick: type 1 at n = 3
-    ["level-curve", "--n", "3", "--type", "1"],
-    ["trajectory", "--n", "3", "--type", "1"],
-    ["puiseux", "--n", "3", "--type", "1", "--index", "0"],
+    pytest.param(["level-curve", "--n", "3", "--type", "1"], id="argv0"),
+    pytest.param(["trajectory", "--n", "3", "--type", "1"], id="argv1"),
+    pytest.param(["puiseux", "--n", "3", "--type", "1", "--index", "0"], id="argv2"),
 ])
 def test_pick_from_empty_catalog_returns_two(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -15,11 +15,12 @@ import pytest
 
 import kmsbif
 from kmsbif import errors
+from kmsbif.chebyshev import cheb_t, cheb_u
 from kmsbif.geometry import cardioid_approx
-from kmsbif.imag_axis import imag_level_eps, parabola_trajectory, solve_v_n
-from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, lambda_of_mu, rho_of_mu,
-                        rho_prime_of_mu)
-from kmsbif.oracle import closed_form_eigenvalues_n3, count_extraordinary
+from kmsbif.imag_axis import parabola_trajectory, solve_v_n
+from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, isotropy_defect, lambda_of_mu,
+                        rho_of_mu, rho_prime_of_mu)
+from kmsbif.oracle import closed_form_eigenvalues_n3, count_extraordinary, gate
 from kmsbif.puiseux import (DerivativeBundle, PuiseuxParams, _params_from_ab,
                             eval_truncated_series, wrap_angle)
 
@@ -33,6 +34,11 @@ def test_error_classes_are_exactly_the_exported_error_names():
                 and issubclass(getattr(kmsbif, name), errors.KmsBifError)}
     assert defined == exported
     assert all(getattr(kmsbif, name) is getattr(errors, name) for name in exported)
+
+
+def _point_of_order(n):
+    # a critical point of K_7, relabelled with the given order
+    return dataclasses.replace(kmsbif.all_critical_points(7)[0], n=n)
 
 
 _ORDER_ENTRY_POINTS = {
@@ -50,6 +56,9 @@ _ORDER_ENTRY_POINTS = {
     "rho_of_mu": lambda n: rho_of_mu(n, 1.0, EigType.Type1),
     "rho_prime_of_mu": lambda n: rho_prime_of_mu(n, 1.0 + 0.1j, EigType.Type1),
     "eigenvector_of_mu": lambda n: eigenvector_of_mu(n, 1.0, EigType.Type1),
+    "count_extraordinary": lambda n: count_extraordinary(n, [1.0]),
+    "puiseux_ab_from_t": lambda n: kmsbif.puiseux_ab_from_t(_point_of_order(n)),
+    "derivatives_at_critical": lambda n: kmsbif.derivatives_at_critical(_point_of_order(n)),
 }
 
 
@@ -101,11 +110,17 @@ def _point_with_mu(mu_c):
     return dataclasses.replace(_point_of_type(EigType.Type2), mu_c=mu_c)
 
 
+def _point_with_t(t_c):
+    return dataclasses.replace(_point_of_type(EigType.Type2), t_c=t_c)
+
+
 _BOX = {"eig_type": EigType.Type1}
 _NAN = complex("nan")
 # |a|^2 overflows for |a| past 1.3e154
 _HUGE_A = PuiseuxParams(lambda_c=-4.0, a=1e200, b=1.0, theta_a=0.0, theta_b=0.0, Theta=0.0,
                         c=0.0)
+# float() and complex() raise OverflowError for an integer this large
+_BIG = 10 ** 400
 
 # each call passes a number argument that complex() or float() rejects, that
 # is NaN or infinite, or at which the entry point's arithmetic overflows
@@ -162,6 +177,39 @@ _BAD_NUMBERS = {
         kmsbif.imag_axis_params(19), None),
     "cardioid_approx: |a|^2 overflows": lambda: cardioid_approx(_HUGE_A, 0.0),
     "_params_from_ab: |a|^2 overflows": lambda: _params_from_ab(-4.0, 1e200, 1.0),
+    "kms_spectrum: rho 10**400": lambda: kmsbif.kms_spectrum(5, _BIG),
+    "type_blocks: rho 10**400": lambda: kmsbif.type_blocks(5, _BIG, EigType.Type1),
+    "rho_c_of_t: t_c 10**400": lambda: kmsbif.rho_c_of_t(6, _BIG, EigType.Type1),
+    "local_level_curve: theta_window 10**400": lambda: kmsbif.local_level_curve(
+        _series_of_k4(), 0j, theta_window=_BIG),
+    "trajectory_along_bisector: d 10**400": lambda: kmsbif.trajectory_along_bisector(
+        _series_of_k4(), [_BIG]),
+    "parabola_trajectory: chi 10**400": lambda: parabola_trajectory(
+        kmsbif.imag_axis_params(19), [_BIG]),
+    "cardioid_approx: theta 10**400": lambda: cardioid_approx(_series_of_k4(), _BIG),
+    "puiseux_from_derivatives: lambda_c 10**400": lambda: kmsbif.puiseux_from_derivatives(
+        _BIG, DerivativeBundle(1, 1, 1, 1)),
+    "numeric_borderline: bound 10**400": lambda: kmsbif.numeric_borderline(
+        3, (_BIG, 1, -1, 1), **_BOX),
+    "closed_form_eigenvalues_n3: rho 10**400": lambda: closed_form_eigenvalues_n3(_BIG),
+    "count_extraordinary: an eigenvalue 10**400": lambda: count_extraordinary(4, [_BIG]),
+    "cheb_t: z 10**400": lambda: cheb_t(5, _BIG),
+    "cheb_t: z None": lambda: cheb_t(5, None),
+    "cheb_u: z 'x'": lambda: cheb_u(5, "x"),
+    # n mu reaches inf, where cmath.sin raises ValueError
+    "lambda_of_mu: mu 1e308": lambda: lambda_of_mu(5, 1e308, EigType.Type1),
+    "rho_prime_of_mu: mu 1e308": lambda: rho_prime_of_mu(5, 1e308, EigType.Type2),
+    "derivatives_at_critical: mu_c 1e308": lambda: kmsbif.derivatives_at_critical(
+        _point_with_mu(1e308)),
+    "puiseux_ab_from_t: t_c 'x'": lambda: kmsbif.puiseux_ab_from_t(_point_with_t("x")),
+    "puiseux_ab_from_t: t_c None": lambda: kmsbif.puiseux_ab_from_t(_point_with_t(None)),
+    "gate: rho_c [1, 2]": lambda: gate(5, [1, 2], EigType.Type1),
+    "gate: rho_c ()": lambda: gate(5, (), EigType.Type1),
+    "closed_form_eigenvalues_n3: rho [1, 2]": lambda: closed_form_eigenvalues_n3([1, 2]),
+    "isotropy_defect: squares overflow": lambda: isotropy_defect([1e200]),
+    "isotropy_defect: an inf entry": lambda: isotropy_defect([math.inf]),
+    "isotropy_defect: v 'x'": lambda: isotropy_defect("x"),
+    "eval_truncated_series: eps 1e308": lambda: eval_truncated_series(_series_of_k4(), 1e308),
 }
 
 
@@ -182,9 +230,6 @@ _DEGENERATE_POINTS = {
         _point_with_mu(complex(math.pi / 3))),
     "puiseux_ab_from_t: t_c = 1": lambda: kmsbif.puiseux_ab_from_t(
         dataclasses.replace(_point_of_type(EigType.Type2), t_c=1 + 0j)),
-    # a_n^2 + (4 b_n - a_n^2) sin(-pi/2) = 1 - 1 exactly
-    "imag_level_eps: denominator vanishes at theta = -pi/2": lambda: imag_level_eps(
-        dataclasses.replace(kmsbif.imag_axis_params(19), a_n=1.0, b_n=0.5), -math.pi / 2),
 }
 
 

@@ -8,9 +8,9 @@ import pytest
 from kmsbif.critical import all_critical_points, rho_c_of_t
 from kmsbif.errors import DomainError, HypothesisViolation, SizeError
 from kmsbif.geometry import _level_eps, cusp_bisector_angle, trajectory_along_bisector
-from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, imag_axis_params,
-                              imag_level_curve, imag_level_eps, imag_puiseux_params,
-                              large_n_params, parabola_trajectory, solve_v_n)
+from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, imag_axis_params, imag_level_curve,
+                              imag_puiseux_params, large_n_params, parabola_trajectory,
+                              solve_v_n)
 from kmsbif.kms import EigType, build_matrix, eigenvector_of_mu
 from kmsbif.oracle import count_extraordinary, kms_spectrum
 
@@ -217,34 +217,22 @@ def test_eigenvector_symmetry_by_type():
 
 
 def test_level_eps_matches_general_formula():
+    # every kept sample's |eps| is the general level-curve formula at its theta
     for n in (3, 9, 19):
         params = imag_axis_params(n)
         gen = imag_puiseux_params(params)
-        for theta in np.linspace(-math.pi, math.pi, 41):
+        for theta, eps, _ in imag_level_curve(params).samples:
             num, den = _level_eps(theta, gen.theta_a, gen.theta_b, abs(gen.a) ** 2,
                                   2.0 * abs(gen.a), 2.0 * abs(gen.b))
-            if den <= 0.0:
-                continue
-            want = (num / den) ** 2
-            got = imag_level_eps(params, float(theta))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert eps == pytest.approx((num / den) ** 2, rel=1e-12, abs=1e-30)
 
 
 def test_level_eps_cusp_and_peak():
     params = imag_axis_params(3)
-    # the cusp sits at theta = -pi/2 (pointing at the origin)
-    assert imag_level_eps(params, -math.pi / 2.0) == 0.0
-    a2 = params.a_n ** 2
-    want = 16.0 * a2 / (4.0 * params.b_n) ** 2
-    assert imag_level_eps(params, math.pi / 2.0) == pytest.approx(want, rel=1e-14)
-
-
-def test_level_eps_rejects_non_finite_theta():
-    params = imag_axis_params(3)
-    # non-finite, or not a real number at all
-    for theta in (math.nan, math.inf, -math.inf, "x", None, 1j):
-        with pytest.raises(DomainError):
-            imag_level_eps(params, theta)
+    # the cusp sits at theta = -pi/2 (pointing at the origin), on the centre itself
+    cusp = [(eps, rho) for theta, eps, rho in imag_level_curve(params).samples
+            if theta == -math.pi / 2.0]
+    assert cusp == [(0.0, 1j * params.y_n)]
 
 
 def test_level_curve_samples():
