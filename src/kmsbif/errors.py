@@ -12,9 +12,9 @@ class SizeError(KmsBifError):
 class DomainError(KmsBifError):
     """Argument outside a function's domain, or a value that overflows there.
 
-    Examples: a level-curve theta_window outside (0, pi), a non-finite
-    bound of a borderline box, T_1000(3), which is not finite in double
-    precision, and rho on one of the excluded values {+/-1, +/-(n+1)/(n-1)}.
+    Examples: a non-finite bound of a borderline box, T_1000(3), which is
+    not finite in double precision, a Chebyshev degree above 10**6, and rho
+    on one of the excluded values {+/-1, +/-(n+1)/(n-1)}.
     """
 
 

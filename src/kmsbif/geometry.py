@@ -9,16 +9,17 @@ cusp and is the direction of maximum bifurcation.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, HypothesisViolation
+from .errors import HypothesisViolation
 from .kms import _finite_complex, _finite_real, _finite_reals
 from .puiseux import PuiseuxParams, _abs_sq, wrap_angle
 
 # level-curve samples with a larger |eps| lie outside the series' validity region
 _EPS_CAP = 0.5
+_LEVEL_SAMPLES = 161  # per level curve; odd, so that the cusp is the middle one
+_THETA_WINDOW = 0.8  # the half-width of the level curve's theta range about the cusp
 
 
 @dataclass(frozen=True)
@@ -48,42 +49,32 @@ def _level_eps(theta: float, theta_a: float, theta_b: float, a_sq: float, two_a:
     return two_a * math.cos(half), a_sq * math.sin(half) ** 2 + two_b * math.cos(theta + theta_b)
 
 
-def local_level_curve(p: PuiseuxParams, rho_c: complex, theta_window: float = 0.8,
-                      count: int = 161) -> CurveSamples:
-    """Sample the local level curve over the cusp-centered theta window.
+def local_level_curve(p: PuiseuxParams, rho_c: complex) -> CurveSamples:
+    """Sample the local level curve at 161 theta within 0.8 of the cusp bisector.
 
     |eps|(theta) = (2|a| cos(theta/2 + theta_a) / (|a|^2 sin^2(theta/2 +
     theta_a) + 2|b| cos(theta + theta_b)))^2.  The cusp sample (|eps| = 0 at
-    theta = pi - 2 theta_a) is always included exactly once; samples past a
-    sign change of the denominator, or with |eps| above 0.5, are outside
-    the validity region and are dropped (with a warning).  Raises DomainError
-    for a count that is not an integer >= 3, a theta_window outside (0, pi)
-    (a wider one winds round rho_c), a rho_c that is not a finite complex
-    number, or an |a|^2 that overflows, and HypothesisViolation when
-    |a|^2 - 2|b|cos(Theta) ~ 0.
+    theta = pi - 2 theta_a) is the middle one; samples past a sign change of
+    the denominator, or with |eps| above 0.5, are outside the validity
+    region and are dropped (with a warning).  Raises DomainError for a rho_c
+    that is not a finite complex number, or an |a|^2 that overflows, and
+    HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
     """
     rho_c = _finite_complex(rho_c, "rho_c")
     a_sq = _abs_sq(p.a)
     den_cusp = a_sq - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
     if abs(den_cusp) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
-    theta_window = _finite_real(theta_window, "theta_window")
-    if not 0 < theta_window < math.pi:
-        raise DomainError(f"theta_window must lie in (0, pi), got {theta_window}")
-    if not isinstance(count, numbers.Integral) or count < 3:
-        raise DomainError(f"need an integer count >= 3 samples, got {count!r}")
-    if count % 2 == 0:
-        count += 1  # keep the cusp as the exact middle sample
     bis = cusp_bisector_angle(p)
     sgn = 1.0 if den_cusp > 0 else -1.0
     cos, sin = math.cos, math.sin
     theta_a, theta_b = p.theta_a, p.theta_b
     two_a, two_b = 2.0 * abs(p.a), 2.0 * abs(p.b)
-    cusp = (count - 1) // 2
+    cusp = (_LEVEL_SAMPLES - 1) // 2
     samples = []
     dropped = 0
-    for i in range(count):
-        theta = bis + theta_window * (2.0 * i / (count - 1) - 1.0)
+    for i in range(_LEVEL_SAMPLES):
+        theta = bis + _THETA_WINDOW * (2.0 * i / (_LEVEL_SAMPLES - 1) - 1.0)
         if i == cusp:
             samples.append((theta, 0.0, rho_c))  # the cusp itself
             continue

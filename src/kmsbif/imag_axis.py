@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, HypothesisViolation, RootFindingFailure
-from .geometry import _EPS_CAP, CurveSamples
+from .geometry import _EPS_CAP, _LEVEL_SAMPLES, CurveSamples
 from .kms import EigType, _finite_reals, check_order
 from .puiseux import PuiseuxParams
 
@@ -141,7 +141,7 @@ def imag_level_curve(params: ImagAxisParams) -> CurveSamples:
     """
     if abs(params.c_n) < 1e-10:
         raise HypothesisViolation("a_n^2 - 2 b_n ~ 0: no local level curve")
-    lo, hi, count = -math.pi, 0.0, 161
+    lo, hi, count = -math.pi, 0.0, _LEVEL_SAMPLES
     center = 1j * params.y_n
     a2 = params.a_n ** 2
     sign_cusp = 1.0 if params.c_n > 0 else -1.0

@@ -204,12 +204,13 @@ def eigenvector_of_mu(n: int, mu: complex, eig_type: EigType) -> np.ndarray:
     """Unnormalized eigenvector of K_n(rho(mu)) for eigenvalue lambda(mu).
 
     Entries are sin(mu (j - (n-1)/2)) for type-1 and cos(...) for type-2,
-    j = 0 .. n-1.  Raises DegenerateArgument when mu is a multiple of pi and
-    DomainError when rho(mu) lands on {+/-1, +/-(n+1)/(n-1)}.
+    j = 0 .. n-1.  Raises DegenerateArgument when mu is a multiple of pi, and
+    DomainError where n mu overflows or rho(mu) lands on {+/-1, +/-(n+1)/(n-1)}.
     """
+    # first, for its DomainError where n mu overflows: the pi floor grows with |mu|
+    rho = rho_of_mu(n, mu, eig_type)
     if abs(cmath.sin(mu)) < _FLOOR * (1.0 + abs(mu)):
         raise DegenerateArgument(f"mu = {mu} is a multiple of pi")
-    rho = rho_of_mu(n, mu, eig_type)
     for x in (1.0, -1.0, (n + 1) / (n - 1), -(n + 1) / (n - 1)):
         if abs(rho - x) < 1e-12 * (1.0 + abs(x)):
             raise DomainError(f"rho = {rho} is an excluded parameter value")

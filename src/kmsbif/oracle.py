@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 
 import numpy as np
 
@@ -218,6 +217,7 @@ def closed_form_eigenvalues_n3(rho: complex):
 # the k-th root, the product with s and the comparison with n in
 # _grid_values, and zgeev's own |lambda| - n, each round by at most a few u
 _DELTA = 8 * _U
+_GRID_RES = 96  # nodes per side of every borderline grid
 # block entries per step of the grid sweep, which bounds its working set:
 # one row of figure 8's half grid (48 blocks of 10 x 10)
 _STEP_ENTRIES = 4800
@@ -379,28 +379,26 @@ def _march(xs, ys, f) -> list:
     return chains
 
 
-def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigType) -> list:
+def numeric_borderline(n: int, bounds, *, eig_type: EigType) -> list:
     """Trace the contour |lambda| = n of one eigenvalue type over a box of the rho plane.
 
-    bounds is (re_min, re_max, im_min, im_max).  The contour function at a
-    node is max |lambda| - n over the eigenvalues of type eig_type, taken
-    from its type block.  The eigensolver runs only at the two ends of each
-    grid edge whose ends differ in sign, and where the bounds
-    |tr C^8 / m|^(1/8) <= rho(C) <= ||C^8||_F^(1/8) (C the block scaled to
-    unit largest entry), widened by the solver's backward error and their
-    own rounding, leave the sign open; elsewhere the bounds certify the sign.  A box symmetric about the real axis
+    bounds is (re_min, re_max, im_min, im_max), the corners of a 96 x 96 grid.
+    The contour function at a node is max |lambda| - n over the eigenvalues
+    of type eig_type, taken from its type block.  The eigensolver runs only
+    at the two ends of each grid edge whose ends differ in sign, and where
+    the bounds |tr C^8 / m|^(1/8) <= rho(C) <= ||C^8||_F^(1/8) (C the block
+    scaled to unit largest entry), widened by the solver's backward error
+    and their own rounding, leave the sign open; elsewhere the bounds
+    certify the sign.  A box symmetric about the real axis
     (im_min == -im_max), or about the imaginary axis for odd n, is solved on
     half its grid and the other half copied from the mirror nodes.  Returns
-    one list of complex rho per polyline; a closed one repeats its first point.
-    Raises DomainError for a resolution that is not an integer >= 64, for a
-    box that is not four finite real numbers, for a box without
-    re_min < re_max and im_min < im_max, for a box where an eigenvalue bound
-    2 n |rho|^(n-1) overflows, and for an eig_type that is not an EigType;
-    SizeError unless n is an integer with 3 <= n <= 512; RootFindingFailure
-    when the eigensolver fails.
+    one list of complex rho per polyline; a closed one repeats its first
+    point.  Raises DomainError for a box that is not four finite real
+    numbers, for a box without re_min < re_max and im_min < im_max, for a
+    box where an eigenvalue bound 2 n |rho|^(n-1) overflows, and for an
+    eig_type that is not an EigType; SizeError unless n is an integer with
+    3 <= n <= 512; RootFindingFailure when the eigensolver fails.
     """
-    if not isinstance(resolution, numbers.Integral) or resolution < 64:
-        raise DomainError(f"grid resolution must be an integer >= 64, got {resolution!r}")
     n = _check_order(n)
     try:
         re0, re1, im0, im1 = (_finite_real(b, "borderline box bound") for b in bounds)
@@ -413,4 +411,4 @@ def numeric_borderline(n: int, bounds, resolution: int = 64, *, eig_type: EigTyp
     if not (re0 < re1 and im0 < im1):
         raise DomainError(f"borderline box needs re_min < re_max and im_min < im_max, "
                           f"got {bounds}")
-    return _march(*_grid_values(n, resolution, bounds, eig_type))
+    return _march(*_grid_values(n, _GRID_RES, bounds, eig_type))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kmsbif
-from kmsbif import errors
+from kmsbif import chebyshev, errors
 from kmsbif.chebyshev import cheb_t, cheb_u
 from kmsbif.geometry import cardioid_approx
 from kmsbif.imag_axis import parabola_trajectory, solve_v_n
@@ -180,8 +180,6 @@ _BAD_NUMBERS = {
     "kms_spectrum: rho 10**400": lambda: kmsbif.kms_spectrum(5, _BIG),
     "type_blocks: rho 10**400": lambda: kmsbif.type_blocks(5, _BIG, EigType.Type1),
     "rho_c_of_t: t_c 10**400": lambda: kmsbif.rho_c_of_t(6, _BIG, EigType.Type1),
-    "local_level_curve: theta_window 10**400": lambda: kmsbif.local_level_curve(
-        _series_of_k4(), 0j, theta_window=_BIG),
     "trajectory_along_bisector: d 10**400": lambda: kmsbif.trajectory_along_bisector(
         _series_of_k4(), [_BIG]),
     "parabola_trajectory: chi 10**400": lambda: parabola_trajectory(
@@ -198,6 +196,7 @@ _BAD_NUMBERS = {
     "cheb_u: z 'x'": lambda: cheb_u(5, "x"),
     # n mu reaches inf, where cmath.sin raises ValueError
     "lambda_of_mu: mu 1e308": lambda: lambda_of_mu(5, 1e308, EigType.Type1),
+    "eigenvector_of_mu: mu 1e308": lambda: eigenvector_of_mu(5, 1e308, EigType.Type1),
     "rho_prime_of_mu: mu 1e308": lambda: rho_prime_of_mu(5, 1e308, EigType.Type2),
     "derivatives_at_critical: mu_c 1e308": lambda: kmsbif.derivatives_at_critical(
         _point_with_mu(1e308)),
@@ -217,6 +216,42 @@ _BAD_NUMBERS = {
 def test_bad_number_raises_domain_error(case):
     with pytest.raises(errors.DomainError):
         _BAD_NUMBERS[case]()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran past the bound")
+
+
+# each call asks for work past a stated bound, an order of critical_t_values
+# above 1024 or a Chebyshev degree above 10**6; the row's arguments are built
+# first, and then numpy's allocation and eigensolve and both Chebyshev loops
+# refuse to run, so a call that does not stop at the bound fails at once
+_PAST_A_BOUND = {
+    "critical_t_values: n = 1025": (
+        errors.SizeError, kmsbif.critical_t_values, lambda: (1025, EigType.Type1)),
+    "critical_t_values: n = 10**29": (
+        errors.SizeError, kmsbif.critical_t_values, lambda: (10 ** 29, EigType.Type2)),
+    # str() refuses an int of more than 4300 digits, so the message cannot show it
+    "critical_t_values: n = 10**5000": (
+        errors.SizeError, kmsbif.critical_t_values, lambda: (10 ** 5000, EigType.Type1)),
+    "cheb_u: degree 10**5000": (errors.DomainError, cheb_u, lambda: (10 ** 5000, 0.5)),
+    "cheb_t: degree 10**400": (errors.DomainError, cheb_t, lambda: (_BIG, 0.5)),
+    "cheb_u: degree 10**6 + 1": (errors.DomainError, cheb_u, lambda: (10 ** 6 + 1, 0.5)),
+    "puiseux_ab_from_t: n = 10**400": (
+        errors.DomainError, kmsbif.puiseux_ab_from_t, lambda: (_point_of_order(_BIG),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_A_BOUND))
+def test_work_past_a_bound_is_refused_before_it_starts(case, monkeypatch):
+    error, call, args = _PAST_A_BOUND[case]
+    args = args()
+    monkeypatch.setattr(np, "zeros", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+    monkeypatch.setattr(chebyshev, "_t_recurrence", _refuse)
+    monkeypatch.setattr(chebyshev, "_u_recurrence", _refuse)
+    with pytest.raises(error):
+        call(*args)
 
 
 # each call hits a point where the formula it evaluates has a vanishing denominator

@@ -43,7 +43,7 @@ def test_level_curve_contains_exact_cusp_sample():
     pp = puiseux_ab_from_t(point)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curve = local_level_curve(pp, point.rho_c, theta_window=0.6, count=33)
+        curve = local_level_curve(pp, point.rho_c)
     bis = cusp_bisector_angle(pp)
     cusp = [s for s in curve.samples if s[1] == 0.0]
     assert len(cusp) == 1
@@ -56,7 +56,7 @@ def test_level_curve_sample_geometry():
     pp = puiseux_ab_from_t(point)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curve = local_level_curve(pp, point.rho_c, theta_window=0.7, count=41)
+        curve = local_level_curve(pp, point.rho_c)
     assert curve.center == point.rho_c
     thetas = [s[0] for s in curve.samples]
     assert thetas == sorted(thetas)
@@ -71,7 +71,7 @@ def test_level_curve_matches_n3_closed_forms():
     pp = puiseux_ab_from_t(point)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curve = local_level_curve(pp, point.rho_c, theta_window=0.8, count=201)
+        curve = local_level_curve(pp, point.rho_c)
     checked = 0
     for _, mag, rho in curve.samples:
         if not 0.0 < mag <= 0.05:
@@ -84,13 +84,12 @@ def test_level_curve_matches_n3_closed_forms():
 
 
 def test_level_curve_residual_decays_like_eps_cubed_halves():
+    # 4001 samples of the level-curve formula, through the reference loop
+    # that local_level_curve's 161 samples are bit-identical to
     point = _point(4, EigType.Type2, 1 + 2j)
-    pp = puiseux_ab_from_t(point)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        curve = local_level_curve(pp, point.rho_c, theta_window=0.8, count=4001)
+    samples, _ = _reference_level_curve(puiseux_ab_from_t(point), point.rho_c, 0.8, 4001)
     mags, resid = [], []
-    for _, mag, rho in curve.samples:
+    for _, mag, rho in samples:
         if not 1e-4 <= mag <= 3e-2:
             continue
         ev = kms_spectrum(4, rho)
@@ -107,7 +106,7 @@ def test_level_curve_two_branches_reach_cusp():
     pp = puiseux_ab_from_t(point)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        curve = local_level_curve(pp, point.rho_c, theta_window=0.5, count=81)
+        curve = local_level_curve(pp, point.rho_c)
     bis = cusp_bisector_angle(pp)
     below = [s for s in curve.samples if s[0] < bis and s[1] > 0]
     above = [s for s in curve.samples if s[0] > bis and s[1] > 0]
@@ -123,14 +122,12 @@ def test_level_curve_condition_violated():
     with pytest.raises(HypothesisViolation):
         local_level_curve(bad, 0j)
     good = puiseux_ab_from_t(all_critical_points(3)[0])
-    # a half-window of pi or more winds round rho_c instead of covering the cusp
-    for window in (0.0, math.nan, math.inf, "x", None, 1j, math.pi, 4.0, 100.0):
-        with pytest.raises(DomainError):
-            local_level_curve(good, 0j, theta_window=window)
-    # too few samples to hold the cusp and both branches, or not an integer
-    for count in (0, 1, 2, 4.0, 5.5, "7"):
-        with pytest.raises(DomainError):
-            local_level_curve(good, 0j, count=count)
+    # the window and the sample count are fixed
+    for keyword in ({"theta_window": 0.8}, {"count": 161}):
+        with pytest.raises(TypeError):
+            local_level_curve(good, 0j, **keyword)
+    with pytest.raises(TypeError):
+        local_level_curve(good, 0j, 0.8, 161)
 
 
 def test_cardioid_approx():
@@ -285,25 +282,27 @@ def _as_tuples(points):
 
 def test_geometry_loops_are_bit_identical_to_the_per_sample_loop():
     # every float, compared by repr (so -0.0 differs from 0.0), at every
-    # catalog point of n = 4, 8, 19 and 64, for the default window and a wide
-    # one that drops samples, and along d values that include both zeros and
-    # the smallest magnitudes
+    # catalog point of n = 4, 8, 19 and 64, for the level curve's 161 samples
+    # over the half-window 0.8 (some of which drop samples), and along d
+    # values that include both zeros and the smallest magnitudes
     d_values = [0.02 * (2.0 * i / 80 - 1.0) for i in range(81)]
     d_values += [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 0.5, -0.5]
+    curves_with_drops = 0
     for n in (4, 8, 19, 64):
         for point in all_critical_points(n):
             pp = puiseux_ab_from_t(point)
-            for window, count in ((0.8, 161), (2.5, 64)):
-                want, dropped = _reference_level_curve(pp, point.rho_c, window, count + 1 - count % 2)
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    got = local_level_curve(pp, point.rho_c, theta_window=window, count=count)
-                assert repr(got.samples) == repr(want), (n, point.rho_c, window)
-                assert [str(w.message) for w in caught] == (
-                    [f"{dropped} level-curve samples outside validity region dropped"]
-                    if dropped else []), (n, point.rho_c, window)
+            want, dropped = _reference_level_curve(pp, point.rho_c, 0.8, 161)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = local_level_curve(pp, point.rho_c)
+            assert repr(got.samples) == repr(want), (n, point.rho_c)
+            assert [str(w.message) for w in caught] == (
+                [f"{dropped} level-curve samples outside validity region dropped"]
+                if dropped else []), (n, point.rho_c)
+            curves_with_drops += dropped > 0
             got = _as_tuples(trajectory_along_bisector(pp, d_values))
             assert repr(got) == repr(_reference_trajectory(pp, d_values)), (n, point.rho_c)
+    assert curves_with_drops > 0
 
 
 # the first, cusp and last samples (theta, |eps|, rho) of the default level

@@ -330,7 +330,7 @@ def test_borderline_rejects_sizes_before_grid_work(monkeypatch):
     monkeypatch.setattr(oracle, "_grid_values", no_grid)
     for n in (2, 513):
         with pytest.raises(SizeError):
-            numeric_borderline(n, (-2, 2, -2, 2), resolution=64, eig_type=EigType.Type1)
+            numeric_borderline(n, (-2, 2, -2, 2), eig_type=EigType.Type1)
     # a NaN or infinite bound, a box where |rho|^(n-1) overflows, and a box
     # of zero or negative width or height
     for bounds in ((float("nan"), 1, 0, 1), (0, float("inf"), 0, 1),
@@ -347,20 +347,21 @@ def test_count_extraordinary_steps_across_bifurcation():
     assert above == below + 1
 
 
-def test_borderline_resolution_floor():
-    for resolution in (32, 64.5, 96.0, "96"):
-        with pytest.raises(DomainError):
-            numeric_borderline(3, (-2, 2, -2, 2), resolution=resolution,
-                               eig_type=EigType.Type1)
+def test_borderline_takes_no_resolution():
+    # the grid is fixed at 96 x 96 nodes
+    with pytest.raises(TypeError):
+        numeric_borderline(3, (-2, 2, -2, 2), resolution=96, eig_type=EigType.Type1)
+    with pytest.raises(TypeError):
+        numeric_borderline(3, (-2, 2, -2, 2), 96, eig_type=EigType.Type1)
 
 
 def test_borderline_passes_through_n3_critical_points():
     # the borderline has a cusp at +/- i sqrt(8); the inside wedge thins like
-    # r^(3/2), so a grid contour approaches the tip only to ~cell^(2/3)
+    # r^(3/2), so a grid contour approaches the tip only to ~cell^(2/3), which
+    # is within 4 cells on a 64 x 64 grid but not on numeric_borderline's 96 x 96
     for target, bounds in ((1j * np.sqrt(8.0), (-0.5, 0.5, 2.3, 3.3)),
                            (-1j * np.sqrt(8.0), (-0.5, 0.5, -3.3, -2.3))):
-        pieces = numeric_borderline(3, bounds, resolution=64,
-                                    eig_type=EigType.Type2)
+        pieces = oracle._march(*oracle._grid_values(3, 64, bounds, EigType.Type2))
         assert pieces
         pts = np.array([rho for piece in pieces for rho in piece])
         cell = 1.0 / 63
@@ -369,19 +370,17 @@ def test_borderline_passes_through_n3_critical_points():
 
 def test_borderline_type1_is_cassini_oval():
     # type-1 eigenvalue of K_3 is 1 - rho^2, so its borderline is |1-rho^2| = 3
-    pieces = numeric_borderline(3, (-2.4, 2.4, -2.4, 2.4), resolution=64,
-                                eig_type=EigType.Type1)
+    pieces = numeric_borderline(3, (-2.4, 2.4, -2.4, 2.4), eig_type=EigType.Type1)
     pts = np.array([rho for piece in pieces for rho in piece])
     assert pts.size > 50
-    cell = 4.8 / 63
+    cell = 4.8 / 95
     assert np.max(np.abs(np.abs(1 - pts ** 2) - 3.0)) < 3.0 * cell
 
 
 def test_borderline_is_a_list_of_complex_polylines():
     # the Cassini oval |1 - rho^2| = 3 of K_3's type-1 eigenvalue is one closed
     # loop, inside this box, so it comes back as one piece that repeats its first point
-    pieces = numeric_borderline(3, (-2.4, 2.4, -2.4, 2.4), resolution=64,
-                                eig_type=EigType.Type1)
+    pieces = numeric_borderline(3, (-2.4, 2.4, -2.4, 2.4), eig_type=EigType.Type1)
     assert isinstance(pieces, list) and len(pieces) == 1
     for piece in pieces:
         assert isinstance(piece, list) and len(piece) > 3
@@ -584,22 +583,23 @@ def test_asymmetric_box_grid_is_unchanged():
         _check_grid(n, 96, bounds, eig_type)
 
 
-def test_borderline_battery_matches_every_node_solved(monkeypatch):
-    # numeric_borderline's pieces equal those marched from the grid with every
-    # node solved (and mirror nodes copied, as before certified signs), on
-    # seeded boxes with n in 3..64, both types, resolutions 64, 65, 96 and
-    # 128, with and without mirror axes
+def test_borderline_battery_matches_every_node_solved():
+    # the pieces marched from the grid equal those marched from the grid with
+    # every node solved (and mirror nodes copied, as before certified signs),
+    # on seeded boxes with n in 3..64, both types, resolutions 64, 65, 96 and
+    # 128, with and without mirror axes; numeric_borderline returns the
+    # pieces of the 96 x 96 grid
     boxes = list(_box_battery(501, 60))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fast = [numeric_borderline(n, b, res, eig_type=t) for n, res, b, t in boxes]
-        monkeypatch.setattr(oracle, "_grid_values", lambda n, res, bounds, eig_type: (
-            np.linspace(*bounds[:2], res), np.linspace(*bounds[2:], res),
-            _mirrored_grid(n, res, bounds, eig_type)))
-        full = [numeric_borderline(n, b, res, eig_type=t) for n, res, b, t in boxes]
+        fast = [oracle._march(*oracle._grid_values(n, res, b, t)) for n, res, b, t in boxes]
+        full = [oracle._march(np.linspace(*b[:2], res), np.linspace(*b[2:], res),
+                              _mirrored_grid(n, res, b, t)) for n, res, b, t in boxes]
+        public = [numeric_borderline(n, b, eig_type=t) for n, res, b, t in boxes if res == 96]
     assert sum(bool(pieces) for pieces in full) >= 50
     for box, got, want in zip(boxes, fast, full):
         assert got == want, box
+    assert public == [got for box, got in zip(boxes, fast) if box[1] == 96]
 
 
 def test_grid_is_inside_within_the_unit_circle():
@@ -698,7 +698,7 @@ def test_radius_bounds_raise_no_warning_at_extreme_entries():
         lower, upper = oracle._radius_bounds(type_blocks(3, np.array([1.0, -1.0]),
                                                          EigType.Type1))
         assert np.array_equal(lower, [0, 0]) and np.array_equal(upper, [0, 0])
-        assert numeric_borderline(3, (-2, 2, -1, 1), 65, eig_type=EigType.Type1)
+        assert oracle._march(*oracle._grid_values(3, 65, (-2.0, 2.0, -1.0, 1.0), EigType.Type1))
         # entries near 1e300
         for n, r in ((3, 1e150), (20, 1e15)):
             for eig_type in EigType:
