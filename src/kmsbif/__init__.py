@@ -5,9 +5,9 @@ plane, pairs of eigenvalues collide at square-root branch points where a
 double eigenvalue -n appears.  This package locates every such point, expands
 the colliding pair in a Puiseux series, draws the local level curves and
 eigenvalue trajectories, and cross-checks everything against an eigensolver
-oracle.  The oracle solves the half-size type blocks of K_n(rho) for the
-catalog gate, the borderline, the trajectories and verify, and the whole
-matrix only for critical-points' oracle_gap column.
+oracle, the one module that builds K_n(rho).  It solves the half-size type
+blocks for the catalog gate, the borderline, the trajectories and verify,
+and the whole matrix only for critical-points' oracle_gap column.
 """
 
 from .critical import CriticalPoint, all_critical_points, critical_t_values, rho_c_of_t

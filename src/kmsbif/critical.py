@@ -3,7 +3,8 @@
 Every critical point is a root t_c of U_{n-1}(t) -+ n with the known trivial
 roots +/-1 removed: type-1 points come from U_{n-1} - n, type-2 points from
 U_{n-1} + n.  The parameter value follows as a Chebyshev ratio in t_c, with
-half-integer degrees when n is even.
+half-integer degrees when n is even.  The oracle takes part only through
+oracle.gate, which accepts or rejects each point.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import cheb_t, cheb_u
-from .errors import DegenerateArgument, DomainError, RootFindingFailure, SizeError
-from .kms import EigType, _finite_complex, check_order, type_sign
-from .oracle import _check_order, _eigvals, gate
+from .errors import DegenerateArgument, DomainError, RootFindingFailure
+from .kms import EigType, _finite_complex, _guard, check_order, type_sign
+from .oracle import gate
 
 _MERGE_DIST = 1e-8
 _MAX_ROOTS_N = 1024  # the O(n^3) colleague solve's largest n; see critical_t_values
+_MAX_CATALOG_N = 512  # the largest n the catalog accepts; see all_critical_points
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,17 @@ def critical_t_values(n: int, eig_type: EigType) -> list[complex]:
     RootFindingFailure when the colleague eigensolve fails, a trivial root is
     missing, a polished residual exceeds 1e-9 n or two polished roots coincide.
     """
-    n = check_order(n)
-    if n > _MAX_ROOTS_N:
-        raise SizeError(f"critical_t_values needs n <= {_MAX_ROOTS_N}")  # str() may refuse n
+    n = check_order(n, _MAX_ROOTS_N)
     s = type_sign(eig_type)
     size = n - 1
     colleague = np.zeros((size, size))
     off = np.arange(size - 1)
     colleague[off + 1, off] = colleague[off, off + 1] = 0.5
     colleague[0, size - 1] -= s * n / 2.0
-    raw = list(_eigvals(colleague))
+    try:
+        raw = list(np.linalg.eigvals(colleague))
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingFailure(str(exc)) from exc
 
     # U_{n-1}(+/-1) = (+/-1)^(n-1) n, so t = 1 is a root for s = -1 and t = -1 for s = (-1)^n
     for r in [r for r, root_sign in ((1.0, -1), (-1.0, (-1) ** n)) if s == root_sign]:
@@ -143,8 +146,7 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
                 den = cmath.cos((n - 1) / 2 * mu)
         except OverflowError:
             raise DomainError(f"critical-rho ratio overflows at t_c = {t_c}") from None
-    if abs(den) < 1e-12 * (1.0 + abs(num)):
-        raise DegenerateArgument(f"critical-rho denominator vanished at t_c = {t_c}")
+    _guard(num, den, f"the critical-rho ratio at t_c = {t_c}")
     return num / den
 
 
@@ -154,13 +156,13 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
 
     Each call builds the catalog (0.11, 0.82 and 6.8 s at n = 64, 128, 256);
     a caller that reads it twice keeps the list.  Built at every n <= 30 and
-    n = 48, 64, 96, 128, 256, 384; at n = 512 the gate, whose radius does not
-    scale with the norm of K_n(rho_c), rejects a true point (second gap 5.26e-3
-    against 5.12e-3) and this raises RootFindingFailure, until ROADMAP item 13
-    scales the radius.
+    n = 48, 64, 96, 128, 256, 384, 400 and 448 (worst gate_gap / n at the last
+    two 8.2e-6 and 9.93e-6).  At n = 480 and 512 the gate's radius, which does
+    not scale with the norm of K_n(rho_c), rejects a true point (at 480 a second
+    gap of 4.893e-3 against 4.8e-3): RootFindingFailure until ROADMAP item 13.
     Points are ordered by (type, arg rho_c).  SizeError unless n is an integer in [3, 512].
     """
-    n = _check_order(n)
+    n = check_order(n, _MAX_CATALOG_N)
     points = []
     for eig_type in EigType:
         for t_c in critical_t_values(n, eig_type):

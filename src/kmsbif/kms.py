@@ -1,9 +1,9 @@
-"""Kac-Murdock-Szego matrix construction and the mu-parameterization.
+"""The mu-parameterization of the Kac-Murdock-Szego spectrum, and the shared checks.
 
-K_n(rho) has entries rho^|j-k|; it is complex symmetric (not Hermitian for
-complex rho).  Eigenvalues come in two classes: type-1 (skew-symmetric
-eigenvectors) and type-2 (symmetric eigenvectors).  Both classes are
-parameterized by a complex number mu via
+K_n(rho) = [rho^|j-k|] is complex symmetric; only the oracle builds it, so
+no closed form here can read it.  Eigenvalues come in two classes: type-1
+(skew-symmetric eigenvectors) and type-2 (symmetric eigenvectors).  Both
+classes are parameterized by a complex number mu via
 
     lambda = s sin(n mu)/sin(mu),    s = -1 (type-1), +1 (type-2)
 
@@ -17,15 +17,13 @@ import enum
 import functools
 import math
 import numbers
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateArgument, DomainError, SizeError
 
 _FLOOR = 1e-12
-_LOG_MAX = math.log(sys.float_info.max)
+_U = math.ulp(1.0) / 2  # unit roundoff
 
 
 class EigType(enum.Enum):
@@ -38,19 +36,6 @@ def type_sign(eig_type: EigType) -> int:
     if not isinstance(eig_type, EigType):
         raise DomainError(f"eig_type must be an EigType, got {eig_type!r}")
     return -1 if eig_type is EigType.Type1 else 1
-
-
-@dataclass(frozen=True, eq=False)
-class KmsMatrix:
-    """One read-only matrix whose spectrum is either all n eigenvalues of
-    K_n(rho) (build_matrix: the whole matrix) or one type's (the catalog
-    gate: that type's oracle.type_blocks)."""
-    n: int
-    rho: complex
-    block: np.ndarray
-
-    def __post_init__(self):
-        self.block.setflags(write=False)
 
 
 def _guard(num: complex, den: complex, what: str) -> None:
@@ -115,60 +100,20 @@ def _mu_entry(func):
     return checked
 
 
-def check_order(n) -> int:
-    """The one check of a matrix order: SizeError unless n is an integer >= 3.
-
-    Returns it as an int: numpy integers pass; floats such as 8.0 and strings do not.
-    """
-    if not isinstance(n, numbers.Integral) or n < 3:
-        raise SizeError(f"need an integer n >= 3, got {n!r}")
+def check_order(n, n_max=None) -> int:
+    """The one check of a matrix order: SizeError unless n is an integer >= 3,
+    and <= n_max when the caller passes its bound.  Returns an int (numpy
+    integers pass; 8.0 and "8" do not).  The message leaves n out: str()
+    refuses an int of more than 4300 digits."""
+    if not isinstance(n, numbers.Integral) or n < 3 or (n_max is not None and n > n_max):
+        raise SizeError("need an integer n >= 3" if n_max is None else
+                        f"need an integer n with 3 <= n <= {n_max}")
     return int(n)
 
 
-def _powers(n: int, rho) -> np.ndarray:
-    """rho^0 .. rho^(n-1), for a scalar or an array rho, along a new last axis."""
-    rho = np.asarray(rho)
-    factors = np.ones(rho.shape + (n,), dtype=complex)
-    factors[..., 1:] = rho[..., None]
-    return np.cumprod(factors, axis=-1)
-
-
-def _check_rho(n: int, rho) -> np.ndarray:
-    """rho as a complex array, checked before any power of it is formed.
-
-    Entries of K_n(rho) and of its type blocks reach 2 |rho|^(n-1), so every
-    eigenvalue is below 2 n |rho|^(n-1), which must stay finite.  rho may be
-    an array, checked as a whole and shown in full; one that is not numeric
-    (a string, None) goes through _finite_complex entry by entry.  DomainError
-    for a ragged rho that numpy cannot shape, and for a rho that is not finite
-    or whose powers overflow.
-    """
-    try:
-        rho = np.asarray(rho)
-    except ValueError as exc:  # a ragged nesting such as [[1, 2], [3]]
-        raise DomainError(f"rho must be an array of numbers: {exc}") from None
-    if rho.dtype.kind not in "biufc":
-        rho = np.reshape([_finite_complex(r, "rho") for r in rho.ravel()], rho.shape)
-    rho = rho.astype(complex, copy=False)
-    r_max = np.abs(rho).max(initial=0.0)
-    if not np.isfinite(rho).all():
-        problem = "rho must be finite, got"
-    elif r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
-        problem = f"|rho|^{n - 1} overflows at rho ="
-    else:
-        return rho
-    raise DomainError(f"{problem} {', '.join(str(complex(r)) for r in rho.ravel())}")
-
-
-def build_matrix(n: int, rho: complex) -> KmsMatrix:
-    """K_n(rho), with entries rho^|j-k|.  Raises SizeError unless n is an
-    integer >= 3, and DomainError for a rho that is not a finite complex
-    number or whose powers overflow."""
-    n = check_order(n)
-    rho = _finite_complex(rho, "rho")
-    j = np.arange(n)
-    entries = _powers(n, _check_rho(n, rho))[np.abs(j[:, None] - j[None, :])]
-    return KmsMatrix(n=n, rho=rho, block=entries)
+def _sin_vanishes(sin_mu: complex, mu: complex) -> bool:
+    """Whether sin(mu) = sin_mu is below _FLOOR + 4 u |mu|, which covers the rounding mu carries."""
+    return abs(sin_mu) < _FLOOR + 4 * _U * abs(mu)
 
 
 @_mu_entry
@@ -209,7 +154,7 @@ def eigenvector_of_mu(n: int, mu: complex, eig_type: EigType) -> np.ndarray:
     """
     # first, for its DomainError where n mu overflows: the pi floor grows with |mu|
     rho = rho_of_mu(n, mu, eig_type)
-    if abs(cmath.sin(mu)) < _FLOOR * (1.0 + abs(mu)):
+    if _sin_vanishes(cmath.sin(mu), mu):
         raise DegenerateArgument(f"mu = {mu} is a multiple of pi")
     for x in (1.0, -1.0, (n + 1) / (n - 1), -(n + 1) / (n - 1)):
         if abs(rho - x) < 1e-12 * (1.0 + abs(x)):

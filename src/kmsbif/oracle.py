@@ -1,4 +1,4 @@
-"""Independent verification engine.
+"""Independent verification engine, and the one module that builds a matrix from rho.
 
 Everything here deliberately avoids the closed forms under test: eigenvalues
 come from a dense general-complex eigensolver (LAPACK zgeev: balancing,
@@ -25,23 +25,75 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RootFindingFailure, SizeError
-from .kms import (EigType, KmsMatrix, _check_rho, _finite_complex, _finite_real, _powers,
-                  build_matrix, check_order, type_sign)
+from .errors import DomainError, RootFindingFailure
+from .kms import _U, EigType, _finite_complex, _finite_real, check_order, type_sign
 
 _MAX_N = 512
 GATE_RADIUS = 1e-5  # times n; QR loses half its digits at a defective eigenvalue
-_U = np.finfo(float).eps / 2  # unit roundoff
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _check_order(n) -> int:
-    n = check_order(n)
-    if n > _MAX_N:
-        raise SizeError(f"oracle needs 3 <= n <= {_MAX_N}, got {n}")
-    return n
+@dataclass(frozen=True, eq=False)
+class KmsMatrix:
+    """One read-only matrix whose spectrum is either all n eigenvalues of
+    K_n(rho) (build_matrix: the whole matrix) or one type's (the catalog
+    gate: that type's type_blocks)."""
+    n: int
+    rho: complex
+    block: np.ndarray
+
+    def __post_init__(self):
+        self.block.setflags(write=False)
+
+
+def _powers(n: int, rho) -> np.ndarray:
+    """rho^0 .. rho^(n-1), for a scalar or an array rho, along a new last axis."""
+    rho = np.asarray(rho)
+    factors = np.ones(rho.shape + (n,), dtype=complex)
+    factors[..., 1:] = rho[..., None]
+    return np.cumprod(factors, axis=-1)
+
+
+def _check_rho(n: int, rho) -> np.ndarray:
+    """rho as a complex array, checked before any power of it is formed.
+
+    Entries of K_n(rho) and of its type blocks reach 2 |rho|^(n-1), so every
+    eigenvalue is below 2 n |rho|^(n-1), which must stay finite.  rho may be
+    an array, checked as a whole and shown in full; one that is not numeric
+    (a string, None) goes through _finite_complex entry by entry.  DomainError
+    for a ragged rho that numpy cannot shape, and for a rho that is not finite
+    or whose powers overflow.
+    """
+    try:
+        rho = np.asarray(rho)
+    except ValueError as exc:  # a ragged nesting such as [[1, 2], [3]]
+        raise DomainError(f"rho must be an array of numbers: {exc}") from None
+    if rho.dtype.kind not in "biufc":
+        rho = np.reshape([_finite_complex(r, "rho") for r in rho.ravel()], rho.shape)
+    rho = rho.astype(complex, copy=False)
+    r_max = np.abs(rho).max(initial=0.0)
+    if not np.isfinite(rho).all():
+        problem = "rho must be finite, got"
+    elif r_max > 1.0 and (n - 1) * math.log(r_max) + math.log(2 * n) >= _LOG_MAX:
+        problem = f"|rho|^{n - 1} overflows at rho ="
+    else:
+        return rho
+    raise DomainError(f"{problem} {', '.join(str(complex(r)) for r in rho.ravel())}")
+
+
+def build_matrix(n: int, rho: complex) -> KmsMatrix:
+    """K_n(rho), with entries rho^|j-k|.  Raises SizeError unless n is an
+    integer with 3 <= n <= 512, and DomainError for a rho that is not a
+    finite complex number or whose powers overflow."""
+    n = check_order(n, _MAX_N)
+    rho = _finite_complex(rho, "rho")
+    j = np.arange(n)
+    entries = _powers(n, _check_rho(n, rho))[np.abs(j[:, None] - j[None, :])]
+    return KmsMatrix(n=n, rho=rho, block=entries)
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:
@@ -56,7 +108,7 @@ def eigenvalues(m: KmsMatrix) -> np.ndarray:
     K_n(rho) for build_matrix's record, one type's for a type block (the
     catalog gate).  SizeError unless 3 <= n <= 512.
     """
-    _check_order(m.n)
+    check_order(m.n, _MAX_N)
     return _eigvals(m.block)
 
 
@@ -71,7 +123,7 @@ def kms_spectrum(n: int, rho: complex) -> np.ndarray:
     """The n eigenvalues of K_n(rho), from one dense solve.  Before building the
     matrix, raises SizeError unless 3 <= n <= 512 and DomainError for a rho that
     is not a finite complex number or whose powers overflow."""
-    return eigenvalues(build_matrix(_check_order(n), rho))
+    return eigenvalues(build_matrix(check_order(n, _MAX_N), rho))
 
 
 def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
@@ -85,7 +137,7 @@ def type_blocks(n: int, rho, eig_type: EigType) -> np.ndarray:
     Raises SizeError unless 3 <= n <= 512, and DomainError unless every rho
     is a finite complex number and 2 n |rho|^(n-1) stays finite.
     """
-    n = _check_order(n)
+    n = check_order(n, _MAX_N)
     type1 = type_sign(eig_type) < 0
     return _block(n, _powers(n, _check_rho(n, rho)), type1)
 
@@ -160,7 +212,7 @@ def gate(n: int, rho_c: complex, eig_type: EigType) -> float:
     SizeError unless 3 <= n <= 512, and DomainError for a rho_c that is not
     finite or whose powers overflow.
     """
-    n = _check_order(n)
+    n = check_order(n, _MAX_N)
     radius = GATE_RADIUS * n
     type1 = type_sign(eig_type) < 0
     rho_c = _finite_complex(rho_c, "rho_c")
@@ -180,17 +232,18 @@ def gate(n: int, rho_c: complex, eig_type: EigType) -> float:
 def count_extraordinary(n: int, eigenvalues: np.ndarray) -> int:
     """Number of eigenvalues with |lambda| > n (strictly, with 1e-12 slack).
 
-    SizeError unless n is an integer >= 3.  DomainError for an eigenvalue
-    that is not a number, is too large for a double, or is NaN or infinite.
+    SizeError unless n is an integer >= 3.  DomainError for an n or an
+    eigenvalue too large for a double, and for an eigenvalue that is not a
+    number or is NaN or infinite.
     """
-    n = check_order(n)
+    limit = _finite_real(check_order(n), "n") * (1.0 + 1e-12)
     try:
         mags = np.abs(np.asarray(eigenvalues, dtype=complex))
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"eigenvalues must be complex numbers: {exc}") from None
     if not np.isfinite(mags).all():
         raise DomainError(f"eigenvalues must be finite, got {eigenvalues}")
-    return int(np.sum(mags > n * (1.0 + 1e-12)))
+    return int(np.sum(mags > limit))
 
 
 def closed_form_eigenvalues_n3(rho: complex):
@@ -399,7 +452,7 @@ def numeric_borderline(n: int, bounds, *, eig_type: EigType) -> list:
     eig_type that is not an EigType; SizeError unless n is an integer with
     3 <= n <= 512; RootFindingFailure when the eigensolver fails.
     """
-    n = _check_order(n)
+    n = check_order(n, _MAX_N)
     try:
         re0, re1, im0, im1 = (_finite_real(b, "borderline box bound") for b in bounds)
     except (TypeError, ValueError):

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .chebyshev import cheb_t
 from .errors import DegenerateArgument, DomainError, HypothesisViolation
-from .kms import _finite_complex, check_order, type_sign
+from .kms import _finite_complex, _sin_vanishes, check_order, type_sign
 
 if TYPE_CHECKING:  # pragma: no cover
     from .critical import CriticalPoint
@@ -72,7 +72,7 @@ def derivatives_at_critical(cp: "CriticalPoint") -> DerivativeBundle:
         sin_m1, cos_m1 = cmath.sin((n - 1) * mu), cmath.cos((n - 1) * mu)
     except (OverflowError, ValueError):  # cmath raises ValueError once n mu reaches inf
         raise DomainError(f"sin and cos overflow at mu_c = {mu}") from None
-    if abs(sin_mu) < 1e-12 * (1.0 + abs(mu)):
+    if _sin_vanishes(sin_mu, mu):
         raise DegenerateArgument(f"sin(mu_c) ~ 0 at mu_c = {mu}")
     den = 1.0 + s * cos_m1
     if abs(den) < 1e-12:

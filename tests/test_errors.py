@@ -1,5 +1,6 @@
 """The error taxonomy: every class in kmsbif.errors is exported, and nothing else is;
 every entry point that takes a matrix order rejects one that is not an integer,
+and one past its upper bound where it has one, with a message that never shows n,
 every entry point that takes an eigenvalue type rejects one that is not an EigType,
 a number argument that is not a number, not finite or overflows raises DomainError,
 a point where a formula degenerates raises DegenerateArgument, one where a hypothesis
@@ -9,18 +10,19 @@ eigensolve raise RootFindingFailure."""
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
 import kmsbif
-from kmsbif import chebyshev, errors
+from kmsbif import chebyshev, critical, errors
 from kmsbif.chebyshev import cheb_t, cheb_u
 from kmsbif.geometry import cardioid_approx
 from kmsbif.imag_axis import parabola_trajectory, solve_v_n
-from kmsbif.kms import (EigType, build_matrix, eigenvector_of_mu, isotropy_defect, lambda_of_mu,
-                        rho_of_mu, rho_prime_of_mu)
-from kmsbif.oracle import closed_form_eigenvalues_n3, count_extraordinary, gate
+from kmsbif.kms import (EigType, eigenvector_of_mu, isotropy_defect, lambda_of_mu, rho_of_mu,
+                        rho_prime_of_mu)
+from kmsbif.oracle import build_matrix, closed_form_eigenvalues_n3, count_extraordinary, gate
 from kmsbif.puiseux import (DerivativeBundle, PuiseuxParams, _params_from_ab,
                             eval_truncated_series, wrap_angle)
 
@@ -41,34 +43,59 @@ def _point_of_order(n):
     return dataclasses.replace(kmsbif.all_critical_points(7)[0], n=n)
 
 
+# each entry point that takes a matrix order, and the largest order it accepts
 _ORDER_ENTRY_POINTS = {
-    "all_critical_points": kmsbif.all_critical_points,
-    "critical_t_values": lambda n: kmsbif.critical_t_values(n, EigType.Type2),
-    "rho_c_of_t": lambda n: kmsbif.rho_c_of_t(n, 0.3j, EigType.Type2),
-    "kms_spectrum": lambda n: kmsbif.kms_spectrum(n, 0.5),
-    "type_blocks": lambda n: kmsbif.type_blocks(n, 0.5, EigType.Type1),
-    "numeric_borderline": lambda n: kmsbif.numeric_borderline(n, (1.0, 2.0, 1.0, 2.0),
-                                                              eig_type=EigType.Type1),
-    "imag_axis_params": kmsbif.imag_axis_params,
-    "large_n_params": kmsbif.large_n_params,
-    "build_matrix": lambda n: build_matrix(n, 0.5),
-    "lambda_of_mu": lambda n: lambda_of_mu(n, 1.0, EigType.Type1),
-    "rho_of_mu": lambda n: rho_of_mu(n, 1.0, EigType.Type1),
-    "rho_prime_of_mu": lambda n: rho_prime_of_mu(n, 1.0 + 0.1j, EigType.Type1),
-    "eigenvector_of_mu": lambda n: eigenvector_of_mu(n, 1.0, EigType.Type1),
-    "count_extraordinary": lambda n: count_extraordinary(n, [1.0]),
-    "puiseux_ab_from_t": lambda n: kmsbif.puiseux_ab_from_t(_point_of_order(n)),
-    "derivatives_at_critical": lambda n: kmsbif.derivatives_at_critical(_point_of_order(n)),
+    "all_critical_points": (kmsbif.all_critical_points, 512),
+    "critical_t_values": (lambda n: kmsbif.critical_t_values(n, EigType.Type2), 1024),
+    "rho_c_of_t": (lambda n: kmsbif.rho_c_of_t(n, 0.3j, EigType.Type2), None),
+    "kms_spectrum": (lambda n: kmsbif.kms_spectrum(n, 0.5), 512),
+    "type_blocks": (lambda n: kmsbif.type_blocks(n, 0.5, EigType.Type1), 512),
+    "numeric_borderline": (lambda n: kmsbif.numeric_borderline(n, (1.0, 2.0, 1.0, 2.0),
+                                                               eig_type=EigType.Type1), 512),
+    "imag_axis_params": (kmsbif.imag_axis_params, None),
+    "large_n_params": (kmsbif.large_n_params, None),
+    "build_matrix": (lambda n: build_matrix(n, 0.5), 512),
+    "lambda_of_mu": (lambda n: lambda_of_mu(n, 1.0, EigType.Type1), None),
+    "rho_of_mu": (lambda n: rho_of_mu(n, 1.0, EigType.Type1), None),
+    "rho_prime_of_mu": (lambda n: rho_prime_of_mu(n, 1.0 + 0.1j, EigType.Type1), None),
+    "eigenvector_of_mu": (lambda n: eigenvector_of_mu(n, 1.0, EigType.Type1), None),
+    "count_extraordinary": (lambda n: count_extraordinary(n, [1.0]), None),
+    "puiseux_ab_from_t": (lambda n: kmsbif.puiseux_ab_from_t(_point_of_order(n)), None),
+    "derivatives_at_critical": (lambda n: kmsbif.derivatives_at_critical(_point_of_order(n)),
+                                None),
 }
+
+
+def _order_message(n_max):
+    # the message never shows n: str() refuses an int of more than 4300 digits
+    if n_max is None:
+        return r"^need an integer n >= 3$"
+    return rf"^need an integer n with 3 <= n <= {n_max}$"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("ran past the bound")
 
 
 @pytest.mark.parametrize("name", sorted(_ORDER_ENTRY_POINTS))
 def test_order_must_be_an_integer(name):
-    call = _ORDER_ENTRY_POINTS[name]
+    call, n_max = _ORDER_ENTRY_POINTS[name]
     for n in (7.0, 7.5, "7", None, 0, 2):
-        with pytest.raises(errors.SizeError, match=r"^need an integer n >= 3, got "):
+        with pytest.raises(errors.SizeError, match=_order_message(n_max)):
             call(n)
     call(np.int64(7))  # numpy integers are integers
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, n_max) in _ORDER_ENTRY_POINTS.items()
+                                         if n_max is not None))
+def test_order_one_past_the_range_end_is_refused(name, monkeypatch):
+    # the catalog checks its order before any root finding, and no entry point
+    # solves anything past its bound
+    call, n_max = _ORDER_ENTRY_POINTS[name]
+    monkeypatch.setattr(critical, "critical_t_values", _refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", _refuse)
+    with pytest.raises(errors.SizeError, match=_order_message(n_max)):
+        call(n_max + 1)
 
 
 def _point_of_type(eig_type):
@@ -121,6 +148,7 @@ _HUGE_A = PuiseuxParams(lambda_c=-4.0, a=1e200, b=1.0, theta_a=0.0, theta_b=0.0,
                         c=0.0)
 # float() and complex() raise OverflowError for an integer this large
 _BIG = 10 ** 400
+_HUGE_N = 10 ** 5000
 
 # each call passes a number argument that complex() or float() rejects, that
 # is NaN or infinite, or at which the entry point's arithmetic overflows
@@ -209,17 +237,28 @@ _BAD_NUMBERS = {
     "isotropy_defect: an inf entry": lambda: isotropy_defect([math.inf]),
     "isotropy_defect: v 'x'": lambda: isotropy_defect("x"),
     "eval_truncated_series: eps 1e308": lambda: eval_truncated_series(_series_of_k4(), 1e308),
+    # str() refuses an int of more than 4300 digits, so no message may show n
+    "kms_spectrum: n 10**5000": lambda: kmsbif.kms_spectrum(_HUGE_N, 0.5),
+    "type_blocks: n 10**5000": lambda: kmsbif.type_blocks(_HUGE_N, 0.5, EigType.Type1),
+    "numeric_borderline: n 10**5000": lambda: kmsbif.numeric_borderline(
+        _HUGE_N, (1, 2, 1, 2), **_BOX),
+    "all_critical_points: n 10**5000": lambda: kmsbif.all_critical_points(_HUGE_N),
+    "imag_axis_params: even n 10**5000": lambda: kmsbif.imag_axis_params(_HUGE_N),
+    "solve_v_n: n 10**5000 + 1": lambda: solve_v_n(_HUGE_N + 1),
+    # n (1 + 1e-12) overflows
+    "count_extraordinary: n 10**5000": lambda: count_extraordinary(_HUGE_N, [1.0]),
 }
+# an order above the entry point's range raises SizeError, not DomainError
+_ABOVE_THE_RANGE = {"kms_spectrum: n 10**5000", "type_blocks: n 10**5000",
+                    "numeric_borderline: n 10**5000", "all_critical_points: n 10**5000"}
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
 def test_bad_number_raises_domain_error(case):
-    with pytest.raises(errors.DomainError):
+    error = errors.SizeError if case in _ABOVE_THE_RANGE else errors.DomainError
+    with pytest.raises(error) as exc:
         _BAD_NUMBERS[case]()
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("ran past the bound")
+    assert not re.search(r"\d{20}", str(exc.value)), str(exc.value)
 
 
 # each call asks for work past a stated bound, an order of critical_t_values

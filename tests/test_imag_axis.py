@@ -11,8 +11,8 @@ from kmsbif.geometry import _level_eps, cusp_bisector_angle, trajectory_along_bi
 from kmsbif.imag_axis import (THETA_A_IMAG, THETA_B_IMAG, imag_axis_params, imag_level_curve,
                               imag_puiseux_params, large_n_params, parabola_trajectory,
                               solve_v_n)
-from kmsbif.kms import EigType, build_matrix, eigenvector_of_mu
-from kmsbif.oracle import count_extraordinary, kms_spectrum
+from kmsbif.kms import EigType, eigenvector_of_mu
+from kmsbif.oracle import build_matrix, count_extraordinary, kms_spectrum
 
 ODD = range(3, 51, 2)
 

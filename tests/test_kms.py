@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from kmsbif.errors import DegenerateArgument, DomainError, SizeError
-from kmsbif.kms import (EigType, KmsMatrix, build_matrix, eigenvector_of_mu,
-                        isotropy_defect, lambda_of_mu, rho_of_mu,
+from kmsbif.kms import (EigType, eigenvector_of_mu, isotropy_defect, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu, type_sign)
-from kmsbif.oracle import kms_spectrum, type_blocks
+from kmsbif.oracle import KmsMatrix, build_matrix, kms_spectrum, type_blocks
 
 
 def test_build_matrix_entries():
@@ -132,6 +131,15 @@ def test_degenerate_mu_rejected():
         lambda_of_mu(5, 0.0 + 0j, EigType.Type2)
     with pytest.raises(DegenerateArgument):
         eigenvector_of_mu(5, complex(np.pi), EigType.Type1)
+
+
+def test_multiple_of_pi_floor_follows_the_rounding_of_mu():
+    # |sin mu| = 0.42 here, and mu's own rounding spoils sin mu by at most u |mu| = 1.1e-3
+    v = eigenvector_of_mu(5, 1e13 + 0.3j, EigType.Type1)
+    assert v.shape == (5,) and np.isfinite(v).all()
+    # type 2, so that rho(mu) = -1 leaves rho_of_mu's own guard quiet
+    with pytest.raises(DegenerateArgument, match="multiple of pi"):
+        eigenvector_of_mu(5, complex(3 * np.pi), EigType.Type2)
 
 
 def test_excluded_rho_rejected_for_eigenvectors():

@@ -13,10 +13,10 @@ import pytest
 from kmsbif import (all_critical_points, chebyshev, geometry, imag_axis, kms, oracle,
                     puiseux)
 from kmsbif.errors import DomainError, KmsBifError, RootFindingFailure, SizeError
-from kmsbif.kms import EigType, KmsMatrix, build_matrix
-from kmsbif.oracle import (closed_form_eigenvalues_n3, count_extraordinary,
-                           eigenvalues, kms_spectrum, numeric_borderline,
-                           type_blocks)
+from kmsbif.kms import EigType
+from kmsbif.oracle import (KmsMatrix, build_matrix, closed_form_eigenvalues_n3,
+                           count_extraordinary, eigenvalues, kms_spectrum,
+                           numeric_borderline, type_blocks)
 
 
 def test_identity_matrix_spectrum():
@@ -74,7 +74,7 @@ def test_kms_spectrum_rejects_bad_rho_before_building(monkeypatch):
         for n in (4, 20, 100):
             r = math.exp((math.log(np.finfo(float).max) - math.log(2 * n)) / (n - 1))
             assert np.all(np.isfinite(kms_spectrum(n, 0.999 * r * 1j)))
-        monkeypatch.setattr(kms, "_powers", _no_build)
+        monkeypatch.setattr(oracle, "_powers", _no_build)
         for n, rho in ((3, math.nan), (3, math.inf), (3, complex(0, math.nan)),
                        (100, 1e10)):
             with pytest.raises(DomainError):
@@ -82,12 +82,9 @@ def test_kms_spectrum_rejects_bad_rho_before_building(monkeypatch):
 
 
 def test_kms_spectrum_checks_rho_once(monkeypatch):
-    # counted wherever the check is looked up: in kms and in the oracle
     calls = []
-    check = kms._check_rho
-    for module in (kms, oracle):
-        monkeypatch.setattr(module, "_check_rho",
-                            lambda n, rho: calls.append(rho) or check(n, rho))
+    check = oracle._check_rho
+    monkeypatch.setattr(oracle, "_check_rho", lambda n, rho: calls.append(rho) or check(n, rho))
     for rho in (0.5, 1j * math.sqrt(8.0), 2.0 - 1.0j):
         kms_spectrum(3, rho)
     assert len(calls) == 3
@@ -409,6 +406,25 @@ def _kmsbif_imports(module) -> set:
 def test_oracle_imports_only_errors_and_kms():
     # the oracle never feeds the formulas: no formula module loads with it
     assert _kmsbif_imports(oracle) == {"kmsbif.errors", "kmsbif.kms"}
+
+
+def test_only_the_oracle_builds_matrices_and_one_check_takes_every_order():
+    # the matrix side of the design rule lives in oracle.py, which the catalog
+    # reaches through gate alone, and every order goes through kms.check_order
+    package = Path(oracle.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    from_oracle = {alias.name for node in ast.walk(trees["critical"])
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module == "oracle" for alias in node.names}
+    assert from_oracle == {"gate"}
+
+    def defined(tree):
+        return {node.name for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+    assert not defined(trees["kms"]) & {"KmsMatrix", "_powers", "_check_rho", "build_matrix"}
+    assert {"KmsMatrix", "_powers", "_check_rho", "build_matrix"} <= defined(trees["oracle"])
+    assert [stem for stem, tree in trees.items() if "_check_order" in defined(tree)] == []
 
 
 def _references(source: str, module: str, names) -> dict:

@@ -1,13 +1,14 @@
 """Tests for the Puiseux-series machinery (the two routes to a and b)."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kmsbif.critical import all_critical_points
-from kmsbif.errors import HypothesisViolation
+from kmsbif.errors import DegenerateArgument, HypothesisViolation
 from kmsbif.kms import EigType, rho_of_mu
 from kmsbif.oracle import kms_spectrum
 from kmsbif.puiseux import (DerivativeBundle, derivatives_at_critical,
@@ -139,6 +140,15 @@ def test_eval_truncated_series_at_zero():
     pp = puiseux_ab_from_t(_points(5)[0])
     lam1, lam2 = eval_truncated_series(pp, 0.0)
     assert lam1 == lam2 == -5.0
+
+
+def test_sin_mu_c_floor_follows_the_rounding_of_mu_c():
+    # the floor eigenvector_of_mu uses: |sin mu_c| = 0.42 passes, 3 pi does not
+    point = _points(7)[0]
+    bundle = derivatives_at_critical(dataclasses.replace(point, mu_c=1e13 + 0.3j))
+    assert all(map(cmath.isfinite, vars(bundle).values()))
+    with pytest.raises(DegenerateArgument, match=r"^sin\(mu_c\) ~ 0"):
+        derivatives_at_critical(dataclasses.replace(point, mu_c=complex(3 * math.pi)))
 
 
 def test_hypothesis_violations():
