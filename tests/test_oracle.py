@@ -422,8 +422,9 @@ def test_only_the_oracle_builds_matrices_and_one_check_takes_every_order():
         return {node.name for node in ast.walk(tree)
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
-    assert not defined(trees["kms"]) & {"KmsMatrix", "_powers", "_check_rho", "build_matrix"}
-    assert {"KmsMatrix", "_powers", "_check_rho", "build_matrix"} <= defined(trees["oracle"])
+    builders = {"KmsMatrix", "_powers", "_check_rho", "build_matrix"}
+    assert not defined(trees["kms"]) & builders
+    assert builders <= defined(trees["oracle"])
     assert [stem for stem, tree in trees.items() if "_check_order" in defined(tree)] == []
 
 
