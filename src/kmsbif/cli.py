@@ -380,8 +380,7 @@ def _fig_imag_level() -> list:
 
 def _fig_parabola() -> list:
     params = imag_axis.imag_axis_params(19)
-    chi = [1.0 - 0.12 * i / 80 for i in range(81)]
-    prows = [(c, pair[0], pair[1]) for c, pair in imag_axis.parabola_trajectory(params, chi)]
+    prows = [(c, pair[0], pair[1]) for c, pair in imag_axis.parabola_trajectory(params)]
     d_values = [-0.01 * (40 - i) / 40 for i in range(41)]
     # the imaginary family's bisector is the imaginary axis: rho = i (y_n + d)
     orows = [r[:1] + r[7:11] for r in _trajectory_rows(

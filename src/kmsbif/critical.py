@@ -21,7 +21,7 @@ from .oracle import gate
 
 _MERGE_DIST = 1e-8
 _MAX_ROOTS_N = 1024  # the O(n^3) colleague solve's largest n; see critical_t_values
-_MAX_CATALOG_N = 512  # the largest n the catalog accepts; see all_critical_points
+_MAX_CATALOG_N = 384  # the largest n the catalog accepts; see all_critical_points
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,11 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
     carrying the gap the gate measured as gate_gap.
 
     Each call builds the catalog (0.11, 0.82 and 6.8 s at n = 64, 128, 256);
-    a caller that reads it twice keeps the list.  Built at every n <= 30 and
-    n = 48, 64, 96, 128, 256, 384, 400 and 448 (worst gate_gap / n at the last
-    two 8.2e-6 and 9.93e-6).  At n = 480 and 512 the gate's radius, which does
-    not scale with the norm of K_n(rho_c), rejects a true point (at 480 a second
-    gap of 4.893e-3 against 4.8e-3): RootFindingFailure until ROADMAP item 13.
-    Points are ordered by (type, arg rho_c).  SizeError unless n is an integer in [3, 512].
+    a caller that reads it twice keeps the list.  Points are ordered by
+    (type, arg rho_c).  SizeError unless n is an integer in [3, 384], the largest
+    order CI builds: the gate's radius does not scale with the norm of K_n(rho_c)
+    (ROADMAP item 13), so the worst gate_gap / n reads 8.2e-6 at n = 400 and
+    9.93e-6 at 448 against 1e-5, and at 480 a true point fails the gate.
     """
     n = check_order(n, _MAX_CATALOG_N)
     points = []

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import HypothesisViolation
+from .errors import DomainError, HypothesisViolation
 from .kms import _finite_complex, _finite_real, _finite_reals
 from .puiseux import PuiseuxParams, _abs_sq, wrap_angle
 
@@ -119,8 +119,8 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
     opposite ray.  Pairs are (plus-branch, minus-branch) of the +/- sign in
     the series; all values are normalized by lambda_c.  Raises DomainError,
     before any point is built, for d_values that are not iterable, a d that
-    is not a real number (float() rejects it) or is NaN or infinite, and,
-    with any d <= 0, where |a|^2 overflows.
+    float() rejects or that is NaN or infinite, with any d <= 0 where |a|^2
+    overflows, and where a point overflows double precision (at d = 1e308).
     """
     d_values = _finite_reals(d_values, "d")
     sqrt = math.sqrt
@@ -128,21 +128,22 @@ def trajectory_along_bisector(p: PuiseuxParams, d_values) -> list[TrajectoryPoin
     cos_t, sin_t = math.cos(p.Theta), math.sin(p.Theta)
     # only d <= 0 reads |a|^2, which overflows for |a| past 1.3e154
     half_gap = _abs_sq(p.a) - 2.0 * mag_b * cos_t if min(d_values, default=1.0) <= 0.0 else None
-    out = []
-    for d in d_values:
+
+    def point(d: float) -> TrajectoryPoint:
+        ad = abs(d)
+        root, shift = mag_a * sqrt(ad), ad * mag_b
         if d <= 0.0:
-            ad = abs(d)
-            root = mag_a * sqrt(ad)
-            shift = ad * mag_b
-            re = 1.0 - shift * cos_t
-            mag = 1.0 + ad * 0.5 * half_gap
-            out.append(TrajectoryPoint(d, (re, re), (root - shift * sin_t, -root - shift * sin_t),
-                                       (mag, mag)))
-        else:
-            root = mag_a * sqrt(d)
-            shift = d * mag_b
-            base = 1.0 + shift * cos_t
-            im = shift * sin_t
-            pair = (base + root, base - root)
-            out.append(TrajectoryPoint(d, pair, (im, im), pair))
-    return out
+            re, mag = 1.0 - shift * cos_t, 1.0 + ad * 0.5 * half_gap
+            return TrajectoryPoint(d, (re, re), (root - shift * sin_t, -root - shift * sin_t),
+                                   (mag, mag))
+        base, im = 1.0 + shift * cos_t, shift * sin_t
+        pair = (base + root, base - root)
+        return TrajectoryPoint(d, pair, (im, im), pair)
+
+    # every product in a point grows in size with |d|, so on each side the
+    # point at the largest |d| (the least and the greatest d) overflows first
+    for d in {min(d_values), max(d_values)} if d_values else ():
+        end = point(d)
+        if not all(map(math.isfinite, end.re_pair + end.im_pair + end.mag_pair)):
+            raise DomainError(f"the trajectory overflows double precision at d = {d}")
+    return [point(d) for d in d_values]

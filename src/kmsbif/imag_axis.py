@@ -4,8 +4,9 @@ For every odd n >= 3 there is a critical point at rho = i y_n whose data is
 real: v_n solves cosh(n v) = n cosh(v), x_n = cosh(v_n), and the series
 magnitudes a_n, b_n follow from hyperbolic closed forms.  The family has
 fixed phases theta_a = 3 pi/4, theta_b = -pi/2 (so Theta reduces to 0), and
-its own simplified level-curve and parabola formulas; its bisector trajectory
-is the general one, trajectory_along_bisector(imag_puiseux_params(p), d).
+its own simplified level-curve and parabola formulas, each sampled where its
+figure draws it (figures 8 and 9); its bisector trajectory is the general
+one, trajectory_along_bisector(imag_puiseux_params(p), d).
 The height y_n = cosh((n+1) v_n/2) / sinh((n-1) v_n/2) is formed from the
 logs of both, by _log_cosh and _log_sinh.  Their arguments stay small
 ((n+1) v_n/2 is 6.1 at n = 100001), so the logs guard against no overflow;
@@ -22,12 +23,14 @@ from dataclasses import dataclass
 
 from .errors import DomainError, HypothesisViolation, RootFindingFailure
 from .geometry import _EPS_CAP, _LEVEL_SAMPLES, CurveSamples
-from .kms import EigType, _finite_reals, check_order
+from .kms import EigType, check_order
 from .puiseux import PuiseuxParams
 
 THETA_A_IMAG = 3.0 * math.pi / 4.0
 THETA_B_IMAG = -math.pi / 2.0
 _LN2 = math.log(2.0)
+# the parabola's chi samples: 81 evenly spaced from the vertex chi = 1 down to 0.88
+_PARABOLA_CHI = tuple(1.0 - 0.12 * i / 80 for i in range(81))
 
 
 @dataclass(frozen=True)
@@ -175,19 +178,13 @@ def large_n_params(n: int) -> tuple[float, float, float, float]:
         raise DomainError("large-n laws need 2n below the largest double") from None
 
 
-def parabola_trajectory(params: ImagAxisParams, chi_values):
+def parabola_trajectory(params: ImagAxisParams):
     """Pre-bifurcation eigenvalue locus psi^2 = (a_n^2/b_n)(1 - chi).
 
     chi, psi are the real and imaginary parts of lambda/lambda_c; the vertex
-    (1, 0) is the collision point.  Returns (chi, (psi+, psi-)) pairs.
-    Raises DomainError for chi_values that are not iterable, and for a chi
-    that is not a finite real or exceeds 1.
+    (1, 0) is the collision point.  Returns (chi, (psi+, psi-)) pairs at 81
+    evenly spaced chi from the vertex down to 0.88.
     """
     coef = params.a_n ** 2 / params.b_n
-    out = []
-    for chi in _finite_reals(chi_values, "chi"):
-        if chi > 1.0:
-            raise DomainError(f"parabola needs chi <= 1, got {chi}")
-        psi = math.sqrt(coef * (1.0 - chi))
-        out.append((chi, (psi, -psi)))
-    return out
+    psi = [math.sqrt(coef * (1.0 - chi)) for chi in _PARABOLA_CHI]
+    return [(chi, (p, -p)) for chi, p in zip(_PARABOLA_CHI, psi)]

@@ -37,6 +37,7 @@ def wrap_angle(x: float) -> float:
 
 @dataclass(frozen=True)
 class PuiseuxParams:
+    """The series record; DomainError for a field that is not a finite number."""
     lambda_c: complex
     a: complex
     b: complex
@@ -44,6 +45,10 @@ class PuiseuxParams:
     theta_b: float
     Theta: float
     c: float
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            _finite_complex(value, name)
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,6 @@ def _abs_sq(a: complex) -> float:
 
 
 def _params_from_ab(lambda_c: complex, a: complex, b: complex) -> PuiseuxParams:
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        raise DomainError(f"series parameters overflow: a = {a}, b = {b}")
     theta_a = cmath.phase(a)
     theta_b = cmath.phase(b)
     big_theta = wrap_angle(theta_b - 2.0 * theta_a)

@@ -30,17 +30,17 @@ def test_critical_t_values_type1_n3_is_empty():
     for et in EigType:
         with pytest.raises(SizeError, match=r"^need an integer n with 3 <= n <= 1024$"):
             critical_t_values(2, et)
-    with pytest.raises(SizeError, match=r"^need an integer n with 3 <= n <= 512$"):
+    with pytest.raises(SizeError, match=r"^need an integer n with 3 <= n <= 384$"):
         all_critical_points(2)
 
 
-def test_catalog_rejects_n_above_oracle_range_before_root_finding(monkeypatch):
+def test_catalog_rejects_n_above_its_range_before_root_finding(monkeypatch):
     def no_roots(n, eig_type):
         raise AssertionError(f"root finding ran at n = {n}")
 
     monkeypatch.setattr(critical, "critical_t_values", no_roots)
-    with pytest.raises(SizeError, match=r"^need an integer n with 3 <= n <= 512$"):
-        all_critical_points(513)
+    with pytest.raises(SizeError, match=r"^need an integer n with 3 <= n <= 384$"):
+        all_critical_points(385)
 
 
 def test_rho_c_rejects_a_t_c_that_is_not_finite():

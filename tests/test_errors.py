@@ -19,7 +19,7 @@ import kmsbif
 from kmsbif import chebyshev, critical, errors
 from kmsbif.chebyshev import cheb_t, cheb_u
 from kmsbif.geometry import cardioid_approx
-from kmsbif.imag_axis import parabola_trajectory, solve_v_n
+from kmsbif.imag_axis import solve_v_n
 from kmsbif.kms import (EigType, eigenvector_of_mu, isotropy_defect, lambda_of_mu, rho_of_mu,
                         rho_prime_of_mu)
 from kmsbif.oracle import build_matrix, closed_form_eigenvalues_n3, count_extraordinary, gate
@@ -45,7 +45,7 @@ def _point_of_order(n):
 
 # each entry point that takes a matrix order, and the largest order it accepts
 _ORDER_ENTRY_POINTS = {
-    "all_critical_points": (kmsbif.all_critical_points, 512),
+    "all_critical_points": (kmsbif.all_critical_points, 384),
     "critical_t_values": (lambda n: kmsbif.critical_t_values(n, EigType.Type2), 1024),
     "rho_c_of_t": (lambda n: kmsbif.rho_c_of_t(n, 0.3j, EigType.Type2), None),
     "kms_spectrum": (lambda n: kmsbif.kms_spectrum(n, 0.5), 512),
@@ -146,6 +146,9 @@ _NAN = complex("nan")
 # |a|^2 overflows for |a| past 1.3e154
 _HUGE_A = PuiseuxParams(lambda_c=-4.0, a=1e200, b=1.0, theta_a=0.0, theta_b=0.0, Theta=0.0,
                         c=0.0)
+# the fields of series records with a NaN a, and with an infinite b
+_NAN_A = (-8, _NAN, 1, 0.0, 0.0, 0.0, 0.0)
+_INF_B = (-8, 1 + 1j, math.inf, 0.0, 0.0, 0.0, 0.0)
 # float() and complex() raise OverflowError for an integer this large
 _BIG = 10 ** 400
 _HUGE_N = 10 ** 5000
@@ -201,8 +204,17 @@ _BAD_NUMBERS = {
         _HUGE_A, [-1.0]),
     "trajectory_along_bisector: d_values None": lambda: kmsbif.trajectory_along_bisector(
         _series_of_k4(), None),
-    "parabola_trajectory: chi_values None": lambda: parabola_trajectory(
-        kmsbif.imag_axis_params(19), None),
+    # a series record refuses a field that is not finite
+    "local_level_curve: a nan": lambda: kmsbif.local_level_curve(PuiseuxParams(*_NAN_A), 1),
+    "local_level_curve: b inf": lambda: kmsbif.local_level_curve(PuiseuxParams(*_INF_B), 1),
+    "cardioid_approx: a nan": lambda: cardioid_approx(PuiseuxParams(*_NAN_A), 0.0),
+    "trajectory_along_bisector: b inf": lambda: kmsbif.trajectory_along_bisector(
+        PuiseuxParams(*_INF_B), [-0.01, 0.01]),
+    # the point at the largest |d| overflows on either side
+    "trajectory_along_bisector: d 1e308": lambda: kmsbif.trajectory_along_bisector(
+        kmsbif.puiseux_ab_from_t(kmsbif.all_critical_points(8)[0]), [1e308]),
+    "trajectory_along_bisector: d -1e308": lambda: kmsbif.trajectory_along_bisector(
+        kmsbif.puiseux_ab_from_t(kmsbif.all_critical_points(8)[0]), [-1e308]),
     "cardioid_approx: |a|^2 overflows": lambda: cardioid_approx(_HUGE_A, 0.0),
     "_params_from_ab: |a|^2 overflows": lambda: _params_from_ab(-4.0, 1e200, 1.0),
     "kms_spectrum: rho 10**400": lambda: kmsbif.kms_spectrum(5, _BIG),
@@ -210,8 +222,6 @@ _BAD_NUMBERS = {
     "rho_c_of_t: t_c 10**400": lambda: kmsbif.rho_c_of_t(6, _BIG, EigType.Type1),
     "trajectory_along_bisector: d 10**400": lambda: kmsbif.trajectory_along_bisector(
         _series_of_k4(), [_BIG]),
-    "parabola_trajectory: chi 10**400": lambda: parabola_trajectory(
-        kmsbif.imag_axis_params(19), [_BIG]),
     "cardioid_approx: theta 10**400": lambda: cardioid_approx(_series_of_k4(), _BIG),
     "puiseux_from_derivatives: lambda_c 10**400": lambda: kmsbif.puiseux_from_derivatives(
         _BIG, DerivativeBundle(1, 1, 1, 1)),

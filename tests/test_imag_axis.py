@@ -293,17 +293,19 @@ def test_trajectory_matches_oracle_n19():
 
 def test_parabola_vertex_and_identity():
     params = imag_axis_params(19)
-    rows = parabola_trajectory(params, [1.0, 0.96, 0.9])
+    rows = parabola_trajectory(params)
+    # figure 9's 81 samples, from the vertex down to chi = 0.88
+    assert [chi for chi, _ in rows] == [1.0 - 0.12 * i / 80 for i in range(81)]
     chi, (psi_p, psi_m) = rows[0]
     assert chi == 1.0 and psi_p == 0.0 and psi_m == -0.0
+    assert math.copysign(1.0, psi_p) == 1.0 and math.copysign(1.0, psi_m) == -1.0
     coef = params.a_n ** 2 / params.b_n
-    for chi, (psi_p, psi_m) in rows[1:]:
+    for chi, (psi_p, psi_m) in rows:
         assert psi_m == -psi_p
         assert psi_p ** 2 == pytest.approx(coef * (1.0 - chi), rel=1e-14)
-    # past the vertex, not finite, or not a real number at all
-    for chi in (1.0 + 1e-9, math.nan, math.inf, -math.inf, "x", 1j, None):
-        with pytest.raises(DomainError):
-            parabola_trajectory(params, [0.9, chi])
+    # the samples are fixed: no caller passes its own chi
+    with pytest.raises(TypeError):
+        parabola_trajectory(params, [1.0, 0.96, 0.9])
 
 
 def test_parabola_shadows_oracle():

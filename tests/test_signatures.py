@@ -12,9 +12,10 @@ import inspect
 import kmsbif
 from kmsbif import imag_axis
 
-# each callable in kmsbif.__all__, and figure 8's imag_axis.imag_level_curve,
-# with its parameters and their defaults; None for the classes whose call is
-# Python's own: the EigType lookup and the error classes
+# each callable in kmsbif.__all__, figure 8's imag_axis.imag_level_curve and
+# figure 9's imag_axis.parabola_trajectory, with its parameters and their
+# defaults; None for the classes whose call is Python's own: the EigType lookup
+# and the error classes
 _SIGNATURES = {
     "all_critical_points": "(n)",
     "puiseux_ab_from_t": "(cp)",
@@ -39,6 +40,7 @@ _SIGNATURES = {
     "RootFindingFailure": None,
     "HypothesisViolation": None,
     "imag_axis.imag_level_curve": "(params)",
+    "imag_axis.parabola_trajectory": "(params)",
 }
 
 
@@ -56,4 +58,5 @@ def test_every_public_callable_takes_its_recorded_parameters():
     public = {name: getattr(kmsbif, name) for name in kmsbif.__all__
               if callable(getattr(kmsbif, name))}
     public["imag_axis.imag_level_curve"] = imag_axis.imag_level_curve
+    public["imag_axis.parabola_trajectory"] = imag_axis.parabola_trajectory
     assert {name: _parameters(obj) for name, obj in public.items()} == _SIGNATURES
