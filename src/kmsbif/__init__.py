@@ -6,7 +6,8 @@ double eigenvalue -n appears.  This package locates every such point, expands
 the colliding pair in a Puiseux series, draws the local level curves and
 eigenvalue trajectories, and cross-checks everything against an eigensolver
 oracle, the one module that builds K_n(rho).  It solves the half-size type
-blocks for the catalog gate, the borderline, the trajectories and verify,
+blocks for the catalog gate, the borderline, the trajectories and verify's
+checks (kmsbif.checks, on the oracle's side: no formula module imports it),
 and the whole matrix only for critical-points' oracle_gap column.
 """
 

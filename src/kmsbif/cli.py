@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
 import warnings
 from dataclasses import dataclass
@@ -26,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import critical, geometry, imag_axis, oracle, puiseux
-from .errors import HypothesisViolation, KmsBifError
-from .kms import EigType, eigenvector_of_mu, isotropy_defect, lambda_of_mu, rho_of_mu, \
-    rho_prime_of_mu
+from . import checks, critical, geometry, imag_axis, oracle, puiseux
+from .errors import KmsBifError
+from .kms import EigType
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
@@ -279,6 +277,15 @@ def cmd_large_n(args) -> None:
     _emit_table(args, meta, cols, rows)
 
 
+def cmd_verify(args) -> None:
+    rows = checks.run_battery(args.n_max)
+    meta = {"command": "verify", "n-max": args.n_max,
+            "columns-doc": "one row per invariant; residual must stay below tol"}
+    _emit_table(args, meta, ["status", "check", "residual", "tol", "detail"], rows)
+    if any(row[0] == "FAIL" for row in rows):
+        raise KmsBifError("one or more invariants failed")
+
+
 # ---------------------------------------------------------------------------
 # figures: each builder returns the figure's curves in drawing order
 
@@ -414,117 +421,6 @@ def cmd_figure(args) -> None:
     if args.output_format == "svg":
         series = [(c.rows, c.xy, c.dashed) for c in curves]
         _write_text(out_dir / f"fig{fig}.svg", _render_svg(series, {"fig": fig}))
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _verify_battery(n_max: int) -> list:
-    # the stdlib generator keeps numpy.random (about 6 MiB of RSS) out of the process
-    rng = random.Random(20240901)
-
-    try:  # built once for the four catalog rows; a build that raises fails each of them
-        catalog = [p for n in range(3, n_max + 1) for p in critical.all_critical_points(n)]
-    except KmsBifError as exc:
-        catalog = exc
-
-    def over_catalog(metric):
-        def worst():
-            if isinstance(catalog, KmsBifError):
-                raise catalog
-            return max([0.0] + [metric(p) for p in catalog])
-        return worst
-
-    def chebyshev_identities():
-        from .chebyshev import cheb_t, cheb_u
-        worst = 0.0
-        for _ in range(200):
-            k = rng.randrange(1, 40)
-            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            pell = (z * z - 1) * cheb_u(k - 1, z) ** 2 - (cheb_t(k, z) ** 2 - 1)
-            rec = cheb_t(k, z) - (2 * z * cheb_t(k + 1, z) - cheb_t(k + 2, z))
-            ref = abs(cheb_t(k, z)) + 1.0
-            worst = max(worst, abs(pell) / ref ** 2, abs(rec) / ref)
-        return worst
-
-    def mu_consistency():
-        worst = 0.0
-        for _ in range(40):
-            n = rng.randrange(3, n_max + 1)
-            mu = complex(rng.uniform(0.2, 2.8), rng.uniform(-0.4, 0.4))
-            for et in EigType:  # lambda(mu) is a type-et eigenvalue: solve that block
-                lam = lambda_of_mu(n, mu, et)
-                ev = oracle._eigvals(oracle.type_blocks(n, rho_of_mu(n, mu, et), et))
-                worst = max(worst, float(np.min(np.abs(ev - lam))))
-        return worst
-
-    def route_gap(p) -> float:
-        pp_t = puiseux.puiseux_ab_from_t(p)
-        pp_m = puiseux.puiseux_from_derivatives(p.lambda_c, puiseux.derivatives_at_critical(p))
-        da = min(abs(pp_t.a - pp_m.a), abs(pp_t.a + pp_m.a)) / abs(pp_t.a)
-        db = abs(pp_t.b - pp_m.b) / max(abs(pp_t.b), 1e-30)
-        return max(da, db)
-
-    def isotropy_ratio(p) -> float:
-        v = eigenvector_of_mu(p.n, p.mu_c, p.eig_type)
-        return abs(isotropy_defect(v)) / float(np.sum(np.abs(v) ** 2))
-
-    def imag_family():
-        worst = 0.0
-        prev_a = 0.0
-        for n in range(3, 2 * n_max + 2, 2):
-            par = imag_axis.imag_axis_params(n)
-            res = abs(math.cosh(n * par.v_n) - n * math.cosh(par.v_n)) / (n * math.cosh(par.v_n))
-            worst = max(worst, res)
-            if par.c_n >= 0.0 or par.a_n <= prev_a:
-                raise HypothesisViolation(f"c_n sign or a_n monotonicity broke at n = {n}")
-            prev_a = par.a_n
-        return worst
-
-    def trace_identity():
-        # the two type blocks' spectra make up the spectrum of K_n(rho)
-        worst = 0.0
-        for _ in range(20):
-            n = rng.randrange(3, n_max + 1)
-            rho = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            ev = np.concatenate([oracle._eigvals(oracle.type_blocks(n, rho, et))
-                                 for et in EigType])
-            worst = max(worst, abs(complex(np.sum(ev)) - n) / n)
-        return worst
-
-    battery = [  # (name, residual, gate, detail), run in this order: the draws are seeded
-        ("chebyshev-identities", chebyshev_identities, 1e-10,
-         "Pell + recurrence on 200 seeded draws"),
-        ("mu-parameterization", mu_consistency, 1e-8, "lambda(mu) sits in the oracle spectrum"),
-        ("critical-double-eigenvalue", over_catalog(lambda p: p.gate_gap / p.n),
-         oracle.GATE_RADIUS, "double eigenvalue -n at every catalog point"),
-        ("rho-prime-vanishes", over_catalog(
-            lambda p: abs(rho_prime_of_mu(p.n, p.mu_c, p.eig_type))), 1e-8, "rho'(mu_c) = 0"),
-        ("route-equivalence", over_catalog(route_gap), 1e-9,
-         "closed-form vs derivative-chain parameters"),
-        ("isotropy", over_catalog(isotropy_ratio), 1e-10, "critical eigenvectors are isotropic"),
-        ("imaginary-family", imag_family, 1e-11, "defining residuals, c_n < 0, a_n increasing"),
-        ("trace-identity", trace_identity, 1e-9, "sum of eigenvalues = n"),
-    ]
-    rows = []
-    for name, residual, tol, detail in battery:
-        try:
-            value = residual()
-            ok = value <= tol
-        except KmsBifError as exc:  # a raised invariant is a failure, not a crash
-            value, detail, ok = math.inf, f"raised {exc!r}", False
-        rows.append(("PASS" if ok else "FAIL", name, value, tol, detail.replace(",", ";")))
-    return rows
-
-
-def cmd_verify(args) -> None:
-    rows = _verify_battery(args.n_max)
-    meta = {"command": "verify", "n-max": args.n_max,
-            "columns-doc": "one row per invariant; residual must stay below tol"}
-    _emit_table(args, meta, ["status", "check", "residual", "tol", "detail"], rows)
-    if any(row[0] == "FAIL" for row in rows):
-        raise KmsBifError("one or more invariants failed")
 
 
 # ---------------------------------------------------------------------------

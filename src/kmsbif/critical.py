@@ -118,9 +118,9 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
     Even n needs the half-integer degrees (n +/- 1)/2, evaluated in place from
     mu = Arccos t_c; the ratio is even in mu, so the branch does not matter.
     Raises SizeError unless n is an integer >= 3, DomainError for a t_c that
-    is not a finite complex number or where a Chebyshev value overflows
-    double precision, and DegenerateArgument at t_c = +/-1 for even n and
-    wherever the denominator vanishes.
+    is not a finite complex number or where |t_c -/+ 1| or a Chebyshev value
+    overflows double precision, and DegenerateArgument at t_c = +/-1 for even
+    n and wherever the denominator vanishes.
     """
     n = check_order(n)
     type1 = type_sign(eig_type) < 0
@@ -133,10 +133,10 @@ def rho_c_of_t(n: int, t_c: complex, eig_type: EigType) -> complex:
             num = cheb_t((n + 1) // 2, t_c)
             den = cheb_t((n - 1) // 2, t_c)
     else:
-        if min(abs(t_c - 1.0), abs(t_c + 1.0)) < 1e-14:
-            raise DegenerateArgument(f"critical-rho ratio undefined at t_c = {t_c}")
-        mu = cmath.acos(t_c)
         try:
+            if min(abs(t_c - 1.0), abs(t_c + 1.0)) < 1e-14:
+                raise DegenerateArgument(f"critical-rho ratio undefined at t_c = {t_c}")
+            mu = cmath.acos(t_c)
             if type1:
                 s = cmath.sin(mu)  # U_k = sin((k+1)mu)/sin(mu), k = (n-1)/2 and (n-3)/2
                 num = cmath.sin((n + 1) / 2 * mu) / s

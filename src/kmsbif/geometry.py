@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, HypothesisViolation
+from .errors import DegenerateArgument, DomainError, HypothesisViolation
 from .kms import _finite_complex, _finite_real, _finite_reals
 from .puiseux import PuiseuxParams, _abs_sq, wrap_angle
 
@@ -57,19 +57,23 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex) -> CurveSamples:
     theta = pi - 2 theta_a) is the middle one; samples past a sign change of
     the denominator, or with |eps| above 0.5, are outside the validity
     region and are dropped (with a warning).  Raises DomainError for a rho_c
-    that is not a finite complex number, or an |a|^2 that overflows, and
-    HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
+    that is not a finite complex number, or an |a|^2 or |a|^2 - 2|b|cos(Theta)
+    that overflows, DegenerateArgument for a = 0 (no square-root branch point),
+    and HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
     """
     rho_c = _finite_complex(rho_c, "rho_c")
-    a_sq = _abs_sq(p.a)
-    den_cusp = a_sq - 2.0 * abs(p.b) * math.cos(p.Theta)  # = 2c
+    a_sq, two_a, two_b = _abs_sq(p.a), 2.0 * abs(p.a), 2.0 * abs(p.b)
+    if a_sq == 0.0:  # a = 0, or |a|^2 below the smallest double: every |eps| reads 0
+        raise DegenerateArgument(f"a = {p.a}: rho_c is not a square-root branch point")
+    den_cusp = a_sq - two_b * math.cos(p.Theta)  # = 2c
+    if not math.isfinite(den_cusp):
+        raise DomainError(f"|a|^2 - 2|b|cos(Theta) overflows double precision at b = {p.b}")
     if abs(den_cusp) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0: no local level curve")
     bis = cusp_bisector_angle(p)
     sgn = 1.0 if den_cusp > 0 else -1.0
     cos, sin = math.cos, math.sin
     theta_a, theta_b = p.theta_a, p.theta_b
-    two_a, two_b = 2.0 * abs(p.a), 2.0 * abs(p.b)
     cusp = (_LEVEL_SAMPLES - 1) // 2
     samples = []
     dropped = 0
@@ -102,10 +106,12 @@ def cardioid_approx(p: PuiseuxParams, theta: float) -> float:
     |eps|(theta) it carries the shape, not the absolute scale: the exact
     theta -> bisector limit of the level curve is |a|^2 times this value.)
     Raises DomainError for a theta that is not a finite real, or where
-    |a|^2 overflows.
+    |a|^2 or (|a|^2 - 2|b|cos Theta)^2 overflows.
     """
     theta = _finite_real(theta, "theta")
     den = _abs_sq(p.a) - 2.0 * abs(p.b) * math.cos(p.Theta)
+    if not math.isfinite(den * den):
+        raise DomainError(f"(|a|^2 - 2|b|cos Theta)^2 overflows double precision at b = {p.b}")
     if abs(den) < 1e-10:
         raise HypothesisViolation("|a|^2 - 2|b|cos(Theta) ~ 0")
     bis = cusp_bisector_angle(p)

@@ -149,6 +149,9 @@ _HUGE_A = PuiseuxParams(lambda_c=-4.0, a=1e200, b=1.0, theta_a=0.0, theta_b=0.0,
 # the fields of series records with a NaN a, and with an infinite b
 _NAN_A = (-8, _NAN, 1, 0.0, 0.0, 0.0, 0.0)
 _INF_B = (-8, 1 + 1j, math.inf, 0.0, 0.0, 0.0, 0.0)
+# a finite b whose 2|b| overflows, and an a = 0
+_HUGE_B = (-8, 1 + 1j, 1e308, 0.0, 0.0, 0.0, 0.0)
+_ZERO_A = (-8, 0j, 1 + 1j, 0.0, 0.0, 0.0, 0.0)
 # float() and complex() raise OverflowError for an integer this large
 _BIG = 10 ** 400
 _HUGE_N = 10 ** 5000
@@ -216,10 +219,19 @@ _BAD_NUMBERS = {
     "trajectory_along_bisector: d -1e308": lambda: kmsbif.trajectory_along_bisector(
         kmsbif.puiseux_ab_from_t(kmsbif.all_critical_points(8)[0]), [-1e308]),
     "cardioid_approx: |a|^2 overflows": lambda: cardioid_approx(_HUGE_A, 0.0),
+    # |a|^2 - 2|b|cos(Theta) overflows, or its square does
+    "local_level_curve: 2|b| overflows": lambda: kmsbif.local_level_curve(
+        PuiseuxParams(*_HUGE_B), 1),
+    "cardioid_approx: 2|b| overflows": lambda: cardioid_approx(PuiseuxParams(*_HUGE_B), 1.0),
+    "cardioid_approx: the square of |a|^2 - 2|b|cos(Theta) overflows": lambda: cardioid_approx(
+        _params_from_ab(-8, 0.7, 1e154), 1.0),
     "_params_from_ab: |a|^2 overflows": lambda: _params_from_ab(-4.0, 1e200, 1.0),
     "kms_spectrum: rho 10**400": lambda: kmsbif.kms_spectrum(5, _BIG),
     "type_blocks: rho 10**400": lambda: kmsbif.type_blocks(5, _BIG, EigType.Type1),
     "rho_c_of_t: t_c 10**400": lambda: kmsbif.rho_c_of_t(6, _BIG, EigType.Type1),
+    # |t_c - 1| overflows in the even-n check of t_c = +/-1
+    "rho_c_of_t: |t_c - 1| overflows": lambda: kmsbif.rho_c_of_t(
+        4, 1.7e308 + 1.7e308j, EigType.Type1),
     "trajectory_along_bisector: d 10**400": lambda: kmsbif.trajectory_along_bisector(
         _series_of_k4(), [_BIG]),
     "cardioid_approx: theta 10**400": lambda: cardioid_approx(_series_of_k4(), _BIG),
@@ -314,6 +326,8 @@ _DEGENERATE_POINTS = {
         _point_with_mu(complex(math.pi / 3))),
     "puiseux_ab_from_t: t_c = 1": lambda: kmsbif.puiseux_ab_from_t(
         dataclasses.replace(_point_of_type(EigType.Type2), t_c=1 + 0j)),
+    # a = 0 is no square-root branch point: every |eps| of the curve would read 0
+    "local_level_curve: a = 0": lambda: kmsbif.local_level_curve(PuiseuxParams(*_ZERO_A), 1),
 }
 
 

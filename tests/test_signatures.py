@@ -10,12 +10,12 @@ import enum
 import inspect
 
 import kmsbif
-from kmsbif import imag_axis
+from kmsbif import checks, imag_axis
 
-# each callable in kmsbif.__all__, figure 8's imag_axis.imag_level_curve and
-# figure 9's imag_axis.parabola_trajectory, with its parameters and their
-# defaults; None for the classes whose call is Python's own: the EigType lookup
-# and the error classes
+# each callable in kmsbif.__all__, figure 8's imag_axis.imag_level_curve,
+# figure 9's imag_axis.parabola_trajectory and verify's checks, with its
+# parameters and their defaults; None for the classes whose call is Python's
+# own: the EigType lookup and the error classes
 _SIGNATURES = {
     "all_critical_points": "(n)",
     "puiseux_ab_from_t": "(cp)",
@@ -41,6 +41,16 @@ _SIGNATURES = {
     "HypothesisViolation": None,
     "imag_axis.imag_level_curve": "(params)",
     "imag_axis.parabola_trajectory": "(params)",
+    # verify's battery: each check takes exactly the inputs it reads
+    "checks.chebyshev_identities": "(rng)",
+    "checks.mu_parameterization": "(rng, n_max)",
+    "checks.critical_double_eigenvalue": "(points)",
+    "checks.rho_prime_vanishes": "(points)",
+    "checks.route_equivalence": "(points)",
+    "checks.isotropy": "(points)",
+    "checks.imaginary_family": "(n_max)",
+    "checks.trace_identity": "(rng, n_max)",
+    "checks.run_battery": "(n_max)",
 }
 
 
@@ -59,4 +69,6 @@ def test_every_public_callable_takes_its_recorded_parameters():
               if callable(getattr(kmsbif, name))}
     public["imag_axis.imag_level_curve"] = imag_axis.imag_level_curve
     public["imag_axis.parabola_trajectory"] = imag_axis.parabola_trajectory
+    public.update((f"checks.{check.__name__}", check) for _, check, _, _ in checks.BATTERY)
+    public["checks.run_battery"] = checks.run_battery
     assert {name: _parameters(obj) for name, obj in public.items()} == _SIGNATURES
