@@ -69,7 +69,8 @@ def mu_parameterization(rng: random.Random, n_max: int) -> float:
 
 
 def critical_double_eigenvalue(points: list) -> float:
-    return max([0.0] + [p.gate_gap / p.n for p in points])
+    gaps = [kms._finite_real(p.gate_gap, "gate_gap") / kms._finite_real(p.n, "n") for p in points]
+    return max([0.0] + gaps)
 
 
 def rho_prime_vanishes(points: list) -> float:

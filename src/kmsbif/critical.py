@@ -154,12 +154,13 @@ def all_critical_points(n: int) -> list[CriticalPoint]:
     """Every critical point of K_n, both types, each accepted by oracle.gate and
     carrying the gap the gate measured as gate_gap.
 
-    Each call builds the catalog (0.11, 0.82 and 6.8 s at n = 64, 128, 256);
-    a caller that reads it twice keeps the list.  Points are ordered by
-    (type, arg rho_c).  SizeError unless n is an integer in [3, 384], the largest
-    order CI builds: the gate's radius does not scale with the norm of K_n(rho_c)
-    (ROADMAP item 13), so the worst gate_gap / n reads 8.2e-6 at n = 400 and
-    9.93e-6 at 448 against 1e-5, and at 480 a true point fails the gate.
+    Each call builds the catalog (0.07, 0.76 and 6.3 s at n = 64, 128, 256,
+    one thread on a 2-vCPU Xeon VM); a caller that reads it twice keeps the
+    list.  Points are ordered by (type, arg rho_c).  SizeError unless n is an
+    integer in [3, 384], the largest order CI builds: the gate's radius does not
+    scale with the norm of K_n(rho_c) (ROADMAP item 13), so the worst gate_gap / n
+    reads 8.2e-6 at n = 400 and 9.93e-6 at 448 against 1e-5, and at 480 a true
+    point fails the gate.
     """
     n = check_order(n, _MAX_CATALOG_N)
     points = []

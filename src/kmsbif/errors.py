@@ -6,7 +6,7 @@ class KmsBifError(Exception):
 
 
 class SizeError(KmsBifError):
-    """Matrix order that is not an integer >= 3, or too large for the oracle."""
+    """Matrix order that is not an integer >= 3, or past the entry point's stated range."""
 
 
 class DomainError(KmsBifError):

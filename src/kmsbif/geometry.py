@@ -58,7 +58,8 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex) -> CurveSamples:
     the denominator, or with |eps| above 0.5, are outside the validity
     region and are dropped (with a warning).  Raises DomainError for a rho_c
     that is not a finite complex number, or an |a|^2 or |a|^2 - 2|b|cos(Theta)
-    that overflows, DegenerateArgument for a = 0 (no square-root branch point),
+    that overflows, or where every kept |eps| is 0 (it underflows past |b|/|a|
+    ~ 1e162), DegenerateArgument for a = 0 (no square-root branch point),
     and HypothesisViolation when |a|^2 - 2|b|cos(Theta) ~ 0.
     """
     rho_c = _finite_complex(rho_c, "rho_c")
@@ -92,6 +93,9 @@ def local_level_curve(p: PuiseuxParams, rho_c: complex) -> CurveSamples:
             continue
         rho = rho_c + eps * complex(cos(theta), sin(theta))
         samples.append((theta, eps, rho))
+    if not any(sample[1] for sample in samples):  # as a rule, stops at the first sample
+        raise DomainError(f"every kept level-curve sample reads |eps| = 0 at b = {p.b}: "
+                          f"|eps| underflows, or no sample lies in the validity region")
     if dropped:
         warnings.warn(f"{dropped} level-curve samples outside validity region dropped",
                       stacklevel=2)

@@ -1,4 +1,4 @@
-"""The purely imaginary critical-point family (odd n).
+"""The purely imaginary critical-point family: odd n from 3 to 5199.
 
 For every odd n >= 3 there is a critical point at rho = i y_n whose data is
 real: v_n solves cosh(n v) = n cosh(v), x_n = cosh(v_n), and the series
@@ -8,12 +8,10 @@ its own simplified level-curve and parabola formulas, each sampled where its
 figure draws it (figures 8 and 9); its bisector trajectory is the general
 one, trajectory_along_bisector(imag_puiseux_params(p), d).
 The height y_n = cosh((n+1) v_n/2) / sinh((n-1) v_n/2) is formed from the
-logs of both, by _log_cosh and _log_sinh.  Their arguments stay small
-((n+1) v_n/2 is 6.1 at n = 100001), so the logs guard against no overflow;
-they stay because they fix the last bit of y_n that the outputs carry.
-The Pell-type check forms x_n^2 - 1 by cancellation, so imag_axis_params
-raises HypothesisViolation at 706 of the odd n <= 10001, the first at
-n = 5201; forming it as sinh^2 v_n should mend that.
+logs of both, by _log_cosh and _log_sinh, which fix the last bit of y_n that
+the outputs carry; nothing in the range comes near overflow.  The range ends
+at the last odd n whose Pell-type check passes: it forms x_n^2 - 1 by
+cancellation and fails first at n = 5201.  Past it, SizeError.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from .puiseux import PuiseuxParams
 THETA_A_IMAG = 3.0 * math.pi / 4.0
 THETA_B_IMAG = -math.pi / 2.0
 _LN2 = math.log(2.0)
+_MAX_FAMILY_N = 5199  # the family's last order; see the module docstring
 # the parabola's chi samples: 81 evenly spaced from the vertex chi = 1 down to 0.88
 _PARABOLA_CHI = tuple(1.0 - 0.12 * i / 80 for i in range(81))
 
@@ -45,8 +44,8 @@ class ImagAxisParams:
     eig_type: EigType
 
 
-def _require_odd(n) -> int:
-    n = check_order(n)
+def _require_odd(n, n_max=None) -> int:
+    n = check_order(n, n_max)
     if n % 2 == 0:
         raise DomainError("the imaginary-axis family exists for odd n only")
     return n
@@ -56,19 +55,16 @@ def solve_v_n(n: int) -> float:
     """Positive solution of cosh(n v) = n cosh(v).
 
     Safeguarded Newton seeded at ln(2n)/n, bracketed by [ln(2n)/(2n),
-    2 ln(2n)/n] with bisection fallback.  DomainError above about n = 1e154.
+    2 ln(2n)/n] with bisection fallback.  SizeError past the family's range.
     """
-    n = _require_odd(n)
+    n = _require_odd(n, _MAX_FAMILY_N)
 
     def g(v: float) -> float:
         return math.cosh(n * v) - n * math.cosh(v)
 
-    try:  # g(hi) holds cosh(2 ln 2n), past the largest double once ln 2n > 355
-        lo, hi = math.log(2 * n) / (2 * n), 2.0 * math.log(2 * n) / n
-        if not g(lo) < 0.0 < g(hi):
-            raise RootFindingFailure(f"bracket failed for n = {n}")
-    except OverflowError:
-        raise DomainError("v_n needs n below about 1e154") from None
+    lo, hi = math.log(2 * n) / (2 * n), 2.0 * math.log(2 * n) / n
+    if not g(lo) < 0.0 < g(hi):
+        raise RootFindingFailure(f"bracket failed for n = {n}")
     v = math.log(2 * n) / n
     for _ in range(100):
         gv = g(v)
@@ -78,13 +74,12 @@ def solve_v_n(n: int) -> float:
             lo = v
         else:
             hi = v
-        dg = n * (math.sinh(n * v) - math.sinh(v))
-        step = v - gv / dg if dg != 0.0 else None
-        v = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+        step = v - gv / (n * (math.sinh(n * v) - math.sinh(v)))  # g' > 0 for v > 0
+        v = step if lo < step < hi else 0.5 * (lo + hi)
     raise RootFindingFailure(f"v_n iteration did not converge for n = {n}")
 
 
-# log cosh(x) and log sinh(x) for real x > 0, finite long after cosh(x) overflows
+# log cosh(x) and log sinh(x) for real x > 0
 def _log_cosh(x: float) -> float:
     return x + math.log1p(math.exp(-2.0 * x)) - _LN2
 
@@ -94,8 +89,8 @@ def _log_sinh(x: float) -> float:
 
 
 def imag_axis_params(n: int) -> ImagAxisParams:
-    """The full real-parameter bundle (v, x, y, a, b, c) for odd n; DomainError past n ~ 1.6e78."""
-    n = _require_odd(n)
+    """The full real-parameter bundle (v, x, y, a, b, c) for odd n <= 5199; SizeError past it."""
+    n = _require_odd(n, _MAX_FAMILY_N)
     eig_type = EigType.Type1 if n % 4 == 1 else EigType.Type2
     v = solve_v_n(n)
     x = math.cosh(v)
@@ -104,10 +99,7 @@ def imag_axis_params(n: int) -> ImagAxisParams:
     t_big = math.cosh((n - 1) * v)             # T_{n-1}(x_n)
     u_big = math.sinh(n * v) / math.sinh(v)    # U_{n-1}(x_n)
     x2 = x * x
-    try:  # u_big grows like n^2 / ln 2n, so u_big^2 passes the largest double near n = 1.6e78
-        pell = abs((x2 - 1.0) * u_big ** 2 - (n * n * x2 - 1.0))
-    except OverflowError:
-        raise DomainError(f"the Pell-type check needs n below about 1.6e78, got {n:.3g}") from None
+    pell = abs((x2 - 1.0) * u_big ** 2 - (n * n * x2 - 1.0))
     if pell > 1e-10 * n * n * x2:
         raise HypothesisViolation(f"Pell-type identity failed at n = {n}")
     a = math.sqrt(2.0 / n) * (x2 - 1.0) ** 0.25 / x * math.sqrt((u_big - 1.0) * (t_big - 1.0))

@@ -218,7 +218,7 @@ def gate(n: int, rho_c: complex, eig_type: EigType) -> float:
     rho_c = _finite_complex(rho_c, "rho_c")
     powers = _powers(n, _check_rho(n, rho_c))
     gaps = np.sort(np.abs(eigenvalues(KmsMatrix(n, rho_c, _block(n, powers, type1))) + n))
-    if gaps[1] > radius:
+    if gaps.size < 2 or gaps[1] > radius:  # K_3's type-1 block holds one eigenvalue
         raise RootFindingFailure(
             f"oracle found no double eigenvalue -{n} at rho_c = {rho_c} (gaps {gaps[:3]})")
     if gaps.size > 2 and gaps[2] <= radius:

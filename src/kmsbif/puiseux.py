@@ -122,12 +122,13 @@ def puiseux_from_derivatives(lambda_c: complex, d: DerivativeBundle) -> PuiseuxP
     """
     lambda_c = _finite_complex(lambda_c, "lambda_c")
     lam_p, lam_pp, rho_pp, rho_ppp = (_finite_complex(v, name) for name, v in vars(d).items())
-    if lambda_c == 0:
-        raise HypothesisViolation("lambda_c = 0")
-    if abs(lam_p) < 1e-12 or abs(rho_pp) < 1e-12:
-        raise HypothesisViolation("need lambda'_c != 0 and rho''_c != 0")
-    alpha = lam_p * cmath.sqrt(2.0 / rho_pp)
-    beta = (3.0 * lam_pp * rho_pp - lam_p * rho_ppp) / (3.0 * rho_pp ** 2)
+    try:  # abs() and ** raise OverflowError past the largest double
+        if lambda_c == 0 or abs(lam_p) < 1e-12 or abs(rho_pp) < 1e-12:
+            raise HypothesisViolation("need lambda_c, lambda'_c and rho''_c nonzero")
+        alpha = lam_p * cmath.sqrt(2.0 / rho_pp)
+        beta = (3.0 * lam_pp * rho_pp - lam_p * rho_ppp) / (3.0 * rho_pp ** 2)
+    except OverflowError:
+        raise DomainError(f"alpha or beta overflows double precision for {d}") from None
     return _params_from_ab(lambda_c, alpha / lambda_c, beta / lambda_c)
 
 

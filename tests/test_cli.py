@@ -101,16 +101,12 @@ def test_computation_errors_return_two(capsys):
     assert "out of range" in err
     code, _, err = run(capsys, "large-n", "--n", "19", "4")
     assert code == 2
-    # cosh(n v) overflows in the bracket of v_n: a typed error, not a traceback
-    code, _, err = run(capsys, "imaginary", "--n", str(10 ** 160 + 1))
-    assert code == 2
-    assert err.startswith("kmsbif: v_n needs n below about 1e154") and err.count("\n") == 1
-    # U_{n-1}(x_n)^2 overflows in the Pell-type check: a typed error, not a traceback
+    # an odd n past the imaginary family's range: a typed error, not a traceback
     for command in ("imaginary", "large-n"):
-        code, _, err = run(capsys, command, "--n", str(10 ** 80 + 1))
-        assert code == 2
-        assert err.startswith("kmsbif: the Pell-type check needs n below about 1.6e78")
-        assert err.count("\n") == 1
+        for n in (5201, 10 ** 80 + 1, 10 ** 160 + 1):
+            code, _, err = run(capsys, command, "--n", str(n))
+            assert code == 2
+            assert err == "kmsbif: need an integer n with 3 <= n <= 5199\n"
     # a residual above --tol fails the command, with one stderr line
     code, _, err = run(capsys, "trajectory", "--n", "8", "--type", "1", "--tol", "1e-12")
     assert code == 2

@@ -191,6 +191,20 @@ def test_conjugation_and_negation_closure_by_type():
                 assert nearest(negated, -r) < 1e-8, (n, t, r)
 
 
+def test_every_catalog_is_closed_under_conjugation_exactly():
+    # conjugation maps each catalog onto itself with no rounding: the same
+    # t_c, mu_c, rho_c and gate_gap, compared with ==, so that the one bit it
+    # leaves out is the sign of a zero real part, which the imaginary-axis
+    # points carry either way.  A gate that solves one point of each
+    # conjugate pair and conjugates the other relies on this
+    for n in [*range(3, 31), 48, 64]:
+        points = all_critical_points(n)
+        fields = {(p.eig_type, p.t_c, p.mu_c, p.rho_c, p.gate_gap) for p in points}
+        assert len(fields) == len(points), n
+        assert {(t, z.conjugate(), m.conjugate(), r.conjugate(), gap)
+                for t, z, m, r, gap in fields} == fields, n
+
+
 def test_mu_parameterization_at_critical_points():
     for n in (4, 6, 9, 12):
         for p in all_critical_points(n):

@@ -11,12 +11,13 @@ import dataclasses
 import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kmsbif
-from kmsbif import chebyshev, critical, errors
+from kmsbif import chebyshev, critical, errors, imag_axis, oracle
 from kmsbif.chebyshev import cheb_t, cheb_u
 from kmsbif.geometry import cardioid_approx
 from kmsbif.imag_axis import solve_v_n
@@ -52,7 +53,8 @@ _ORDER_ENTRY_POINTS = {
     "type_blocks": (lambda n: kmsbif.type_blocks(n, 0.5, EigType.Type1), 512),
     "numeric_borderline": (lambda n: kmsbif.numeric_borderline(n, (1.0, 2.0, 1.0, 2.0),
                                                                eig_type=EigType.Type1), 512),
-    "imag_axis_params": (kmsbif.imag_axis_params, None),
+    "imag_axis_params": (kmsbif.imag_axis_params, 5199),
+    "solve_v_n": (solve_v_n, 5199),
     "large_n_params": (kmsbif.large_n_params, None),
     "build_matrix": (lambda n: build_matrix(n, 0.5), 512),
     "lambda_of_mu": (lambda n: lambda_of_mu(n, 1.0, EigType.Type1), None),
@@ -96,6 +98,51 @@ def test_order_one_past_the_range_end_is_refused(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", _refuse)
     with pytest.raises(errors.SizeError, match=_order_message(n_max)):
         call(n_max + 1)
+
+
+@pytest.mark.parametrize("n", [5201, 10 ** 80 + 1, 10 ** 160 + 1, 10 ** 5000 + 1],
+                         ids=["5201", "10**80 + 1", "10**160 + 1", "10**5000 + 1"])
+@pytest.mark.parametrize("call", [kmsbif.imag_axis_params, solve_v_n], ids=lambda f: f.__name__)
+def test_imaginary_family_refuses_an_odd_order_past_its_range(call, n, monkeypatch):
+    # 5201 is the first odd n whose Pell-type check fails; past it nothing is solved
+    monkeypatch.setattr(imag_axis, "solve_v_n", _refuse)
+    monkeypatch.setattr(math, "cosh", _refuse)
+    with pytest.raises(errors.SizeError, match=_order_message(5199)):
+        call(n)
+
+
+_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def _upper_end(cell):
+    # "3 ≤ n ≤ 5,199" gives 5199, "0 ≤ k ≤ 10⁶" gives 10**6
+    end = cell.rsplit("≤", 1)[1].strip().replace(",", "")
+    power = re.fullmatch(r"10([⁰¹²³⁴⁵⁶⁷⁸⁹]+)", end)
+    return 10 ** int(power.group(1).translate(_SUPERSCRIPTS)) if power else int(end)
+
+
+def _readme_ranges():
+    """(names, upper end) for each row of README's Supported range table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Supported range\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
+    return [({name.rsplit(".", 1)[-1] for name in re.findall(r"`([\w.-]+)`", names)},
+             _upper_end(cell)) for names, cell in rows]
+
+
+def test_readme_range_table_states_each_bound_in_the_code():
+    stated = {name: end for names, end in _readme_ranges() for name in names}
+    assert {name: stated.get(name) for name in ("all_critical_points", "critical_t_values",
+                                                "kms_spectrum", "imag_axis_params", "cheb_t")} == {
+        "all_critical_points": critical._MAX_CATALOG_N,
+        "critical_t_values": critical._MAX_ROOTS_N,
+        "kms_spectrum": oracle._MAX_N,
+        "imag_axis_params": imag_axis._MAX_FAMILY_N,
+        "cheb_t": chebyshev._MAX_DEGREE,
+    }
+    # each entry point that refuses an order past its bound has a row with that bound
+    bounded = {name: n_max for name, (_, n_max) in _ORDER_ENTRY_POINTS.items() if n_max}
+    assert {name: stated.get(name) for name in bounded} == bounded
 
 
 def _point_of_type(eig_type):
@@ -200,8 +247,8 @@ _BAD_NUMBERS = {
     "puiseux_from_derivatives: beta overflows": lambda: kmsbif.puiseux_from_derivatives(
         -8, DerivativeBundle(1e300, 1, 1e-10, 1e300)),
     "large_n_params: 2n above the largest double": lambda: kmsbif.large_n_params(10 ** 400 + 1),
-    "solve_v_n: cosh(2 ln 2n) overflows": lambda: solve_v_n(10 ** 160 + 1),
-    "imag_axis_params: U_{n-1}(x_n)^2 overflows": lambda: kmsbif.imag_axis_params(10 ** 80 + 1),
+    "solve_v_n: n 10**160 + 1": lambda: solve_v_n(10 ** 160 + 1),
+    "imag_axis_params: n 10**80 + 1": lambda: kmsbif.imag_axis_params(10 ** 80 + 1),
     "local_level_curve: |a|^2 overflows": lambda: kmsbif.local_level_curve(_HUGE_A, 0j),
     "trajectory_along_bisector: |a|^2 overflows": lambda: kmsbif.trajectory_along_bisector(
         _HUGE_A, [-1.0]),
@@ -272,7 +319,9 @@ _BAD_NUMBERS = {
 }
 # an order above the entry point's range raises SizeError, not DomainError
 _ABOVE_THE_RANGE = {"kms_spectrum: n 10**5000", "type_blocks: n 10**5000",
-                    "numeric_borderline: n 10**5000", "all_critical_points: n 10**5000"}
+                    "numeric_borderline: n 10**5000", "all_critical_points: n 10**5000",
+                    "solve_v_n: n 10**160 + 1", "imag_axis_params: n 10**80 + 1",
+                    "imag_axis_params: even n 10**5000", "solve_v_n: n 10**5000 + 1"}
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_NUMBERS))
@@ -290,6 +339,8 @@ def test_bad_number_raises_domain_error(case):
 _PAST_A_BOUND = {
     "critical_t_values: n = 1025": (
         errors.SizeError, kmsbif.critical_t_values, lambda: (1025, EigType.Type1)),
+    "critical_t_values: n = 1025, type 2": (
+        errors.SizeError, kmsbif.critical_t_values, lambda: (1025, EigType.Type2)),
     "critical_t_values: n = 10**29": (
         errors.SizeError, kmsbif.critical_t_values, lambda: (10 ** 29, EigType.Type2)),
     # str() refuses an int of more than 4300 digits, so the message cannot show it
@@ -339,8 +390,6 @@ def test_degenerate_point_raises_degenerate_argument(case):
 
 # each call reaches a point where a hypothesis the formulas rely on fails numerically
 _FAILED_HYPOTHESES = {
-    # x_n^2 - 1 is formed by cancellation; the first odd n it spoils is 5201
-    "imag_axis_params: Pell-type identity at n = 5201": lambda: kmsbif.imag_axis_params(5201),
     # n = 4, type 2: cos(mu_c) + cos(4 mu_c) = 0 at mu_c = pi/5, so rho'' ~ 0
     "derivatives_at_critical: rho'' = 0": lambda: kmsbif.derivatives_at_critical(
         _point_with_mu(complex(math.pi / 5))),

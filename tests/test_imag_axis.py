@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kmsbif import imag_axis
 from kmsbif.critical import all_critical_points, rho_c_of_t
 from kmsbif.errors import DomainError, HypothesisViolation, SizeError
 from kmsbif.geometry import _level_eps, cusp_bisector_angle, trajectory_along_bisector
@@ -80,6 +81,20 @@ def test_odd_only():
             fn(6)
         with pytest.raises(SizeError):
             fn(1)
+
+
+def test_every_odd_n_of_the_range_passes_the_pell_type_check():
+    for n in range(3, imag_axis._MAX_FAMILY_N + 1, 2):
+        assert imag_axis_params(n).n == n
+
+
+def test_the_range_ends_where_the_pell_type_check_first_fails(monkeypatch):
+    # x_n^2 - 1 is formed by cancellation; the first odd n it spoils is the
+    # one past the range, which the stated bound refuses unless lifted
+    first_past = imag_axis._MAX_FAMILY_N + 2
+    monkeypatch.setattr(imag_axis, "_MAX_FAMILY_N", first_past)
+    with pytest.raises(HypothesisViolation, match="Pell-type identity failed"):
+        imag_axis_params(first_past)
 
 
 # ---------------------------------------------------------------------------
